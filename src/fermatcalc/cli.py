@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
@@ -422,15 +423,22 @@ def _flatten(payload, prefix: str = "") -> dict:
     return flat
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _add_common(sub, n=True, d=True):
     if n:
         sub.add_argument("--n", type=int, required=True, help="even dimension")
     if d:
         sub.add_argument("--d", type=int, required=True, help="degree")
     sub.add_argument("--output", choices=("json", "csv", "table"), default="json")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
     sub.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized test helpers only"
+        "--jobs", type=_jobs, default=1,
+        help="worker processes for scans (at least 1, capped at the CPU count)",
     )
 
 

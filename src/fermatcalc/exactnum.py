@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from fermatcalc.echelon import echelon_insert
+
 Rational = Fraction
 
 __all__ = [
@@ -258,34 +260,17 @@ class CyclotomicNumber:
         fld = _field(self.m)
         phi_t = euler_phi(target)
         step = self.m // target
-        cols = [fld.powers[j * step] for j in range(phi_t)]
-        # Solve sum_j c_j * cols[j] = coords by substitution on an echelon form.
-        rows = [[Fraction(cols[j][i]) for j in range(phi_t)] + [Fraction(self.nums[i], self.den)]
-                for i in range(fld.phi)]
-        sol: list[Fraction | None] = [None] * phi_t
-        r = 0
-        for c in range(phi_t):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            r += 1
-        col = 0
-        for row in rows[:r]:
-            while col < phi_t and not row[col]:
-                col += 1
-            sol[col] = row[-1]
-            col += 1
-        for row in rows[r:]:
-            if row[-1]:
-                raise ValueError(f"value does not lie in Q(zeta_{target})")
-        return CyclotomicNumber.from_coords(target, [s if s is not None else 0 for s in sol])
+        # Solve sum_j c_j zeta_m^(j*step) = self on the augmented matrix
+        # [A | b]; a pivot in the right-hand column b means no solution.
+        pivots: dict[int, dict] = {}
+        for i in range(fld.phi):
+            row = {j: Fraction(fld.powers[j * step][i]) for j in range(phi_t)}
+            row[phi_t] = Fraction(self.nums[i], self.den)
+            echelon_insert(pivots, {c: v for c, v in row.items() if v})
+        if phi_t in pivots:
+            raise ValueError(f"value does not lie in Q(zeta_{target})")
+        # the powers zeta_target^j are independent: every column j < phi_t pivots
+        return CyclotomicNumber.from_coords(target, [pivots[j].get(phi_t, 0) for j in range(phi_t)])
 
     def _common(self, other: "CyclotomicNumber"):
         if self.m == other.m:
@@ -390,6 +375,8 @@ class CyclotomicNumber:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:  # the echelon engine's pivot normalisation; skip the product
+            return self.inverse()
         other = self._coerce(other)
         if other is None:
             return NotImplemented

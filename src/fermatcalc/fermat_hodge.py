@@ -24,12 +24,12 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from fermatcalc import bounds
+from fermatcalc.echelon import echelon_insert
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     SquareMembership,
-    _augmented_insert,
     ideal_hilbert_dims,
     ideal_square_membership,
     reduce_mod_jacobian,
@@ -447,12 +447,14 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     for L in forms:
         if L.nvars != ctx.nvars or L.homogeneous_degree() != 1:
             raise ValueError("inputs must be homogeneous linear forms")
-    # Echelonize the coefficient matrix, tracking the row transformation.
+    # Echelonize the coefficient matrix; form i carries the tag column
+    # nvars + i, which tracks the row transformation.
+    width = ctx.nvars
     pivots: dict[int, dict[int, CyclotomicNumber]] = {}
-    tags: dict[int, dict] = {}
     for i, L in enumerate(forms):
         row = {e.index(1): c for e, c in L.terms.items()}
-        _augmented_insert(pivots, tags, dict(row), {i: CyclotomicNumber.one()})
+        row[width + i] = CyclotomicNumber.one()
+        echelon_insert(pivots, row, width)
     if len(pivots) != half:
         raise ValueError("linear forms are dependent")
     pivot_vars = sorted(pivots)
@@ -464,7 +466,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
             [
                 (tuple(1 if t == c else 0 for t in range(ctx.nvars)), -v)
                 for c, v in pivots[pv].items()
-                if c != pv
+                if c != pv and c < width
             ],
         )
         restricted = restricted.substitute_linear(pv, replacement)
@@ -482,6 +484,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
             [
                 (tuple(1 if t == c else 0 for t in range(ctx.nvars)), v)
                 for c, v in pivots[pv].items()
+                if c < width
             ],
         )
         for pv in pivot_vars
@@ -493,7 +496,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     for j in range(half):
         q = Polynomial.zero(ctx.nvars)
         for i, pv in enumerate(pivot_vars):
-            t = tags[pv].get(j)
+            t = pivots[pv].get(width + j)
             if t is not None:
                 q = q + hat_quotients[i].scale(t)
         quotients.append(q)

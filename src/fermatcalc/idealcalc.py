@@ -9,9 +9,9 @@ degree-k monomial space into the reduced degree-(sigma+k) monomial space
 (exponents <= d-2 componentwise).  That reduced target is far smaller than
 the full degree space, which is what keeps the scans at desk scale.
 
-All linear algebra is exact Gaussian elimination over Q(zeta_m).  Pivoting
-always selects the first nonzero column in the active monomial order, so
-every echelon basis returned here is the unique reduced echelon form of its
+All linear algebra is exact elimination over Q(zeta_m) by the engine in
+`fermatcalc.echelon`.  Columns follow the active monomial order, so every
+echelon basis returned here is the unique reduced echelon form of its
 subspace: slices computed along different routes can be compared verbatim.
 """
 
@@ -21,6 +21,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from fermatcalc.echelon import echelon, echelon_insert, reduce_row
 from fermatcalc.exactnum import CyclotomicNumber
 from fermatcalc.multipoly import (
     Monomial,
@@ -46,7 +47,6 @@ __all__ = [
     "SquareMembership",
     "reduce_mod_jacobian",
     "colon_slice",
-    "quotient_slice",
     "hilbert_profile",
     "lt_slice",
     "buchberger",
@@ -105,68 +105,6 @@ def reduce_mod_jacobian(p: Polynomial, ctx: FermatContext) -> Polynomial:
     if len(kept) == len(p.terms):
         return p
     return Polynomial(p.nvars, kept)
-
-
-# ---------------------------------------------------------------------------
-# Exact echelon forms over Q(zeta_m)
-#
-# Rows are sparse dicts {column index: coefficient}.  Column indices are
-# integers whose natural order is the processing order; the caller decides
-# what that order means (ascending or descending in the monomial order).
-# ---------------------------------------------------------------------------
-
-
-def _row_submul(row: dict, factor: CyclotomicNumber, pivot_row: dict, skip: int):
-    for c, v in pivot_row.items():
-        if c == skip:
-            continue
-        cur = row.get(c)
-        nv = -(factor * v) if cur is None else cur - factor * v
-        if nv:
-            row[c] = nv
-        elif cur is not None:
-            del row[c]
-
-
-def _echelon_insert(pivots: dict[int, dict], row: dict) -> int | None:
-    """Insert one row into a reduced echelon collection.  Returns the new
-    pivot column, or None when the row reduces to zero.
-
-    Invariant maintained: every stored row is monic at its pivot, has no
-    support before it, and vanishes at every other pivot column."""
-    while row:
-        c = min(row)
-        prow = pivots.get(c)
-        if prow is None:
-            break
-        f = row.pop(c)
-        _row_submul(row, f, prow, c)
-    if not row:
-        return None
-    c = min(row)
-    # clear residual entries at existing pivot columns beyond c; stored rows
-    # only carry free columns besides their pivot, so one pass suffices
-    for pc in [k for k in row if k in pivots]:
-        f = row.pop(pc)
-        _row_submul(row, f, pivots[pc], pc)
-    inv = row[c].inverse()
-    if inv != 1:
-        for k in list(row):
-            row[k] = row[k] * inv
-    for existing in pivots.values():
-        f = existing.get(c)
-        if f is not None:
-            del existing[c]
-            _row_submul(existing, f, row, c)
-    pivots[c] = row
-    return c
-
-
-def _echelon(rows: Iterable[dict]) -> dict[int, dict]:
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        _echelon_insert(pivots, dict(row))
-    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +182,33 @@ class ColonIdeal:
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
 
+    def _multiplication_rows(self, targets, index: dict[Monomial, int]) -> list[dict]:
+        """Nonzero rows of multiplication by P: the row of target tau holds
+        P's coefficient at tau - beta in column index[beta]."""
+        rows = []
+        for tau in targets:
+            row: dict[int, CyclotomicNumber] = {}
+            for gamma, c in self.reduced.terms.items():
+                col = index.get(monomial_div(tau, gamma))
+                if col is not None:
+                    row[col] = c
+            if row:
+                rows.append(row)
+        return rows
+
     def _kernel_data(self, k: int):
         """Echelon data of the multiplication matrix at degree k: a tuple
         (source monomials ascending, pivot dict, pivot cols, free cols)."""
         data = self._cache.get(k)
         if data is not None:
             return data
+        if k < 0:
+            raise ValueError("negative degree")
         ctx = self.ctx
         source = sorted(monomials_of_degree(ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source)}
-        cap = ctx.d - 2
-        rows = []
-        for tau in monomials_of_degree(ctx.nvars, ctx.sigma + k, cap=cap):
-            row: dict[int, CyclotomicNumber] = {}
-            for gamma, c in self.reduced.terms.items():
-                beta = monomial_div(tau, gamma)
-                if min(beta) >= 0:
-                    row[index[beta]] = c
-            if row:
-                rows.append(row)
-        pivots = _echelon(rows)
+        targets = monomials_of_degree(ctx.nvars, ctx.sigma + k, cap=ctx.d - 2)
+        pivots = echelon(self._multiplication_rows(targets, index))
         pivot_cols = sorted(pivots)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, pivot_cols, free_cols)
@@ -273,19 +218,9 @@ class ColonIdeal:
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
         which equals the quotient dimension dim R_k."""
-        if k < 0:
-            raise ValueError("negative degree")
         if k > self.ctx.sigma:
             return 0
         return len(self._kernel_data(k)[2])
-
-    def quotient_dim(self, k: int) -> int:
-        return self.rank(k)
-
-    def ideal_dim(self, k: int) -> int:
-        if k > self.ctx.sigma:
-            return count_monomials(self.ctx.nvars, k)
-        return count_monomials(self.ctx.nvars, k) - self.rank(k)
 
     def slice(self, k: int) -> DegreeSlice:
         """Reduced echelon basis of the degree-k piece of the colon ideal."""
@@ -330,38 +265,16 @@ class ColonIdeal:
     def hilbert_profile(self) -> HilbertProfile:
         return HilbertProfile(tuple(self.rank(k) for k in range(self.ctx.sigma + 1)))
 
-    def socle_coefficient(self, f: Polynomial) -> CyclotomicNumber:
-        """Coefficient of (x_0...x_{n+1})^(d-2) in the reduction of f*P."""
-        socle = (self.ctx.d - 2,) * self.ctx.nvars
-        total = CyclotomicNumber.zero()
-        for e, c in f.terms.items():
-            rest = monomial_div(socle, e)
-            if min(rest) >= 0:
-                pc = self.reduced.terms.get(rest)
-                if pc is not None:
-                    total = total + c * pc
-        return total
-
     def pairing_rank(self, i: int) -> int:
         """Rank of the multiplication pairing R_i x R_(sigma-i) -> R_sigma on
         the monomial complement bases."""
         if not 0 <= i <= self.ctx.sigma:
             raise ValueError(f"pairing degree must lie in 0..{self.ctx.sigma}")
-        left = self.quotient_monomials(i)
-        right = self.quotient_monomials(self.ctx.sigma - i)
         socle = (self.ctx.d - 2,) * self.ctx.nvars
-        rows = []
-        for u in left:
-            row: dict[int, CyclotomicNumber] = {}
-            for jdx, v in enumerate(right):
-                rest = monomial_div(monomial_div(socle, u), v)
-                if min(rest) >= 0:
-                    c = self.reduced.terms.get(rest)
-                    if c is not None:
-                        row[jdx] = c
-            if row:
-                rows.append(row)
-        return len(_echelon(rows))
+        targets = [monomial_div(socle, u) for u in self.quotient_monomials(i)]
+        right = self.quotient_monomials(self.ctx.sigma - i)
+        index = {v: jdx for jdx, v in enumerate(right)}
+        return len(echelon(self._multiplication_rows(targets, index)))
 
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by
@@ -390,12 +303,6 @@ def colon_slice(
     return ColonIdeal(p, ctx, order).slice(k)
 
 
-def quotient_slice(
-    p: Polynomial, k: int, ctx: FermatContext, order: MonomialOrder | None = None
-) -> DegreeSlice:
-    return ColonIdeal(p, ctx, order).quotient_slice(k)
-
-
 def hilbert_profile(
     p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None
 ) -> HilbertProfile:
@@ -414,10 +321,6 @@ def lt_slice(slice_: DegreeSlice, order: MonomialOrder) -> frozenset[Monomial]:
 # ---------------------------------------------------------------------------
 # Generated ideals: degreewise spans, Groebner bases, membership
 # ---------------------------------------------------------------------------
-
-
-def _poly_row(p: Polynomial, index: dict[Monomial, int]) -> dict[int, CyclotomicNumber]:
-    return {index[e]: c for e, c in p.terms.items()}
 
 
 def ideal_slice(
@@ -441,7 +344,7 @@ def ideal_slice(
         for gamma in monomials_of_degree(nvars, k - dg):
             shifted = {monomial_mul(e, gamma): c for e, c in g.terms.items()}
             rows.append({index[e]: c for e, c in shifted.items()})
-    pivots = _echelon(rows)
+    pivots = echelon(rows)
     basis = []
     for pc in sorted(pivots):
         row = pivots[pc]
@@ -555,8 +458,10 @@ def ideal_square_membership(target: Polynomial, gens: Sequence[Polynomial]) -> S
     order = lex_order(nvars)
     cols = sorted(monomials_of_degree(nvars, deg), key=order.key, reverse=True)
     index = {m: i for i, m in enumerate(cols)}
+    # product row k carries the tag column width + k
+    width = len(cols)
+    products: list[tuple[int, int, Monomial]] = []
     pivots: dict[int, dict] = {}
-    tags: dict[int, dict] = {}
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             p = gens[i] * gens[j]
@@ -564,70 +469,12 @@ def ideal_square_membership(target: Polynomial, gens: Sequence[Polynomial]) -> S
             if dp is None or dp > deg:
                 continue
             for gamma in monomials_of_degree(nvars, deg - dp):
-                row = {
-                    index[monomial_mul(e, gamma)]: c for e, c in p.terms.items()
-                }
-                tag = {(i, j, gamma): CyclotomicNumber.one()}
-                _augmented_insert(pivots, tags, row, tag)
-    row = _poly_row(target, index)
-    tag: dict = {}
-    while row:
-        c = min(row)
-        prow = pivots.get(c)
-        if prow is None:
-            return SquareMembership(False, None)
-        f = row.pop(c)
-        _row_submul(row, f, prow, c)
-        for key, v in tags[c].items():
-            cur = tag.get(key)
-            nv = f * v if cur is None else cur + f * v
-            if nv:
-                tag[key] = nv
-            elif cur is not None:
-                del tag[key]
-    witness = tuple(sorted(tag.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])))
-    return SquareMembership(True, tuple((i, j, g, c) for (i, j, g), c in witness))
-
-
-def _augmented_insert(pivots: dict, tags: dict, row: dict, tag: dict):
-    """Echelon insertion that carries a combination tag along with each row."""
-
-    def tag_submul(t: dict, factor, pt: dict):
-        for key, v in pt.items():
-            cur = t.get(key)
-            nv = -(factor * v) if cur is None else cur - factor * v
-            if nv:
-                t[key] = nv
-            elif cur is not None:
-                del t[key]
-
-    while row:
-        c = min(row)
-        prow = pivots.get(c)
-        if prow is None:
-            break
-        f = row.pop(c)
-        _row_submul(row, f, prow, c)
-        tag_submul(tag, f, tags[c])
-    if not row:
-        return
-    c = min(row)
-    for pc in [k for k in row if k in pivots]:
-        f = row.pop(pc)
-        _row_submul(row, f, pivots[pc], pc)
-        tag_submul(tag, f, tags[pc])
-    inv = row[c].inverse()
-    if inv != 1:
-        for k in list(row):
-            row[k] = row[k] * inv
-        for k in list(tag):
-            tag[k] = tag[k] * inv
-    for pc in list(pivots):
-        existing = pivots[pc]
-        f = existing.get(c)
-        if f is not None:
-            del existing[c]
-            _row_submul(existing, f, row, c)
-            tag_submul(tags[pc], f, tag)
-    pivots[c] = row
-    tags[c] = tag
+                row = {index[monomial_mul(e, gamma)]: c for e, c in p.terms.items()}
+                row[width + len(products)] = CyclotomicNumber.one()
+                products.append((i, j, gamma))
+                echelon_insert(pivots, row, width)
+    row = {index[e]: c for e, c in target.terms.items()}
+    if reduce_row(pivots, row, width) is not None:
+        return SquareMembership(False, None)
+    witness = sorted((*products[c - width], -v) for c, v in row.items())
+    return SquareMembership(True, tuple(witness))

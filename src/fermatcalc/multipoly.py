@@ -22,10 +22,6 @@ from fermatcalc.exactnum import CyclotomicNumber
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(exps: Monomial) -> int:
-    return sum(exps)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from fermatcalc.cli import main
+from fermatcalc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -169,6 +170,16 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-verb"])
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as err:
+            main(["tangent", "--n", "2", "--d", "5", "--alpha", "1,1", "--jobs", jobs])
+        assert err.value.code == 2
+
+
+def test_jobs_is_capped_at_the_cpu_count():
+    # parsed only: a large value must never reach a process pool
+    args = build_parser().parse_args(["scan-bounds", "--n", "2", "--d", "5", "--jobs", "1000000"])
+    assert args.jobs == (os.cpu_count() or 1)
 
 
 def test_computation_errors_exit_one(capsys):
@@ -177,6 +188,12 @@ def test_computation_errors_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
     code = main(["special", "--n", "2", "--d", "4", "--a", "2,z"])
     assert code == 1
+
+
+def test_negative_degree_is_refused(capsys):
+    code = main(["hilbert", "--n", "2", "--d", "5", "--alpha", "1,1", "--degree", "-1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: negative degree\n")
 
 
 MALFORMED = [
@@ -277,11 +294,6 @@ def test_groebner_accepts_a_generators_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["added"] == 1
-
-
-def test_seed_flag_is_accepted_everywhere(capsys):
-    code, _ = run(capsys, "tangent", "--n", "2", "--d", "5", "--alpha", "1,1", "--seed", "7")
-    assert code == 0
 
 
 def test_output_is_deterministic(capsys):

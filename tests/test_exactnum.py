@@ -112,7 +112,7 @@ def test_conductor_promotion_is_an_embedding():
 
 
 def test_promote_then_demote_is_identity():
-    for m, target in [(6, 12), (5, 10), (4, 8), (3, 12), (8, 24)]:
+    for m, target in [(6, 12), (5, 10), (4, 8), (3, 12), (8, 24), (10, 30), (12, 24), (7, 28)]:
         x = zeta(m) * 2 - Fraction(1, 3)
         up = x.promote(target)
         assert up.demote(m) == x

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fermatcalc.echelon import echelon, echelon_insert
 from fermatcalc.exactnum import CyclotomicNumber, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
@@ -401,8 +404,74 @@ def test_degree_cap_defaults_beyond_socle(quintic_surface):
     assert ci.quotient_monomials(k) == ()
 
 
+def test_negative_degrees_are_refused(quintic_surface):
+    ci = ColonIdeal(linear_cycle_class(quintic_surface, (1, 1)), quintic_surface)
+    for entry in (ci.rank, ci.slice, ci.quotient_monomials, ci.leading_monomials, ci.quotient_slice):
+        with pytest.raises(ValueError, match="negative degree"):
+            entry(-1)
+
+
 def test_ideal_and_quotient_slices_are_complementary(quintic_surface):
     ctx = quintic_surface
     ci = ColonIdeal(linear_cycle_class(ctx, (3, 5)), ctx)
     for k in range(ctx.sigma + 1):
         assert ci.slice(k).dim + ci.quotient_slice(k).dim == count_monomials(4, k)
+
+
+# ---------------------------------------------------------------------------
+# The echelon engine
+# ---------------------------------------------------------------------------
+
+
+def matrices(entries):
+    """Nonempty lists of equal-length rows, at most 5 x 5."""
+    return st.integers(1, 5).flatmap(
+        lambda w: st.lists(st.lists(entries, min_size=w, max_size=w), min_size=1, max_size=5)
+    )
+
+
+def sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(st.integers(-3, 3)))
+def test_echelon_matches_sympy_rref(matrix):
+    import sympy
+
+    pivots = echelon(sparse([Fraction(v) for v in row]) for row in matrix)
+    rref, cols = sympy.Matrix(matrix).rref()
+    assert sorted(pivots) == list(cols)
+    for i, c in enumerate(cols):
+        theirs = [Fraction(int(x.p), int(x.q)) for x in rref.row(i)]
+        assert [pivots[c].get(j, 0) for j in range(len(matrix[0]))] == theirs
+
+
+FIELDS = {
+    "rational": (st.integers(-3, 3).map(Fraction), Fraction(1)),
+    "zeta10": (
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(lambda v: CyclotomicNumber(10, v)),
+        CyclotomicNumber.one(),
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_echelon_tag_columns_record_row_combinations(field, data):
+    entries, one = FIELDS[field]
+    matrix = data.draw(matrices(entries))
+    width = len(matrix[0])
+    rows = [sparse(row) for row in matrix]
+    pivots: dict[int, dict] = {}
+    for k, row in enumerate(rows):
+        echelon_insert(pivots, {**row, width + k: one}, width)
+    assert all(c < width for c in pivots)
+    for stored in pivots.values():
+        combination = [0] * width
+        for tag_col, t in stored.items():
+            if tag_col >= width:
+                for c, v in rows[tag_col - width].items():
+                    combination[c] = combination[c] + t * v
+        assert all(stored.get(c, 0) == combination[c] for c in range(width))
