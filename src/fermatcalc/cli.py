@@ -85,7 +85,6 @@ def _pairing_json(result) -> dict:
         "c_rational": ioformats.frac_str(result.c_rational),
         "intersection": ioformats.cyclotomic_to_json(result.intersection),
         "intersection_rational": ioformats.frac_str(result.intersection_rational),
-        "non_socle_terms": len(result.non_socle.terms),
         "normalization": "linear cycle scale fixed to 1",
     }
 
@@ -337,7 +336,7 @@ def _run_special(args):
 
 
 def _run_scan_bounds(args):
-    report = bounds.scan_divisor_minima(args.n, args.d, jobs=args.jobs)
+    report = bounds.scan_divisor_minima(args.n, args.d)
     payload = {
         "n": report.n,
         "d": report.d,
@@ -438,7 +437,8 @@ def _add_common(sub, n=True, d=True):
     sub.add_argument("--output", choices=("json", "csv", "table"), default="json")
     sub.add_argument(
         "--jobs", type=_jobs, default=1,
-        help="worker processes for scans (at least 1, capped at the CPU count)",
+        help="worker processes for certify (at least 1, capped at the CPU count); "
+        "other verbs accept and ignore it",
     )
 
 

@@ -190,16 +190,17 @@ class PairingResult:
     intersection: CyclotomicNumber
     c_rational: Fraction | None
     intersection_rational: Fraction | None
-    non_socle: Polynomial
 
 
 def pair_classes(p: Polynomial, q: Polynomial, ctx: FermatContext) -> PairingResult:
+    """p*q has degree 2 sigma, the socle degree of the Jacobian ring, so it
+    reduces to a multiple of the socle monomial alone."""
+    if p.nvars != ctx.nvars or q.nvars != ctx.nvars:
+        raise ValueError(f"variable count mismatch: {p.nvars} and {q.nvars}, expected {ctx.nvars}")
     if p.homogeneous_degree() != ctx.sigma or q.homogeneous_degree() != ctx.sigma:
         raise ValueError(f"both classes must be homogeneous of degree {ctx.sigma}")
-    reduced = reduce_mod_jacobian(p * q, ctx)
     socle = (ctx.d - 2,) * ctx.nvars
-    socle_coeff = reduced.coeff(socle)
-    non_socle = reduced - Polynomial.monomial(ctx.nvars, socle, socle_coeff)
+    socle_coeff = reduce_mod_jacobian(p * q, ctx).coeff(socle)
     c = socle_coeff / hessian_coefficient(ctx)
     half = ctx.n // 2
     factor = Fraction(-(ctx.d - 1) ** ctx.nvars * ctx.d, math.factorial(half) ** 2)
@@ -209,7 +210,6 @@ def pair_classes(p: Polynomial, q: Polynomial, ctx: FermatContext) -> PairingRes
         intersection=intersection,
         c_rational=c.as_rational(),
         intersection_rational=intersection.as_rational(),
-        non_socle=non_socle,
     )
 
 

@@ -62,14 +62,20 @@ def polynomial_to_json(p: Polynomial) -> dict:
     return {"vars": p.nvars, "m": conductor, "terms": terms}
 
 
-def polynomial_from_json(obj: dict) -> Polynomial:
-    nvars = obj["vars"]
-    conductor = obj["m"]
-    terms = [
-        (tuple(t["exp"]), CyclotomicNumber.from_coords(conductor, t["coeff"]))
-        for t in obj["terms"]
-    ]
-    return Polynomial(nvars, terms)
+def polynomial_from_json(obj) -> Polynomial:
+    """Inverse of polynomial_to_json; a value of the wrong shape raises ValueError."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), int)
+            and isinstance(obj.get("m"), int) and isinstance(obj.get("terms"), list)):
+        raise ValueError('polynomial must be an object with integers "vars", "m" and a list "terms"')
+    terms = []
+    for t in obj["terms"]:
+        if not (isinstance(t, dict) and isinstance(t.get("exp"), list)
+                and isinstance(t.get("coeff"), list)
+                and all(isinstance(e, int) for e in t["exp"])
+                and all(isinstance(c, (str, int)) for c in t["coeff"])):
+            raise ValueError(f"malformed polynomial term {t!r}")
+        terms.append((tuple(t["exp"]), CyclotomicNumber.from_coords(obj["m"], t["coeff"])))
+    return Polynomial(obj["vars"], terms)
 
 
 def slice_to_json(s: DegreeSlice) -> dict:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fermatcalc.bounds import (
+    _exchange_holds,
     bounded_compositions,
     classify_lt_shape,
     classify_lt_shape_of_ideal,
@@ -146,8 +147,57 @@ def test_scan_skips_second_assertions_for_degree_three():
     assert report.assertions[0]
 
 
-def test_scan_jobs_do_not_change_the_report():
-    assert scan_divisor_minima(2, 5, jobs=1) == scan_divisor_minima(2, 5, jobs=3)
+def _exhaustive_scan(n, d):
+    """Reference scan over every exponent vector, one entry per vector."""
+    sigma = (d - 2) * (n // 2 + 1)
+    linear_shape = tuple(sorted([0] * (n // 2 + 1) + [d - 2] * (n // 2 + 1)))
+    counts, shapes = [], []
+    exchange_ok, exchange_checks = True, 0
+    for alpha in bounded_compositions(sigma, n + 2, d - 2):
+        s = count_divisors(alpha, d)
+        counts.append(s)
+        shapes.append(tuple(sorted(alpha)))
+        ok, checks = _exchange_holds(alpha, d, s)
+        exchange_ok = exchange_ok and ok
+        exchange_checks += checks
+
+    def attainers(value, skip):
+        pool = {}
+        for s, shape in zip(counts, shapes):
+            if s == value and shape != skip:
+                pool[shape] = pool.get(shape, 0) + 1
+        return tuple(sorted(pool.items()))
+
+    min_value = min(counts)
+    rest = [s for s, shape in zip(counts, shapes) if shape != linear_shape]
+    second_min = min(rest) if rest else None
+    min_attainers = attainers(min_value, None)
+    second_attainers = attainers(second_min, linear_shape)
+    return {
+        "sigma": sigma,
+        "min_value": min_value,
+        "min_count": sum(c for _, c in min_attainers),
+        "second_min": second_min,
+        "second_count": sum(c for _, c in second_attainers) or None,
+        "min_attainers": min_attainers,
+        "second_attainers": second_attainers,
+        "exchange_checks": exchange_checks,
+        "linear_holds": min_value == linear_cycle_bound(n, d),
+        "exchange_ok": exchange_ok,
+    }
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(2, d) for d in range(3, 10)] + [(4, d) for d in range(3, 7)] + [(6, 3), (6, 4)],
+)
+def test_orbit_scan_matches_the_exhaustive_scan(n, d):
+    reference = _exhaustive_scan(n, d)
+    report = scan_divisor_minima(n, d)
+    got = {field: getattr(report, field) for field in reference if hasattr(report, field)}
+    got["linear_holds"] = report.assertions[0]
+    got["exchange_ok"] = report.assertions[3]
+    assert got == reference
 
 
 def test_tangent_codim_linear_cycle(quintic_surface):

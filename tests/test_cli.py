@@ -48,6 +48,25 @@ def test_linear_cycle_round_trips_through_polynomial_json(capsys, tmp_path):
     assert json.loads(out)["value"] == 2
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"vars": 4, "m": 10, "terms": [{"exp": "3300", "coeff": ["1", "0", "0", "0"]}]},
+        [{"vars": 4, "m": 10, "terms": []}],
+        {"vars": 4, "m": 10, "terms": [{"exp": [3, 3, 0, 0], "coeff": None}]},
+    ],
+    ids=["string-exp", "top-level-list", "null-coeff"],
+)
+def test_malformed_polynomial_json_exits_one(capsys, tmp_path, blob):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code = main(["tangent", "--n", "2", "--d", "5", "--poly", str(path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_pair_verb(capsys):
     code, out = run(
         capsys, "pair", "--n", "2", "--d", "5", "--alpha", "1,1", "--alpha2", "1,3"
@@ -55,7 +74,7 @@ def test_pair_verb(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["c_rational"] is not None
-    assert payload["non_socle_terms"] == 0
+    assert "non_socle_terms" not in payload
 
 
 def test_certify_csv(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, reduce_mod_jacobian
 from fermatcalc.multipoly import Polynomial, divide, lex_order, monomials_of_degree
 from fermatcalc.fermat_hodge import (
     LinearCycleSpec,
@@ -24,7 +24,7 @@ from fermatcalc.fermat_hodge import (
     special_family,
 )
 
-from conftest import coefficient_pool
+from conftest import coefficient_pool, random_reduced_class
 
 
 def geometric_sum(a, b, d):
@@ -142,7 +142,6 @@ def test_self_pairing_of_linear_cycles_is_rational(quintic_surface):
         sign = -1 if sum(alpha) % 2 else 1
         expected = Fraction(sign * (ctx.d - 1) ** (ctx.n // 2 + 1), (ctx.d * (ctx.d - 1)) ** ctx.nvars)
         assert result.c_rational == expected
-        assert result.non_socle.is_zero()
         half_fact = 1  # (n/2)! = 1 for n = 2
         assert result.intersection_rational == expected * -(
             (ctx.d - 1) ** ctx.nvars * ctx.d
@@ -200,6 +199,30 @@ def test_pairing_rejects_wrong_degrees(quintic_surface):
     p = linear_cycle_poly((1, 1), ctx)
     with pytest.raises(ValueError):
         pair_classes(p, Polynomial.monomial(4, (1, 0, 0, 0)), ctx)
+
+
+def test_pairing_rejects_a_variable_count_mismatch(quintic_surface):
+    # degree 6 = sigma, so only the variable count is wrong
+    p = Polynomial.monomial(3, (2, 2, 2))
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        pair_classes(p, p, quintic_surface)
+    q = linear_cycle_poly((1, 1), quintic_surface)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        pair_classes(q, p, quintic_surface)
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (2, 6), (4, 3), (4, 4)])
+def test_product_of_two_classes_reduces_to_the_socle_monomial(n, d):
+    # p*q has degree 2 sigma, the socle degree of the Jacobian ring, whose
+    # degree-2-sigma part is spanned by the socle monomial alone
+    ctx = FermatContext(n, d)
+    rng = random.Random(100 * n + d)
+    socle = (d - 2,) * ctx.nvars
+    classes = [random_reduced_class(ctx, rng, terms=6) for _ in range(3)]
+    classes.append(linear_cycle_poly((1,) * (n // 2 + 1), ctx))
+    supports = [set(reduce_mod_jacobian(p * q, ctx).terms) for p in classes for q in classes]
+    assert all(support <= {socle} for support in supports)
+    assert any(supports)
 
 
 # ---------------------------------------------------------------------------
