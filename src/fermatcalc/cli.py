@@ -52,6 +52,11 @@ def _parse_order(text: str | None, nvars: int) -> MonomialOrder | None:
     return MonomialOrder(priority)
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _class_poly(args, ctx: FermatContext) -> Polynomial:
     if getattr(args, "alpha", None):
         return fermat_hodge.linear_cycle_poly(_parse_alpha(args.alpha), ctx)
@@ -65,8 +70,7 @@ def _class_poly(args, ctx: FermatContext) -> Polynomial:
         spec = fermat_hodge.ProductClassSpec(coeffs, scale)
         return fermat_hodge.product_class_poly(spec, ctx)
     if getattr(args, "poly", None):
-        with open(args.poly, encoding="utf-8") as fh:
-            return ioformats.polynomial_from_json(json.load(fh))
+        return ioformats.polynomial_from_json(_read_json(args.poly))
     raise ValueError("specify a class via --alpha, --a or --poly")
 
 
@@ -241,8 +245,7 @@ def _run_prop11(args):
 def _run_plane(args):
     ctx = _context(args)
     if args.forms:
-        with open(args.forms, encoding="utf-8") as fh:
-            forms = [ioformats.polynomial_from_json(o) for o in json.load(fh)]
+        forms = ioformats.polynomials_from_json(_read_json(args.forms))
     elif args.a:
         forms = _binomial_forms(ctx, _parse_coeffs(args.a, ctx.m))
     else:
@@ -263,10 +266,7 @@ def _run_plane(args):
 def _run_dan_ci(args):
     ctx = _context(args)
     if args.decomp:
-        with open(args.decomp, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        f = [ioformats.polynomial_from_json(o) for o in obj["f"]]
-        g = [ioformats.polynomial_from_json(o) for o in obj["g"]]
+        f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
     else:
         f, g = _standard_decomposition(args, ctx)
     report = fermat_hodge.complete_intersection_ideal(f, g, ctx)
@@ -361,8 +361,7 @@ def _run_scan_bounds(args):
 def _run_groebner(args):
     ctx = _context(args)
     if args.gens:
-        with open(args.gens, encoding="utf-8") as fh:
-            gens = [ioformats.polynomial_from_json(o) for o in json.load(fh)]
+        gens = ioformats.polynomials_from_json(_read_json(args.gens))
         if not gens:
             raise ValueError("empty generator file")
     elif args.a:

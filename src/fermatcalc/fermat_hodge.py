@@ -24,7 +24,6 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from fermatcalc import bounds
-from fermatcalc.echelon import echelon_insert
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
@@ -33,6 +32,7 @@ from fermatcalc.idealcalc import (
     ideal_hilbert_dims,
     ideal_square_membership,
     reduce_mod_jacobian,
+    solve_linear_forms,
 )
 from fermatcalc.multipoly import (
     MonomialOrder,
@@ -447,29 +447,12 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     for L in forms:
         if L.nvars != ctx.nvars or L.homogeneous_degree() != 1:
             raise ValueError("inputs must be homogeneous linear forms")
-    # Echelonize the coefficient matrix; form i carries the tag column
-    # nvars + i, which tracks the row transformation.
+    F = ctx.fermat_polynomial()
     width = ctx.nvars
-    pivots: dict[int, dict[int, CyclotomicNumber]] = {}
-    for i, L in enumerate(forms):
-        row = {e.index(1): c for e, c in L.terms.items()}
-        row[width + i] = CyclotomicNumber.one()
-        echelon_insert(pivots, row, width)
+    pivots, (restricted,) = solve_linear_forms(forms, [F], width)
     if len(pivots) != half:
         raise ValueError("linear forms are dependent")
     pivot_vars = sorted(pivots)
-    F = ctx.fermat_polynomial()
-    restricted = F
-    for pv in pivot_vars:
-        replacement = Polynomial(
-            ctx.nvars,
-            [
-                (tuple(1 if t == c else 0 for t in range(ctx.nvars)), -v)
-                for c, v in pivots[pv].items()
-                if c != pv and c < width
-            ],
-        )
-        restricted = restricted.substitute_linear(pv, replacement)
     if not restricted.is_zero():
         return PlaneContainment(False, restricted, None, None, None, None)
     # Divide F by the echelon forms under a pivot-first order, then transform

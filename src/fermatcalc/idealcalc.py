@@ -55,6 +55,7 @@ __all__ = [
     "ideal_square_membership",
     "ideal_slice",
     "ideal_hilbert_dims",
+    "solve_linear_forms",
     "standard_monomials",
 ]
 
@@ -352,13 +353,62 @@ def ideal_slice(
     return DegreeSlice(k, "ideal", tuple(basis))
 
 
-def ideal_hilbert_dims(
-    gens: Sequence[Polynomial], up_to: int, order: MonomialOrder | None = None
-) -> list[int]:
-    """Quotient dimensions [dim (S/I)_k for k = 0..up_to] by echelon spans."""
+def solve_linear_forms(
+    forms: Sequence[Polynomial], polys: Iterable[Polynomial], nvars: int
+) -> tuple[dict[int, dict], list[Polynomial]]:
+    """Solve linear forms for their pivot variables and restrict `polys` to
+    the forms' common zero set.
+
+    Returns the reduced echelon rows {pivot variable: row} of the forms, in
+    which form i carries the tag column nvars + i that tracks the row
+    transformation, and the polynomials with each pivot variable replaced by
+    minus the rest of its row.  Dependent forms leave no row."""
+    pivots: dict[int, dict] = {}
+    for i, L in enumerate(forms):
+        row = {e.index(1): c for e, c in L.terms.items()}
+        echelon_insert(pivots, {**row, nvars + i: CyclotomicNumber.one()}, nvars)
+    replacements = [
+        (pv, Polynomial(nvars, [
+            (tuple(int(t == c) for t in range(nvars)), -v)
+            for c, v in row.items() if c != pv and c < nvars
+        ]))
+        for pv, row in sorted(pivots.items())
+    ]
+    restricted = []
+    for p in polys:
+        for pv, replacement in replacements:
+            p = p.substitute_linear(pv, replacement)
+        restricted.append(p)
+    return pivots, restricted
+
+
+def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
+    """Quotient dimensions [dim (S/I)_k for k = 0..up_to] by echelon spans.
+
+    The linear generators span a space L of linear forms.  Solving L for its
+    pivot variables leaves the ring S' in the m remaining variables, to which
+    the other generators G restrict as G'.  S/(L + G) and S'/G' are
+    isomorphic as graded rings, so the spans are computed in S', whose
+    degree-k slice has C(m-1+k, k) monomials instead of C(N-1+k, k) for the
+    N variables of S.
+    """
     nvars = gens[0].nvars
+    degrees = [g.homogeneous_degree() for g in gens]
+    if None in degrees:
+        raise ValueError("generators must be homogeneous and nonzero")
+    pivots, restricted = solve_linear_forms(
+        [g for g, dg in zip(gens, degrees) if dg == 1],
+        [g for g, dg in zip(gens, degrees) if dg != 1],
+        nvars,
+    )
+    free = [v for v in range(nvars) if v not in pivots]
+    reduced = [
+        Polynomial(len(free), {tuple(e[v] for v in free): c for e, c in g.terms.items()})
+        for g in restricted
+        if g
+    ]
     return [
-        count_monomials(nvars, k) - ideal_slice(gens, k, order).dim
+        count_monomials(len(free), k) - (ideal_slice(reduced, k).dim if reduced else 0)
         for k in range(up_to + 1)
     ]
 

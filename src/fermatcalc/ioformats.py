@@ -27,6 +27,8 @@ __all__ = [
     "cyclotomic_from_json",
     "polynomial_to_json",
     "polynomial_from_json",
+    "polynomials_from_json",
+    "decomposition_from_json",
     "slice_to_json",
     "profile_to_json",
     "parse_cyclotomic_expr",
@@ -76,6 +78,24 @@ def polynomial_from_json(obj) -> Polynomial:
             raise ValueError(f"malformed polynomial term {t!r}")
         terms.append((tuple(t["exp"]), CyclotomicNumber.from_coords(obj["m"], t["coeff"])))
     return Polynomial(obj["vars"], terms)
+
+
+def polynomials_from_json(obj) -> list[Polynomial]:
+    """A JSON list of polynomials; a value of the wrong shape raises ValueError."""
+    if not isinstance(obj, list):
+        raise ValueError("expected a list of polynomials")
+    return [polynomial_from_json(o) for o in obj]
+
+
+def decomposition_from_json(obj) -> tuple[list[Polynomial], list[Polynomial]]:
+    """The factor lists of {"f": [...], "g": [...]}; a value of the wrong
+    shape raises ValueError naming what is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError('decomposition must be an object with lists "f" and "g"')
+    for key in ("f", "g"):
+        if key not in obj:
+            raise ValueError(f'decomposition is missing the key "{key}"')
+    return polynomials_from_json(obj["f"]), polynomials_from_json(obj["g"])
 
 
 def slice_to_json(s: DegreeSlice) -> dict:

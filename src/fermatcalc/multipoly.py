@@ -55,7 +55,10 @@ def monomials_of_degree(nvars: int, degree: int, cap: int | None = None) -> Iter
 
 
 def count_monomials(nvars: int, degree: int) -> int:
-    """dim of the full degree slice of a polynomial ring in nvars variables."""
+    """dim of the full degree slice of a polynomial ring in nvars variables
+    (the number of tuples `monomials_of_degree` yields)."""
+    if degree < 0 or nvars == 0:
+        return int(degree == 0)
     return math.comb(nvars - 1 + degree, degree)
 
 

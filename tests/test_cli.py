@@ -67,6 +67,29 @@ def test_malformed_polynomial_json_exits_one(capsys, tmp_path, blob):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,blob,expected",
+    [
+        (["dan-ci", "--decomp"], [1, 2], "decomposition must be an object"),
+        (["dan-ci", "--decomp"], {"f": 3, "g": []}, "list of polynomials"),
+        (["dan-ci", "--decomp"], {"x": 1}, 'missing the key "f"'),
+        (["dan-ci", "--decomp"], {"f": []}, 'missing the key "g"'),
+        (["plane", "--forms"], 3, "list of polynomials"),
+        (["groebner", "--gens"], 3, "list of polynomials"),
+    ],
+    ids=["decomp-list", "decomp-int-f", "decomp-no-f", "decomp-no-g", "forms-int", "gens-int"],
+)
+def test_malformed_polynomial_lists_exit_one(capsys, tmp_path, argv, blob, expected):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code = main([argv[0], "--n", "2", "--d", "5", argv[1], str(path)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
 def test_pair_verb(capsys):
     code, out = run(
         capsys, "pair", "--n", "2", "--d", "5", "--alpha", "1,1", "--alpha2", "1,3"

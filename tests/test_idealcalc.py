@@ -475,3 +475,101 @@ def test_echelon_tag_columns_record_row_combinations(field, data):
                 for c, v in rows[tag_col - width].items():
                     combination[c] = combination[c] + t * v
         assert all(stored.get(c, 0) == combination[c] for c in range(width))
+
+
+# ---------------------------------------------------------------------------
+# Quotient dimensions after solving out the linear generators
+# ---------------------------------------------------------------------------
+
+
+def hilbert_dims_by_full_spans(gens, up_to):
+    """Quotient dimensions from spans in all the variables, with no linear
+    generator solved out."""
+    nvars = gens[0].nvars
+    return [count_monomials(nvars, k) - ideal_slice(gens, k).dim for k in range(up_to + 1)]
+
+
+def decomposition_generators(ctx, conic):
+    """<f_i, g_i> for F = sum f_i g_i of type 1,...,1 or, with `conic`,
+    1,...,1,2; each f_i is a product of factors x - zeta_2d^a y, a odd."""
+    z = zeta(ctx.m)
+    x = [Polynomial.variable(ctx.nvars, i) for i in range(ctx.nvars)]
+    gens = []
+    for j in range(ctx.n // 2 + 1):
+        f = x[2 * j] - x[2 * j + 1].scale(z ** (2 * j + 1))
+        if conic and j == ctx.n // 2:
+            f = f * (x[2 * j] - x[2 * j + 1].scale(z ** (2 * j + 3)))
+        (g,), r = divide(x[2 * j] ** ctx.d + x[2 * j + 1] ** ctx.d, [f], lex_order(ctx.nvars))
+        assert r.is_zero()
+        gens += [f, g]
+    return gens
+
+
+@pytest.mark.parametrize("conic", [False, True], ids=["linear", "conic"])
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
+def test_hilbert_dims_of_decompositions_match_full_spans(n, d, conic):
+    ctx = FermatContext(n, d)
+    gens = decomposition_generators(ctx, conic)
+    dims = ideal_hilbert_dims(gens, ctx.sigma + 1)
+    assert dims == hilbert_dims_by_full_spans(gens, ctx.sigma + 1)
+    assert dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
+
+
+def test_hilbert_dims_of_plane_generators_match_full_spans(quintic_surface):
+    from fermatcalc.fermat_hodge import plane_in_fermat
+
+    ctx = quintic_surface
+    z = zeta(10)
+    x = [Polynomial.variable(4, i) for i in range(4)]
+    L1, L2 = x[0] - x[1].scale(z), x[2] - x[3].scale(z**3)
+    for forms in ([L1, L2], [L1 + L2, L1 - L2]):
+        gens = plane_in_fermat(forms, ctx).generators
+        assert ideal_hilbert_dims(gens, ctx.sigma + 1) == hilbert_dims_by_full_spans(
+            gens, ctx.sigma + 1
+        )
+
+
+X = [Polynomial.variable(4, i) for i in range(4)]
+SPECIAL_IDEALS = {
+    "dependent-linear": [
+        X[0] - X[1], (X[0] - X[1]).scale(2), X[0] + X[2], X[1] + X[2], X[0] ** 3 + X[1] * X[3] ** 2,
+    ],
+    "vanishing-generator": [X[0] - X[1], X[0] ** 2 - X[1] ** 2, X[2] ** 3, X[3] ** 2 - X[0] * X[2]],
+    "no-linear": [X[0] ** 2, X[1] ** 2 - X[2] * X[3], X[2] ** 3 + X[0] * X[3] ** 2],
+    "spanning-linear": [X[0] + X[1], X[1] - X[2], X[2], X[3] + X[0], X[0] ** 2 + X[1] * X[3]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_IDEALS))
+def test_hilbert_dims_of_special_ideals_match_full_spans(name):
+    gens = SPECIAL_IDEALS[name]
+    assert ideal_hilbert_dims(gens, 6) == hilbert_dims_by_full_spans(gens, 6)
+
+
+def test_hilbert_dims_when_linear_forms_span_every_variable():
+    x = [Polynomial.variable(3, i) for i in range(3)]
+    assert ideal_hilbert_dims(x, 3) == [1, 0, 0, 0]
+    assert ideal_hilbert_dims(SPECIAL_IDEALS["spanning-linear"], 2) == [1, 0, 0]
+
+
+def test_hilbert_dims_refuse_inhomogeneous_generators():
+    with pytest.raises(ValueError, match="homogeneous"):
+        ideal_hilbert_dims([X[0] - X[1], X[2] ** 2 + X[3]], 3)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hilbert_dims_of_random_ideals_match_full_spans(field, data):
+    entries, _ = FIELDS[field]
+    nvars = data.draw(st.integers(2, 4))
+
+    def form(degree):
+        size = count_monomials(nvars, degree)
+        coeffs = data.draw(st.lists(entries, min_size=size, max_size=size).filter(any))
+        return Polynomial(nvars, zip(monomials_of_degree(nvars, degree), coeffs))
+
+    linear = [form(1) for _ in range(data.draw(st.integers(0, nvars)))]
+    quadrics = [form(2) for _ in range(data.draw(st.integers(1, 3)))]
+    gens = data.draw(st.permutations(linear + quadrics))
+    assert ideal_hilbert_dims(gens, 4) == hilbert_dims_by_full_spans(gens, 4)

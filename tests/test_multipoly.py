@@ -7,6 +7,7 @@ from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, zeta
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
+    count_monomials,
     divide,
     geometric_factor,
     leading_term,
@@ -209,3 +210,9 @@ def test_order_validation():
     with pytest.raises(ValueError):
         MonomialOrder((0, 0, 1, 2))
     assert pair_leader_order(6).priority == (0, 2, 4, 1, 3, 5)
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_count_monomials_matches_the_enumeration(nvars):
+    for degree in range(-2, 6):
+        assert count_monomials(nvars, degree) == len(list(monomials_of_degree(nvars, degree)))
