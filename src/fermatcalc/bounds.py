@@ -348,27 +348,24 @@ def _shape_templates(n: int, d: int) -> dict[str, frozenset[Monomial]]:
     }
 
 
-def _shape_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    nvars = n + 2
-    evens = list(range(0, nvars, 2))
-    odds = list(range(1, nvars, 2))
-    seen = set()
-    for swap in (False, True):
-        first, second = (evens, odds) if not swap else (odds, evens)
-        for pe in itertools.permutations(first):
-            for po in itertools.permutations(second):
-                perm = [0] * nvars
-                for src, dst in zip(evens, pe):
-                    perm[src] = dst
-                for src, dst in zip(odds, po):
-                    perm[src] = dst
-                t = tuple(perm)
-                seen.add(t)
-                yield t
-    if n == 2:  # block search is cheap enough to complete for surfaces
-        for perm in itertools.permutations(range(nvars)):
-            if perm not in seen:
-                yield perm
+def _shape_permutations(
+    template: frozenset[Monomial], gens: frozenset[Monomial], nvars: int
+) -> Iterator[tuple[int, ...]]:
+    """The relabelings sending each template variable to a variable of gens
+    with the same sorted exponent column; any relabeling that maps template
+    onto gens is one of them."""
+    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    for side, monos in enumerate((template, gens)):
+        for i in range(nvars):
+            groups.setdefault(tuple(sorted(m[i] for m in monos)), ([], []))[side].append(i)
+    if any(len(src) != len(dst) for src, dst in groups.values()):
+        return
+    for images in itertools.product(*(itertools.permutations(dst) for _, dst in groups.values())):
+        perm = [0] * nvars
+        for (src, _), image in zip(groups.values(), images):
+            for i, v in zip(src, image):
+                perm[i] = v
+        yield tuple(perm)
 
 
 def _apply_perm(mono: Monomial, perm: tuple[int, ...]) -> Monomial:
@@ -383,7 +380,7 @@ def _classify_lt_generators(gens: frozenset[Monomial], n: int, d: int) -> str:
     for name, template in _shape_templates(n, d).items():
         if degree_profile != tuple(sorted(sum(m) for m in template)):
             continue
-        for perm in _shape_permutations(n):
+        for perm in _shape_permutations(template, gens, n + 2):
             if frozenset(_apply_perm(m, perm) for m in template) == gens:
                 return name
     return "no match"

@@ -15,6 +15,8 @@ for callers that want the domain name.
 True
 >>> (zeta(5) + zeta(5)**2 + zeta(5)**3 + zeta(5)**4).as_rational()
 Fraction(-1, 1)
+>>> (1 + zeta(4)).inverse()   # the other conjugate 1 - i over the norm 2
+CyclotomicNumber(m=4, '(1 - z)/2')
 """
 
 from __future__ import annotations
@@ -93,19 +95,18 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Field:
-    """Cached per-conductor data: minimal polynomial and power reduction table."""
+    """Cached per-conductor data: degree and power reduction table."""
 
-    __slots__ = ("m", "phi", "min_poly", "powers")
+    __slots__ = ("m", "phi", "powers")
 
     def __init__(self, m: int):
         self.m = m
         min_poly = cyclotomic_polynomial(m)
         phi = len(min_poly) - 1
         self.phi = phi
-        self.min_poly = min_poly
         # x^phi reduces to -(lower part of the minimal polynomial); iterate to
-        # cover every exponent needed by multiplication (2*phi - 2), conjugation
-        # and conductor promotion (up to m).
+        # cover every exponent needed by multiplication (2*phi - 2) and by
+        # _power_sum (below m).
         tail = tuple(-c for c in min_poly[:phi])
         limit = max(2 * phi - 2, m)
         powers: list[tuple[int, ...]] = []
@@ -129,21 +130,16 @@ def _field(m: int) -> _Field:
     return _Field(m)
 
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            c = c / lead
-            quot[i - dn] = c
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _power_sum(m: int, terms, den: int) -> "CyclotomicNumber":
+    """The value sum(v * zeta_m^e for e, v in terms) / den."""
+    fld = _field(m)
+    nums = [0] * fld.phi
+    for e, v in terms:
+        if v:
+            row = fld.powers[e % m]
+            for t in range(fld.phi):
+                nums[t] += v * row[t]
+    return CyclotomicNumber(m, nums, den)
 
 
 class CyclotomicNumber:
@@ -238,15 +234,8 @@ class CyclotomicNumber:
             return self
         if target <= 0 or target % self.m:
             raise ValueError(f"cannot promote conductor {self.m} to {target}")
-        fld = _field(target)
         step = target // self.m
-        nums = [0] * fld.phi
-        for j, v in enumerate(self.nums):
-            if v:
-                row = fld.powers[j * step]
-                for t in range(fld.phi):
-                    nums[t] += v * row[t]
-        return CyclotomicNumber(target, nums, self.den)
+        return _power_sum(target, ((j * step, v) for j, v in enumerate(self.nums)), self.den)
 
     def demote(self, target: int) -> "CyclotomicNumber":
         """Rewrite on the power basis of Q(zeta_target) for target | m.
@@ -341,32 +330,19 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """The inverse C / N, where C is the product of the conjugates
+        sigma_k(x) for 1 < k < m prime to m, and N = x * C is the field norm,
+        a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        fld = _field(self.m)
-        f = [Fraction(v, self.den) for v in self.nums]
-        while f and f[-1] == 0:
-            f.pop()
-        r0 = [Fraction(c) for c in fld.min_poly]
-        s0: list[Fraction] = []
-        r1, s1 = f, [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            # s_next = s0 - q * s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        prod[i + j] += a * b
-            s_next = [
-                (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
-                for i in range(max(len(s0), len(prod)))
-            ]
-            r0, r1, s0, s1 = r1, r, s1, s_next
-        c = r1[0]
-        coords = [s / c for s in s1]
-        coords += [Fraction(0)] * (fld.phi - len(coords))
-        return CyclotomicNumber.from_coords(self.m, coords[: fld.phi])
+        cofactor = CyclotomicNumber.one(self.m)
+        for k in range(2, self.m):
+            if math.gcd(k, self.m) == 1:
+                cofactor = cofactor * self._galois(k)
+        norm = (self * cofactor).as_rational()
+        if not norm:
+            raise ArithmeticError(f"norm of {self!r} is not a nonzero rational")
+        return cofactor * (1 / norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -399,14 +375,11 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta_m -> zeta_m^(-1)."""
-        fld = _field(self.m)
-        nums = [0] * fld.phi
-        for j, v in enumerate(self.nums):
-            if v:
-                row = fld.powers[(self.m - j) % self.m]
-                for t in range(fld.phi):
-                    nums[t] += v * row[t]
-        return CyclotomicNumber(self.m, nums, self.den)
+        return _power_sum(self.m, ((-j, v) for j, v in enumerate(self.nums)), self.den)
+
+    def _galois(self, k: int) -> "CyclotomicNumber":
+        """The automorphism sigma_k: zeta_m -> zeta_m^k, for k prime to m."""
+        return _power_sum(self.m, ((j * k, v) for j, v in enumerate(self.nums)), self.den)
 
     # -- comparison and display ----------------------------------------------
 

@@ -145,6 +145,14 @@ class ProductClassSpec:
         return pairing
 
 
+def _pairing_product(ctx: FermatContext, pairing, coeffs, scale) -> Polynomial:
+    """scale * prod_j geometric_factor(p_j, q_j, coeffs_j) over the pairs (p_j, q_j)."""
+    poly = Polynomial.constant(ctx.nvars, scale)
+    for (p, q), a in zip(pairing, coeffs):
+        poly = poly * geometric_factor(ctx.nvars, p, q, a, ctx.d)
+    return poly
+
+
 def linear_cycle_poly(spec, ctx: FermatContext) -> Polynomial:
     """The class polynomial of a linear cycle:
     zeta_{2d}^(sum alpha) * prod_j geometric_factor(p_j, q_j, zeta_{2d}^alpha_j).
@@ -154,20 +162,14 @@ def linear_cycle_poly(spec, ctx: FermatContext) -> Polynomial:
     if not isinstance(spec, LinearCycleSpec):
         spec = LinearCycleSpec(tuple(spec))
     spec.validate(ctx)
-    pairing = spec.resolved_pairing(ctx)
-    poly = Polynomial.constant(ctx.nvars, root_of_unity(ctx.m, sum(spec.alpha)))
-    for (p, q), a in zip(pairing, spec.alpha):
-        poly = poly * geometric_factor(ctx.nvars, p, q, root_of_unity(ctx.m, a), ctx.d)
-    return poly
+    coeffs = [root_of_unity(ctx.m, a) for a in spec.alpha]
+    scale = root_of_unity(ctx.m, sum(spec.alpha))
+    return _pairing_product(ctx, spec.resolved_pairing(ctx), coeffs, scale)
 
 
 def product_class_poly(spec: ProductClassSpec, ctx: FermatContext) -> Polynomial:
     """The class polynomial c_lambda * prod_j geometric_factor(p_j, q_j, a_j)."""
-    pairing = spec.resolved_pairing(ctx.n)
-    poly = Polynomial.constant(ctx.nvars, spec.c_lambda)
-    for (p, q), a in zip(pairing, spec.a):
-        poly = poly * geometric_factor(ctx.nvars, p, q, a, ctx.d)
-    return poly
+    return _pairing_product(ctx, spec.resolved_pairing(ctx.n), spec.a, spec.c_lambda)
 
 
 def hessian_coefficient(ctx: FermatContext) -> CyclotomicNumber:
@@ -339,9 +341,7 @@ def recover_product_structure(p: Polynomial, ctx: FermatContext) -> ProductClass
             a = CyclotomicNumber.zero()
         pairs.append((lead, q))
         coeffs.append(a)
-    rebuilt = Polynomial.constant(ctx.nvars, 1)
-    for (pv, qv), a in zip(pairs, coeffs):
-        rebuilt = rebuilt * geometric_factor(ctx.nvars, pv, qv, a, ctx.d)
+    rebuilt = _pairing_product(ctx, pairs, coeffs, 1)
     anchor, anchor_coeff = leading_term(rebuilt, ci.order)
     c_lambda = p.coeff(anchor) / anchor_coeff
     if c_lambda.is_zero() or rebuilt.scale(c_lambda) != p:
@@ -582,9 +582,7 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
     for j, coeff in enumerate(a):
         if not in_special_unit_group(coeff, d):
             raise ValueError(f"coefficient {j} is not in the degree-{d} unit family")
-    unnormalized = Polynomial.constant(ctx.nvars, 1)
-    for (p, q), coeff in zip(default_pairing(ctx.n), a):
-        unnormalized = unnormalized * geometric_factor(ctx.nvars, p, q, coeff, ctx.d)
+    unnormalized = _pairing_product(ctx, default_pairing(ctx.n), a, 1)
     normalization = None
     scale = None
     for alpha in itertools.product(range(1, 2 * d, 2), repeat=ctx.n // 2 + 1):

@@ -219,18 +219,10 @@ class ColonIdeal:
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
         which equals the quotient dimension dim R_k."""
-        if k > self.ctx.sigma:
-            return 0
         return len(self._kernel_data(k)[2])
 
     def slice(self, k: int) -> DegreeSlice:
         """Reduced echelon basis of the degree-k piece of the colon ideal."""
-        if k > self.ctx.sigma:
-            basis = [
-                Polynomial.monomial(self.ctx.nvars, m)
-                for m in self.order.sort_descending(monomials_of_degree(self.ctx.nvars, k))
-            ]
-            return DegreeSlice(k, "ideal", tuple(basis))
         source, pivots, pivot_cols, free_cols = self._kernel_data(k)
         basis = []
         for f in free_cols:
@@ -245,8 +237,6 @@ class ColonIdeal:
 
     def quotient_monomials(self, k: int) -> tuple[Monomial, ...]:
         """Monomial complement basis of R_k (the non-leading-term monomials)."""
-        if k > self.ctx.sigma:
-            return ()
         source, _, pivot_cols, _ = self._kernel_data(k)
         return tuple(self.order.sort_descending(source[c] for c in pivot_cols))
 
@@ -258,8 +248,6 @@ class ColonIdeal:
 
     def leading_monomials(self, k: int) -> frozenset[Monomial]:
         """Leading terms of the echelonized degree-k ideal slice."""
-        if k > self.ctx.sigma:
-            return frozenset(monomials_of_degree(self.ctx.nvars, k))
         source, _, _, free_cols = self._kernel_data(k)
         return frozenset(source[f] for f in free_cols)
 

@@ -25,7 +25,12 @@ from fermatcalc.multipoly import (
     monomials_of_degree,
     pair_leader_order,
 )
-from fermatcalc.fermat_hodge import ProductClassSpec, linear_cycle_poly, product_class_poly
+from fermatcalc.fermat_hodge import (
+    LinearCycleSpec,
+    ProductClassSpec,
+    linear_cycle_poly,
+    product_class_poly,
+)
 
 from conftest import random_reduced_class
 
@@ -254,6 +259,17 @@ def test_classify_linear_shape(quintic_surface):
     p = linear_cycle_poly((1, 3), ctx)
     assert classify_lt_shape(p, lex_order(4), ctx) == "linear"
     assert classify_lt_shape(p, pair_leader_order(4), ctx) == "linear"
+
+
+@pytest.mark.parametrize(
+    "n, d, pairing",
+    [(4, 5, ((0, 2), (1, 3), (4, 5))), (6, 4, ((0, 7), (1, 6), (2, 5), (3, 4)))],
+)
+def test_classify_linear_shape_over_any_pairing(n, d, pairing):
+    ctx = FermatContext(n, d)
+    alpha = tuple(range(1, 2 * len(pairing), 2))
+    p = linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx)
+    assert classify_lt_shape(p, lex_order(n + 2), ctx) == "linear"
 
 
 def test_classify_conic_shape_in_dimension_four():

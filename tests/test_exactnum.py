@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,13 @@ def test_division():
         CyclotomicNumber.zero().inverse()
 
 
+def test_inverse_checks_that_the_norm_is_rational(monkeypatch):
+    # with sigma_k replaced by the identity, x * C = x^4 is not rational
+    monkeypatch.setattr(CyclotomicNumber, "_galois", lambda self, k: self)
+    with pytest.raises(ArithmeticError):
+        (zeta(5) + 2).inverse()
+
+
 def test_pow():
     z = zeta(7)
     assert z**7 == 1
@@ -152,12 +160,13 @@ def test_pickle_round_trip():
 small_fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
-conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12])
+conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18, 20, 28])
 
 
 @st.composite
-def cyclotomic_numbers(draw):
-    m = draw(conductors)
+def cyclotomic_numbers(draw, m=None):
+    if m is None:
+        m = draw(conductors)
     coords = draw(
         st.lists(small_fracs, min_size=euler_phi(m), max_size=euler_phi(m))
     )
@@ -190,3 +199,41 @@ def test_rational_round_trip(x):
     q = x.as_rational()
     if q is not None:
         assert CyclotomicNumber.from_rational(q, x.m) == x
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_galois_automorphisms(data):
+    m = data.draw(conductors)
+    x = data.draw(cyclotomic_numbers(m))
+    y = data.draw(cyclotomic_numbers(m))
+    units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    k = data.draw(st.sampled_from(units))
+    l = data.draw(st.sampled_from(units))
+    assert (x + y)._galois(k) == x._galois(k) + y._galois(k)
+    assert (x * y)._galois(k) == x._galois(k) * y._galois(k)
+    assert x._galois(-1) == x.conjugate()
+    assert x._galois(k)._galois(l) == x._galois(k * l % m)
+
+
+def test_inverse_matches_sympy_invert():
+    import sympy
+
+    t = sympy.symbols("t")
+    rng = random.Random(3)
+    for m in range(1, 31):
+        phi = euler_phi(m)
+        modulus = sympy.cyclotomic_poly(m, t)
+        for density in (0.25, 1.0):
+            for _ in range(4):
+                coords = [
+                    Fraction(rng.randint(-7, 7), rng.randint(1, 4)) if rng.random() < density else 0
+                    for _ in range(phi)
+                ]
+                coords[rng.randrange(phi)] = Fraction(rng.randint(1, 7))
+                x = CyclotomicNumber.from_coords(m, coords)
+                f = sum(sympy.Rational(c.numerator, c.denominator) * t**j for j, c in enumerate(coords))
+                g = sympy.Poly(sympy.invert(f, modulus, t), t).all_coeffs()[::-1]
+                expected = [Fraction(int(c.p), int(c.q)) for c in g]
+                expected += [Fraction(0)] * (phi - len(expected))
+                assert x.inverse().coords == tuple(expected), (m, coords)

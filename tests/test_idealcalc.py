@@ -398,10 +398,15 @@ def test_ideal_slice_agrees_with_colon_route(quintic_surface):
 def test_degree_cap_defaults_beyond_socle(quintic_surface):
     ctx = quintic_surface
     ci = ColonIdeal(linear_cycle_class(ctx, (1, 1)), ctx)
-    k = ctx.sigma + 1
-    assert ci.rank(k) == 0
-    assert ci.slice(k).dim == count_monomials(4, k)
-    assert ci.quotient_monomials(k) == ()
+    for k in (ctx.sigma + 1, ctx.sigma + 2):
+        monos = list(monomials_of_degree(4, k))
+        assert ci.rank(k) == 0
+        assert ci.slice(k).dim == count_monomials(4, k)
+        assert ci.slice(k).basis == tuple(
+            Polynomial.monomial(4, m) for m in ci.order.sort_descending(monos)
+        )
+        assert ci.leading_monomials(k) == frozenset(monos)
+        assert ci.quotient_monomials(k) == ()
 
 
 def test_negative_degrees_are_refused(quintic_surface):
