@@ -95,9 +95,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Field:
-    """Cached per-conductor data: degree and power reduction table."""
+    """Cached per-conductor data: degree, power reduction table and the
+    traces Tr(zeta_m^j) of the power basis."""
 
-    __slots__ = ("m", "phi", "powers")
+    __slots__ = ("m", "phi", "powers", "traces")
 
     def __init__(self, m: int):
         self.m = m
@@ -123,6 +124,10 @@ class _Field:
                     row[t] += carry * tail[t]
             powers.append(tuple(row))
         self.powers = tuple(powers)
+        # Tr(zeta^j) sums the conjugates zeta^(jk), k prime to m; the sum is
+        # rational, so its power-basis vector is (Tr, 0, ..., 0).
+        units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+        self.traces = tuple(sum(powers[j * k % m][0] for k in units) for j in range(phi))
 
 
 @lru_cache(maxsize=None)
@@ -389,6 +394,14 @@ class CyclotomicNumber:
             return NotImplemented
         x, y = self._common(other)
         return x.nums == y.nums and x.den == y.den
+
+    def __hash__(self):
+        """Hash of the rational Tr(x)/phi(m), which `promote` leaves
+        unchanged, so values equal across conductors hash equal (and a
+        rational value hashes like its Fraction)."""
+        fld = _field(self.m)
+        trace = sum(v * t for v, t in zip(self.nums, fld.traces))
+        return hash(Fraction(trace, self.den * fld.phi))
 
     def __str__(self) -> str:
         parts = []

@@ -1,24 +1,46 @@
 """Graded ideal calculus for the Fermat Jacobian ring.
 
-For F = x_0^d + ... + x_{n+1}^d the Jacobian ideal is the monomial ideal
+For F = x_0^d + ... + x_{n+1}^d the Jacobian ideal J is the monomial ideal
 generated by the x_i^(d-1), so reduction modulo it just deletes every
-monomial with an exponent >= d-1.  The annihilator (colon ideal) of a class
-polynomial P of socle degree sigma = (d-2)(n/2+1) is computed degree by
-degree as the exact kernel of the multiplication-by-P matrix from the full
-degree-k monomial space into the reduced degree-(sigma+k) monomial space
-(exponents <= d-2 componentwise).  That reduced target is far smaller than
-the full degree space, which is what keeps the scans at desk scale.
+monomial with an exponent >= d-1, and the Jacobian ring R/J is spanned by
+the capped monomials (every exponent <= d-2).  The annihilator (colon ideal)
+J : P of a class polynomial P of socle degree sigma = (d-2)(n/2+1) is
+computed degree by degree as the exact kernel of multiplication by P from
+the degree-k monomials into the capped degree-(sigma+k) monomials.
 
-All linear algebra is exact elimination over Q(zeta_m) by the engine in
-`fermatcalc.echelon`.  Columns follow the active monomial order, so every
-echelon basis returned here is the unique reduced echelon form of its
-subspace: slices computed along different routes can be compared verbatim.
+That matrix is a catalecticant.  A source monomial with an exponent above
+d-2 lies in J, so its column is zero: only the capped columns are built,
+row by row from P's support (beta + gamma for capped beta and P's terms
+x^gamma), and the uncapped ones are free.  Writing a capped target as
+tau = socle - v, the entry at (v, beta) is P's coefficient at
+socle - v - beta, which is symmetric in v and beta, so the capped matrix at
+degree sigma-k is the transpose of the one at k and rank(k) = rank(sigma-k):
+the Hilbert function of the Artinian Gorenstein algebra R/(J : P) is
+symmetric (Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and
+Determinantal Loci, LNM 1721).  Ranks are therefore only eliminated up to
+degree sigma/2.
+
+A rank is first taken modulo a prime p = 1 (mod L), L the conductor of P's
+coefficients, through the ring map Z_(p)[zeta_L] -> F_p.  A nonzero minor
+mod p is the image of a nonzero minor over Q(zeta_L), so a rank mod p that
+reaches the number of capped columns proves full rank exactly, and the
+reduced echelon form of the capped block is then the identity.  Any other
+outcome proves nothing, and the same rows are eliminated exactly.
+
+All exact linear algebra is elimination over Q(zeta_m) by the engine in
+`fermatcalc.echelon`, which the mod-p pass runs too.  Columns follow the
+active monomial order, so every echelon basis returned here is the unique
+reduced echelon form of its subspace: slices computed along different
+routes can be compared verbatim.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
 from fermatcalc.echelon import echelon, echelon_insert, reduce_row
@@ -161,6 +183,107 @@ class HilbertProfile:
         return len(self.dims) - 1
 
 
+# ---------------------------------------------------------------------------
+# Reduction modulo a prime, for the rank pass of ColonIdeal
+# ---------------------------------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _Residue:
+    """An element of the prime field F_p with the arithmetic the echelon
+    engine uses: + - *, 1 / x, truthiness and comparison with 1."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v
+        self.p = p
+
+    def __add__(self, other):
+        return _Residue((self.v + other.v) % self.p, self.p)
+
+    def __sub__(self, other):
+        return _Residue((self.v - other.v) % self.p, self.p)
+
+    def __mul__(self, other):
+        return _Residue(self.v * other.v % self.p, self.p)
+
+    def __neg__(self):
+        return _Residue(-self.v % self.p, self.p)
+
+    def __rtruediv__(self, other: int):
+        return _Residue(other * pow(self.v, -1, self.p) % self.p, self.p)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __eq__(self, other):
+        if isinstance(other, _Residue):
+            return (self.v, self.p) == (other.v, other.p)
+        return self.v == other % self.p
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """The ring map Z_(p)[zeta_L] -> F_p sending zeta_L to w, an element of
+    exact order L; p = 1 (mod L).  zeta_m for m | L is zeta_L^(L/m) under
+    `promote`, so it goes to w^(L/m) and the map is one ring homomorphism on
+    every Q(zeta_m) with m | L, defined at every value whose denominator p
+    does not divide."""
+
+    conductor: int
+    p: int
+    w: int
+
+    @classmethod
+    def avoiding(cls, values: Iterable[CyclotomicNumber]) -> "_Reduction":
+        """The reduction at the least prime p > 2^31 with p = 1 (mod L),
+        where L is the lcm of the values' conductors, dividing none of
+        their denominators."""
+        values = list(values)
+        L = math.lcm(*(x.m for x in values))
+        dens = {x.den for x in values}
+        p = (2**31 // L + 1) * L + 1
+        while not _is_prime(p) or any(den % p == 0 for den in dens):
+            p += L
+        primes = [q for q in range(2, L + 1) if L % q == 0 and _is_prime(q)]
+        for g in itertools.count(2):
+            w = pow(g, (p - 1) // L, p)
+            if all(pow(w, L // q, p) != 1 for q in primes):
+                return cls(L, p, w)
+
+    def __call__(self, x: CyclotomicNumber) -> _Residue:
+        p = self.p
+        wm = pow(self.w, self.conductor // x.m, p)
+        v = 0
+        for c in reversed(x.nums):
+            v = (v * wm + c) % p
+        return _Residue(v * pow(x.den, -1, p) % p, p)
+
+
 class ColonIdeal:
     """The annihilator ideal (J^F : P) of a class polynomial P, computed and
     cached degree by degree.
@@ -168,6 +291,12 @@ class ColonIdeal:
     P must be homogeneous of degree sigma with a nonzero reduction modulo the
     Jacobian ideal; classes inside the Jacobian ideal have zero primitive
     part and no associated Artinian Gorenstein algebra.
+
+    Degree k is eliminated on the capped catalecticant only; `rank` reads a
+    degree above sigma/2 at sigma-k, while `slice`, `quotient_monomials`,
+    `leading_monomials` and `lt_generators` use degree k itself.  A degree
+    whose rank mod p equals its number of capped columns is proved full rank
+    without exact elimination (see the module docstring).
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -182,20 +311,49 @@ class ColonIdeal:
         self.order = order or lex_order(ctx.nvars)
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
+        reduction = _Reduction.avoiding(reduced.terms.values())
+        residues: dict[CyclotomicNumber, _Residue] = {}
+        for c in reduced.terms.values():
+            if c not in residues:
+                residues[c] = reduction(c)
+        self._terms = [(gamma, c, residues[c]) for gamma, c in reduced.terms.items()]
 
-    def _multiplication_rows(self, targets, index: dict[Monomial, int]) -> list[dict]:
-        """Nonzero rows of multiplication by P: the row of target tau holds
-        P's coefficient at tau - beta in column index[beta]."""
-        rows = []
-        for tau in targets:
-            row: dict[int, CyclotomicNumber] = {}
-            for gamma, c in self.reduced.terms.items():
-                col = index.get(monomial_div(tau, gamma))
-                if col is not None:
-                    row[col] = c
-            if row:
-                rows.append(row)
-        return rows
+    def _multiplication_rows(
+        self, index: dict[Monomial, int], kept
+    ) -> tuple[list[dict], list[dict]]:
+        """Nonzero rows of multiplication by P over Q(zeta) and mod p, one
+        per kept target: for each source monomial beta and term c * x^gamma
+        of P, the row of tau = beta + gamma holds c (and its residue) in
+        column index[beta].  Rows come in descending lex order of their
+        targets, the order of `monomials_of_degree`: the echelon form does
+        not depend on the row order, but the elimination work and the
+        conductors of intermediate values do."""
+        rows: dict[Monomial, tuple[dict, dict]] = {}
+        for beta, col in index.items():
+            for gamma, c, r in self._terms:
+                tau = tuple(map(add, beta, gamma))
+                if kept(tau):
+                    pair = rows.get(tau)
+                    if pair is None:
+                        rows[tau] = pair = ({}, {})
+                    pair[0][col] = c
+                    pair[1][col] = r
+        targets = sorted(rows, reverse=True)
+        return [rows[tau][0] for tau in targets], [rows[tau][1] for tau in targets]
+
+    @staticmethod
+    def _full_rank_mod_p(residue_rows: list[dict], width: int) -> bool:
+        """Whether the rows reduced mod p reach rank `width`.  A nonzero
+        width x width minor mod p is the image of a nonzero minor over
+        Q(zeta), so True proves that the exact rank is `width` as well."""
+        pivots: dict[int, dict] = {}
+        for i, row in enumerate(residue_rows):
+            if len(pivots) + len(residue_rows) - i < width:
+                return False  # too few rows left to reach full rank
+            echelon_insert(pivots, row)
+            if len(pivots) == width:
+                return True
+        return False
 
     def _kernel_data(self, k: int):
         """Echelon data of the multiplication matrix at degree k: a tuple
@@ -205,11 +363,15 @@ class ColonIdeal:
             return data
         if k < 0:
             raise ValueError("negative degree")
-        ctx = self.ctx
-        source = sorted(monomials_of_degree(ctx.nvars, k), key=self.order.key)
-        index = {m: i for i, m in enumerate(source)}
-        targets = monomials_of_degree(ctx.nvars, ctx.sigma + k, cap=ctx.d - 2)
-        pivots = echelon(self._multiplication_rows(targets, index))
+        cap = self.ctx.d - 2
+        source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
+        index = {m: i for i, m in enumerate(source) if max(m) <= cap}
+        rows, residue_rows = self._multiplication_rows(index, lambda tau: max(tau) <= cap)
+        if self._full_rank_mod_p(residue_rows, len(index)):
+            one = CyclotomicNumber.one()
+            pivots = {col: {col: one} for col in index.values()}
+        else:
+            pivots = echelon(rows)
         pivot_cols = sorted(pivots)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, pivot_cols, free_cols)
@@ -218,8 +380,11 @@ class ColonIdeal:
 
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
-        which equals the quotient dimension dim R_k."""
-        return len(self._kernel_data(k)[2])
+        which equals the quotient dimension dim R_k.  The capped matrix at
+        degree sigma-k is the transpose of the one at k, so a degree above
+        sigma/2 is read at sigma-k."""
+        sigma = self.ctx.sigma
+        return len(self._kernel_data(sigma - k if sigma < 2 * k <= 2 * sigma else k)[2])
 
     def slice(self, k: int) -> DegreeSlice:
         """Reduced echelon basis of the degree-k piece of the colon ideal."""
@@ -260,10 +425,13 @@ class ColonIdeal:
         if not 0 <= i <= self.ctx.sigma:
             raise ValueError(f"pairing degree must lie in 0..{self.ctx.sigma}")
         socle = (self.ctx.d - 2,) * self.ctx.nvars
-        targets = [monomial_div(socle, u) for u in self.quotient_monomials(i)]
+        targets = {monomial_div(socle, u) for u in self.quotient_monomials(i)}
         right = self.quotient_monomials(self.ctx.sigma - i)
         index = {v: jdx for jdx, v in enumerate(right)}
-        return len(echelon(self._multiplication_rows(targets, index)))
+        rows, residue_rows = self._multiplication_rows(index, targets.__contains__)
+        if self._full_rank_mod_p(residue_rows, len(index)):
+            return len(index)
+        return len(echelon(rows))
 
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by

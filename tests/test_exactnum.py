@@ -237,3 +237,17 @@ def test_inverse_matches_sympy_invert():
                 expected = [Fraction(int(c.p), int(c.q)) for c in g]
                 expected += [Fraction(0)] * (phi - len(expected))
                 assert x.inverse().coords == tuple(expected), (m, coords)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_hash_agrees_with_equality_across_conductors(data):
+    m = data.draw(conductors)
+    other = data.draw(conductors)
+    x = data.draw(cyclotomic_numbers(m))
+    wide = x.promote(math.lcm(m, other))
+    assert wide == x and hash(wide) == hash(x)
+    assert len({x, wide}) == 1
+    q = x.as_rational()
+    if q is not None:  # a rational value hashes like the Fraction it equals
+        assert hash(x) == hash(q)

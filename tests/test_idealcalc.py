@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatcalc.echelon import echelon, echelon_insert
-from fermatcalc.exactnum import CyclotomicNumber, zeta
+from fermatcalc.exactnum import CyclotomicNumber, euler_phi, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
@@ -578,3 +578,178 @@ def test_hilbert_dims_of_random_ideals_match_full_spans(field, data):
     quadrics = [form(2) for _ in range(data.draw(st.integers(1, 3)))]
     gens = data.draw(st.permutations(linear + quadrics))
     assert ideal_hilbert_dims(gens, 4) == hilbert_dims_by_full_spans(gens, 4)
+
+
+# ---------------------------------------------------------------------------
+# The capped catalecticant, symmetric ranks and the mod-p rank pass
+# ---------------------------------------------------------------------------
+
+
+class TargetLoopColon(ColonIdeal):
+    """Reference colon ideal: one row per capped target over every degree-k
+    monomial, uncapped columns included, eliminated exactly at every degree,
+    with no symmetry and no mod-p pass."""
+
+    def target_rows(self, targets, columns):
+        index = {m: i for i, m in enumerate(columns)}
+        rows = []
+        for tau in targets:
+            row = {}
+            for gamma, c in self.reduced.terms.items():
+                col = index.get(monomial_div(tau, gamma))
+                if col is not None:
+                    row[col] = c
+            if row:
+                rows.append(row)
+        return rows
+
+    def _kernel_data(self, k):
+        if k not in self._cache:
+            ctx = self.ctx
+            source = sorted(monomials_of_degree(ctx.nvars, k), key=self.order.key)
+            targets = monomials_of_degree(ctx.nvars, ctx.sigma + k, cap=ctx.d - 2)
+            pivots = echelon(self.target_rows(targets, source))
+            free = [i for i in range(len(source)) if i not in pivots]
+            self._cache[k] = (source, pivots, sorted(pivots), free)
+        return self._cache[k]
+
+    def rank(self, k):
+        return len(self._kernel_data(k)[2])
+
+    def pairing_rank(self, i):
+        socle = (self.ctx.d - 2,) * self.ctx.nvars
+        targets = [monomial_div(socle, u) for u in self.quotient_monomials(i)]
+        right = self.quotient_monomials(self.ctx.sigma - i)
+        return len(echelon(self.target_rows(targets, right)))
+
+    def oracle_rank(self, k, m):
+        """Rank of the full matrix by `regular_representation_kernel_dim`."""
+        ctx = self.ctx
+        source = list(monomials_of_degree(ctx.nvars, k))
+        targets = list(monomials_of_degree(ctx.nvars, ctx.sigma + k, cap=ctx.d - 2))
+        zero = CyclotomicNumber.zero()
+        matrix = [
+            [self.reduced.terms.get(monomial_div(tau, beta), zero) for beta in source]
+            for tau in targets
+        ]
+        return len(source) - regular_representation_kernel_dim(matrix, m) if matrix else 0
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_capped_catalecticant_matches_the_target_loop(field, data):
+    entries, _ = FIELDS[field]
+    ctx = data.draw(st.sampled_from([FermatContext(2, 4), FermatContext(4, 3)]), label="ctx")
+    monos = list(monomials_of_degree(ctx.nvars, ctx.sigma, cap=ctx.d - 2))
+    if data.draw(st.booleans(), label="dense"):
+        support = monos
+    else:
+        support = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    p = Polynomial(ctx.nvars, [(e, data.draw(entries.filter(bool))) for e in support])
+    ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+    m = 10 if field == "zeta10" else 1
+    for k in range(ctx.sigma + 1):
+        assert ci.rank(k) == ci.rank(ctx.sigma - k) == ref.rank(k) == ref.oracle_rank(k, m)
+        assert ci.slice(k) == ref.slice(k)
+        assert ci.quotient_monomials(k) == ref.quotient_monomials(k)
+        assert ci.leading_monomials(k) == ref.leading_monomials(k)
+        assert ci.pairing_rank(k) == ref.pairing_rank(k)
+    assert ci.lt_generators(ctx.sigma) == ref.lt_generators(ctx.sigma)
+
+
+@pytest.mark.parametrize("conductor", [10, 12, 30])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_residue_map_is_a_ring_homomorphism(conductor, data):
+    from fermatcalc.idealcalc import _is_prime, _Reduction
+
+    red = _Reduction.avoiding([CyclotomicNumber.one(conductor)])
+    assert _is_prime(red.p) and red.p % conductor == 1 and red.conductor == conductor
+    assert pow(red.w, conductor, red.p) == 1
+    assert all(pow(red.w, conductor // q, red.p) != 1 for q in (2, 3, 5) if conductor % q == 0)
+    divisors = [m for m in range(1, conductor + 1) if conductor % m == 0]
+
+    def value():
+        m = data.draw(st.sampled_from(divisors))
+        coords = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6), min_size=euler_phi(m),
+                                    max_size=euler_phi(m)))
+        return CyclotomicNumber.from_coords(m, coords)
+
+    x, y = value(), value()
+    assert red(x + y) == red(x) + red(y)
+    assert red(x - y) == red(x) - red(y)
+    assert red(x * y) == red(x) * red(y)
+    assert red(x.promote(conductor)) == red(x)
+    if x:
+        assert red(1 / x) == 1 / red(x)
+
+
+def test_prime_search_skips_a_prime_dividing_a_denominator():
+    from fermatcalc.fermat_hodge import linear_cycle_poly
+    from fermatcalc.idealcalc import _is_prime, _Reduction
+
+    first = _Reduction.avoiding([zeta(10)])
+    blocked = CyclotomicNumber.from_rational(Fraction(1, first.p))
+    second = _Reduction.avoiding([zeta(10), blocked])
+    assert second.p > first.p and second.p % 10 == 1 and _is_prime(second.p)
+    assert not any(_is_prime(q) for q in range(first.p + 10, second.p, 10))
+    ctx = FermatContext(2, 5)
+    p = linear_cycle_poly((1, 3), ctx)
+    scaled = ColonIdeal(p.scale(blocked), ctx)  # its residues need a different prime
+    assert scaled.hilbert_profile() == ColonIdeal(p, ctx).hilbert_profile()
+    assert scaled.slice(2) == TargetLoopColon(p, ctx).slice(2)
+
+
+def test_rank_deficient_degree_falls_back_to_the_exact_engine(monkeypatch):
+    from fermatcalc import idealcalc
+
+    ctx = FermatContext(4, 5)
+    p = linear_cycle_class(ctx, (1, 3, 5))
+    calls = []
+    monkeypatch.setattr(idealcalc, "echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
+    source, pivots, pivot_cols, free_cols = ColonIdeal(p, ctx)._kernel_data(4)
+    assert len(pivot_cols) == 12
+    assert sum(max(m) <= ctx.d - 2 for m in source) == 120
+    assert len(calls) == 1
+    assert pivots == TargetLoopColon(p, ctx)._kernel_data(4)[1]
+
+
+def test_full_rank_degree_stores_the_pivots_of_the_exact_engine(monkeypatch):
+    from fermatcalc import idealcalc
+
+    ctx = FermatContext(4, 4)
+    p = random_reduced_class(ctx, random.Random(5), terms=40)
+
+    def refuse(rows):
+        raise AssertionError("a degree proved full rank mod p needs no exact elimination")
+
+    monkeypatch.setattr(idealcalc, "echelon", refuse)
+    source, pivots, pivot_cols, free_cols = ColonIdeal(p, ctx)._kernel_data(3)
+    assert len(pivot_cols) == 50
+    assert [source[c] for c in free_cols] == [m for m in source if max(m) > ctx.d - 2]
+    assert pivots == TargetLoopColon(p, ctx)._kernel_data(3)[1]
+
+
+def product_profile(ctx):
+    """Coefficients of ((1 - t^(d-1)) / (1 - t))^(n/2+1)."""
+    dims = [1]
+    for _ in range(ctx.n // 2 + 1):
+        dims = [sum(dims[max(0, k - ctx.d + 2):k + 1]) for k in range(len(dims) + ctx.d - 2)]
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("n,d", [(4, 5), (2, 9), (6, 4)])
+def test_product_class_profiles_are_powers_of_a_truncated_geometric_series(n, d):
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+
+    from conftest import random_product_coefficients
+
+    ctx = FermatContext(n, d)
+    rng = random.Random(n * d)
+    for _ in range(2):
+        spec = ProductClassSpec(random_product_coefficients(ctx, rng), CyclotomicNumber.one())
+        dims = ColonIdeal(product_class_poly(spec, ctx), ctx).hilbert_profile().dims
+        assert dims == product_profile(ctx)
+    if (n, d) == (4, 5):
+        assert dims == (1, 3, 6, 10, 12, 12, 10, 6, 3, 1)
