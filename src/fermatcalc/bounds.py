@@ -173,48 +173,34 @@ def _exchange_holds(alpha: tuple[int, ...], d: int, base: int) -> tuple[bool, in
     return True, checks
 
 
-def _merge_attainers(target: dict, value: int, shape: tuple[int, ...], weight: int):
-    pool = target.setdefault(value, {})
-    pool[shape] = pool.get(shape, 0) + weight
-
-
-def _scan_chunk(alphas, n: int, d: int) -> tuple:
-    """Scan sorted orbit representatives, each weighted by its orbit size."""
-    linear_shape = tuple(sorted([0] * (n // 2 + 1) + [d - 2] * (n // 2 + 1)))
-    # attainer multisets keyed by count value, for the full pool and for the
-    # pool of vectors away from the linear shape class
+def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
+    """Exhaustively verify the divisor-count minima over all degree-sigma
+    exponent vectors bounded by d-2, one sorted representative per
+    permutation orbit, each weighted by its orbit size.  Runs in well under
+    a second for n <= 6, d <= 7.
+    """
+    _check_bound_args(n, d)
+    half = n // 2 + 1
+    sigma = (d - 2) * half
+    linear_shape = (0,) * half + (d - 2,) * half
+    # attainer multisets with their orbit sizes, keyed by count value, for
+    # the full pool and for the pool of vectors away from the linear shape
     full: dict[int, dict[tuple[int, ...], int]] = {}
     rest: dict[int, dict[tuple[int, ...], int]] = {}
     exchange_ok = True
     exchange_checks = 0
-    for alpha in alphas:
+    for alpha in itertools.combinations_with_replacement(range(d - 1), n + 2):
+        if sum(alpha) != sigma:
+            continue
         s = count_divisors(alpha, d)
         weight = _orbit_size(alpha, n + 2)
-        _merge_attainers(full, s, alpha, weight)
+        full.setdefault(s, {})[alpha] = weight
         if alpha != linear_shape:
-            _merge_attainers(rest, s, alpha, weight)
+            rest.setdefault(s, {})[alpha] = weight
         ok, checks = _exchange_holds(alpha, d, s)
         exchange_checks += checks * weight
         if not ok:
             exchange_ok = False
-    return full, rest, exchange_ok, exchange_checks
-
-
-def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
-    """Exhaustively verify the divisor-count minima over all degree-sigma
-    exponent vectors bounded by d-2, one sorted representative per
-    permutation orbit.  Runs in well under a second for n <= 6, d <= 7.
-    """
-    _check_bound_args(n, d)
-    sigma = (d - 2) * (n // 2 + 1)
-    alphas = [
-        alpha
-        for alpha in itertools.combinations_with_replacement(range(d - 1), n + 2)
-        if sum(alpha) == sigma
-    ]
-    full, rest, exchange_ok, exchange_checks = _scan_chunk(alphas, n, d)
-
-    linear_shape = tuple(sorted([0] * (n // 2 + 1) + [d - 2] * (n // 2 + 1)))
     min_value = min(full)
     min_pool = full[min_value]
     min_count = sum(min_pool.values())

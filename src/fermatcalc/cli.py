@@ -3,7 +3,8 @@
 Every verb validates its flags, runs the corresponding library operation and
 emits a deterministic report (json, csv or table).  Exit codes: 0 on success
 (and when all assertions of an assertion verb hold), 1 on a computation or
-assertion failure, 2 on usage errors.
+assertion failure, 2 on usage errors, 3 when an internal consistency check
+fails (a result that contradicts the theorem it implements).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
@@ -200,7 +200,7 @@ def _run_certify(args):
     ctx = _context(args)
     p = _class_poly(args, ctx)
     cert = fermat_hodge.rationality_certificate(
-        p, ctx, all_coordinate_pairings=args.all_pairings, jobs=args.jobs
+        p, ctx, all_coordinate_pairings=args.all_pairings
     )
     payload, csv_spec = _certificate_json(cert)
     return payload, csv_spec, 0
@@ -425,7 +425,7 @@ def _jobs(text: str) -> int:
     jobs = int(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
-    return min(jobs, os.cpu_count() or 1)
+    return jobs
 
 
 def _add_common(sub, n=True, d=True):
@@ -436,8 +436,8 @@ def _add_common(sub, n=True, d=True):
     sub.add_argument("--output", choices=("json", "csv", "table"), default="json")
     sub.add_argument(
         "--jobs", type=_jobs, default=1,
-        help="worker processes for certify (at least 1, capped at the CPU count); "
-        "other verbs accept and ignore it",
+        help="accepted for compatibility (at least 1) and ignored; every verb "
+        "runs in one process",
     )
 
 
@@ -539,6 +539,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
     _emit(payload, csv_spec, args.output, sys.stdout)
     return code
 

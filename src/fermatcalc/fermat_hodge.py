@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from fermatcalc import bounds
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
@@ -252,43 +251,27 @@ def _certificate_row(p, ctx, pairing, alpha) -> CertificateRow:
     return CertificateRow(pairing, alpha, result.c, result.c_rational, flag)
 
 
-def _certificate_chunk(args) -> list[CertificateRow]:
-    p, ctx, items = args
-    return [_certificate_row(p, ctx, pairing, alpha) for pairing, alpha in items]
-
-
 def rationality_certificate(
     p: Polynomial,
     ctx: FermatContext,
     all_coordinate_pairings: bool = False,
-    jobs: int = 1,
 ) -> RationalityCertificate:
     """Pair a class against every linear cycle and certify the rationality of
     the outcomes.
 
     By default the scan covers the d^(n/2+1) exponent tuples over the
     standard coordinate pairing; with `all_coordinate_pairings` it covers
-    every pairing.  Work is distributed over `jobs` processes and gathered in
-    enumeration order, so output does not depend on the worker count.
+    every pairing.  Rows follow that enumeration order.
     """
     if p.homogeneous_degree() != ctx.sigma:
         raise ValueError(f"class must be homogeneous of degree {ctx.sigma}")
     pairings = all_pairings(ctx.n) if all_coordinate_pairings else [default_pairing(ctx.n)]
     odd = range(1, 2 * ctx.d, 2)
-    items = [
-        (pairing, alpha)
+    rows = [
+        _certificate_row(p, ctx, pairing, alpha)
         for pairing in pairings
         for alpha in itertools.product(odd, repeat=ctx.n // 2 + 1)
     ]
-    if jobs > 1 and len(items) > 1:
-        chunks = max(1, len(items) // (4 * jobs))
-        payload = [
-            (p, ctx, items[i : i + chunks]) for i in range(0, len(items), chunks)
-        ]
-        with Pool(processes=jobs) as pool:
-            rows = [row for part in pool.map(_certificate_chunk, payload) for row in part]
-    else:
-        rows = [_certificate_row(p, ctx, pairing, alpha) for pairing, alpha in items]
     counterexample = next((r for r in rows if r.flag == "irrational"), None)
     verdict = "all rational" if counterexample is None else "counterexample"
     return RationalityCertificate(tuple(rows), verdict, counterexample)

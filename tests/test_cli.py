@@ -1,9 +1,14 @@
 import json
 import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fermatcalc.cli import build_parser, main
+from fermatcalc import bounds
+from fermatcalc.cli import main
 
 
 def run(capsys, *argv):
@@ -112,6 +117,22 @@ def test_certify_csv(capsys):
     assert all(line.endswith(("rational", "zero")) for line in lines[1:])
 
 
+def test_zero_pairings_serialize_at_conductor_one(capsys):
+    argv = [
+        "certify", "--n", "2", "--d", "5", "--a=-2*z^7,-2*z^2", "--c-lambda", "2*z^3",
+        "--all-pairings",
+    ]
+    code, out = run(capsys, *argv, "--output", "csv")
+    assert code == 0
+    zeros = [line.split(",") for line in out.splitlines() if line.endswith(",zero")]
+    assert len(zeros) == 5
+    assert all(row[2] == "1:0" and row[3] == "0" for row in zeros)
+    code, out = run(capsys, *argv)
+    rows = [r for r in json.loads(out)["rows"] if r["flag"] == "zero"]
+    assert len(rows) == 5
+    assert all(r["c"] == {"m": 1, "coords": ["0"]} for r in rows)
+
+
 def test_recover_verb(capsys):
     code, out = run(capsys, "recover", "--n", "2", "--d", "5", "--a", "2,1")
     assert code == 0
@@ -218,10 +239,51 @@ def test_usage_errors_exit_two():
         assert err.value.code == 2
 
 
-def test_jobs_is_capped_at_the_cpu_count():
-    # parsed only: a large value must never reach a process pool
-    args = build_parser().parse_args(["scan-bounds", "--n", "2", "--d", "5", "--jobs", "1000000"])
-    assert args.jobs == (os.cpu_count() or 1)
+def test_jobs_is_accepted_and_ignored(capsys):
+    # every verb runs in one process, so even a huge value starts nothing
+    for argv in (
+        ["certify", "--n", "2", "--d", "4", "--alpha", "1,1"],
+        ["scan-bounds", "--n", "2", "--d", "5"],
+    ):
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "2") == plain
+        assert run(capsys, *argv, "--jobs", "1000000") == plain
+
+
+def test_importing_the_library_loads_no_multiprocessing():
+    code = (
+        "import sys, fermatcalc, fermatcalc.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PATH": os.environ.get("PATH", "/usr/bin:/bin")},
+    )
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, ArithmeticError])
+def test_internal_check_failures_exit_three(exc, capsys, monkeypatch):
+    def contradiction(*args, **kwargs):
+        raise exc("slice has the wrong dimension")
+
+    monkeypatch.setattr(bounds, "tangent_codim", contradiction)
+    code = main(["tangent", "--n", "2", "--d", "5", "--alpha", "1,1"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "error: internal check failed: slice has the wrong dimension\n"
+    )
+
+
+def test_division_by_zero_still_exits_one(capsys):
+    # ZeroDivisionError is an ArithmeticError, but it is the input's fault
+    code = main(
+        ["pair", "--n", "2", "--d", "5", "--alpha", "1,1", "--a2", "1,1", "--c-lambda2", "1/0"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_computation_errors_exit_one(capsys):
@@ -343,3 +405,29 @@ def test_output_is_deterministic(capsys):
     assert len(runs) == 1
     table = run(capsys, "scan-bounds", "--n", "2", "--d", "5", "--output", "table")[1]
     assert table == run(capsys, "scan-bounds", "--n", "2", "--d", "5", "--output", "table")[1]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_EXAMPLES = [
+    line.strip()
+    for line in README.read_text(encoding="utf-8").splitlines()
+    if line.startswith("fermatcalc ")
+]
+
+
+def test_readme_lists_every_verb():
+    verbs = {shlex.split(line)[1] for line in README_EXAMPLES}
+    assert verbs == {
+        "tangent", "hilbert", "pair", "certify", "special", "prop11", "plane",
+        "dan-ci", "scan-bounds", "groebner", "recover", "linear-cycle",
+    }
+
+
+@pytest.mark.parametrize("line", README_EXAMPLES)
+def test_readme_examples_run(line, capsys):
+    code, out = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    if line == "fermatcalc hilbert --n 4 --d 5 --alpha 1,3,7":
+        profile = (1, 3, 6, 10, 12, 12, 10, 6, 3, 1)
+        assert f"Hilbert profile {profile}" in README.read_text(encoding="utf-8")
+        assert tuple(json.loads(out)["dims"]) == profile

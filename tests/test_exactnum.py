@@ -14,6 +14,7 @@ from fermatcalc.exactnum import (
     unit_circle_check,
     zeta,
 )
+from fermatcalc.multipoly import Polynomial
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -154,7 +155,10 @@ def test_wrong_coordinate_count_rejected():
 
 def test_pickle_round_trip():
     x = zeta(8) * ((3 + 4 * root_of_unity(4, 1)) / 5).promote(8)
-    assert pickle.loads(pickle.dumps(x)) == x
+    poly = Polynomial(3, [((2, 1, 0), x), ((0, 0, 3), zeta(8) + Fraction(1, 2))])
+    for value in (x, poly):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
 
 
 small_fracs = st.fractions(

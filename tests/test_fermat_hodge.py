@@ -261,14 +261,6 @@ def test_certificate_all_pairings(quintic_surface):
     assert cert.verdict == "all rational"
 
 
-def test_certificate_jobs_do_not_change_output(quintic_surface):
-    ctx = quintic_surface
-    p = linear_cycle_poly((1, 3), ctx)
-    serial = rationality_certificate(p, ctx, jobs=1)
-    parallel = rationality_certificate(p, ctx, jobs=2)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # structure recovery
 # ---------------------------------------------------------------------------
