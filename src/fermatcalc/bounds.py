@@ -18,18 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice
-from fermatcalc.multipoly import (
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    leading_term,
-    monomial_divides,
-)
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, lt_slice
+from fermatcalc.multipoly import Monomial, MonomialOrder, Polynomial, minimal_generators
 
 __all__ = [
     "BoundReport",
@@ -65,24 +59,17 @@ def count_divisors(alpha: Sequence[int], k: int) -> int:
     return poly[k] if k < len(poly) else 0
 
 
-def _check_bound_args(n: int, d: int):
-    if n < 2 or n % 2:
-        raise ValueError("n must be an even integer >= 2")
-    if d < 3:
-        raise ValueError("d must be at least 3")
-
-
 def linear_cycle_bound(n: int, d: int) -> int:
     """Codimension of the locus of hypersurfaces containing a middle-dimension
     linear subvariety; equals d-3 for surfaces."""
-    _check_bound_args(n, d)
+    FermatContext(n, d)  # refuses an invalid (n, d)
     return math.comb(n // 2 + d, d) - (n // 2 + 1) ** 2
 
 
 def second_minimum_bound(n: int, d: int) -> int:
     """The next-smallest tangent codimension, attained by classes of
     complete intersections of type (1,...,1,2); equals 2d-7 for surfaces."""
-    _check_bound_args(n, d)
+    FermatContext(n, d)  # refuses an invalid (n, d)
     correction = Fraction(3 * n * n, 8) + Fraction(9 * n, 4) + 2
     assert correction.denominator == 1
     return (
@@ -179,9 +166,8 @@ def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
     permutation orbit, each weighted by its orbit size.  Runs in well under
     a second for n <= 6, d <= 7.
     """
-    _check_bound_args(n, d)
+    sigma = FermatContext(n, d).sigma
     half = n // 2 + 1
-    sigma = (d - 2) * half
     linear_shape = (0,) * half + (d - 2,) * half
     # attainer multisets with their orbit sizes, keyed by count value, for
     # the full pool and for the pool of vectors away from the linear shape
@@ -284,23 +270,12 @@ def tangent_codim(
                 "linear minimum attained but the degree-one slice has "
                 f"dimension {s1.dim}; this contradicts the equality analysis"
             )
-        report = BoundReport(
-            report.value,
-            report.bound_linear,
-            report.bound_second,
-            report.classification,
-            j1_dim=s1.dim,
-            j1_basis=s1.basis,
-        )
+        report = replace(report, j1_dim=s1.dim, j1_basis=s1.basis)
     return report
 
 
 # Leading-term ideal shape templates, up to variable relabeling.  Evens hold
 # the degree-one generators in the reference labeling.
-
-
-def _unit(nvars: int, i: int) -> Monomial:
-    return tuple(1 if t == i else 0 for t in range(nvars))
 
 
 def _power(nvars: int, i: int, e: int) -> Monomial:
@@ -311,9 +286,9 @@ def _shape_templates(n: int, d: int) -> dict[str, frozenset[Monomial]]:
     nvars = n + 2
     evens = list(range(0, nvars, 2))
     odds = list(range(1, nvars, 2))
-    linear = [_unit(nvars, i) for i in evens] + [_power(nvars, i, d - 1) for i in odds]
+    linear = [_power(nvars, i, 1) for i in evens] + [_power(nvars, i, d - 1) for i in odds]
     quadric_a = (
-        [_unit(nvars, i) for i in evens[:-1]]
+        [_power(nvars, i, 1) for i in evens[:-1]]
         + [_power(nvars, n, 2)]
         + [_power(nvars, i, d - 1) for i in odds[:-1]]
         + [_power(nvars, n + 1, d - 2)]
@@ -322,7 +297,7 @@ def _shape_templates(n: int, d: int) -> dict[str, frozenset[Monomial]]:
         1 if t == n else (d - 3 if t == n + 1 else 0) for t in range(nvars)
     )
     quadric_b = (
-        [_unit(nvars, i) for i in evens[:-1]]
+        [_power(nvars, i, 1) for i in evens[:-1]]
         + [_power(nvars, n, 2)]
         + [_power(nvars, i, d - 1) for i in odds]
         + [mixed]
@@ -361,7 +336,8 @@ def _apply_perm(mono: Monomial, perm: tuple[int, ...]) -> Monomial:
     return tuple(out)
 
 
-def _classify_lt_generators(gens: frozenset[Monomial], n: int, d: int) -> str:
+def _classify_lt_generators(degrees: list[list[Monomial]], n: int, d: int) -> str:
+    gens = frozenset(m for degree in degrees for m in degree)
     degree_profile = tuple(sorted(sum(m) for m in gens))
     for name, template in _shape_templates(n, d).items():
         if degree_profile != tuple(sorted(sum(m) for m in template)):
@@ -378,8 +354,7 @@ def classify_lt_shape(
     """Match the leading-term ideal of a class's colon ideal (composed through
     degree d) against the template shapes, over variable relabelings."""
     ci = ColonIdeal(p, ctx, order)
-    gens = frozenset(m for degree in ci.lt_generators(ctx.d) for m in degree)
-    return _classify_lt_generators(gens, ctx.n, ctx.d)
+    return _classify_lt_generators(ci.lt_generators(ctx.d), ctx.n, ctx.d)
 
 
 def classify_lt_shape_of_ideal(
@@ -387,11 +362,5 @@ def classify_lt_shape_of_ideal(
 ) -> str:
     """Same as classify_lt_shape for an ideal given by homogeneous generators
     (used for complete-intersection ideals, which have no class polynomial)."""
-    gens: list[Monomial] = []
-    for k in range(ctx.d + 1):
-        slice_k = ideal_slice(generators, k, order)
-        for b in slice_k.basis:
-            lt = leading_term(b, order)[0]
-            if not any(monomial_divides(g, lt) for g in gens):
-                gens.append(lt)
-    return _classify_lt_generators(frozenset(gens), ctx.n, ctx.d)
+    degrees = (lt_slice(ideal_slice(generators, k, order), order) for k in range(ctx.d + 1))
+    return _classify_lt_generators(minimal_generators(degrees, order), ctx.n, ctx.d)

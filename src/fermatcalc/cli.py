@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -57,26 +58,30 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _class_poly(args, ctx: FermatContext) -> Polynomial:
-    if getattr(args, "alpha", None):
-        return fermat_hodge.linear_cycle_poly(_parse_alpha(args.alpha), ctx)
-    if getattr(args, "a", None):
-        coeffs = _parse_coeffs(args.a, ctx.m)
+def _class_poly(args, ctx: FermatContext, suffix: str = "") -> Polynomial:
+    alpha, a, c_lambda = (getattr(args, f + suffix) for f in ("alpha", "a", "c_lambda"))
+    if alpha:
+        return fermat_hodge.linear_cycle_poly(_parse_alpha(alpha), ctx)
+    if a:
+        coeffs = _parse_coeffs(a, ctx.m)
         scale = (
-            ioformats.parse_cyclotomic_expr(args.c_lambda, ctx.m)
-            if getattr(args, "c_lambda", None)
+            ioformats.parse_cyclotomic_expr(c_lambda, ctx.m)
+            if c_lambda
             else CyclotomicNumber.one()
         )
         spec = fermat_hodge.ProductClassSpec(coeffs, scale)
         return fermat_hodge.product_class_poly(spec, ctx)
-    if getattr(args, "poly", None):
+    if suffix:
+        raise ValueError("specify the second class via --alpha2 or --a2")
+    if args.poly:
         return ioformats.polynomial_from_json(_read_json(args.poly))
     raise ValueError("specify a class via --alpha, --a or --poly")
 
 
-def _binomial_forms(ctx: FermatContext, coeffs) -> list[Polynomial]:
+def _binomial_forms(ctx: FermatContext, pairs) -> list[Polynomial]:
+    """The forms x_{2j} - a*x_{2j+1} for each (j, a) in `pairs`."""
     forms = []
-    for j, a in enumerate(coeffs):
+    for j, a in pairs:
         x = Polynomial.variable(ctx.nvars, 2 * j)
         y = Polynomial.variable(ctx.nvars, 2 * j + 1)
         forms.append(x - y.scale(a))
@@ -178,20 +183,7 @@ def _run_linear_cycle(args):
 def _run_pair(args):
     ctx = _context(args)
     p = _class_poly(args, ctx)
-    if args.alpha2:
-        q = fermat_hodge.linear_cycle_poly(_parse_alpha(args.alpha2), ctx)
-    elif args.a2:
-        coeffs = _parse_coeffs(args.a2, ctx.m)
-        scale = (
-            ioformats.parse_cyclotomic_expr(args.c_lambda2, ctx.m)
-            if args.c_lambda2
-            else CyclotomicNumber.one()
-        )
-        q = fermat_hodge.product_class_poly(
-            fermat_hodge.ProductClassSpec(coeffs, scale), ctx
-        )
-    else:
-        raise ValueError("specify the second class via --alpha2 or --a2")
+    q = _class_poly(args, ctx, "2")
     result = fermat_hodge.pair_classes(p, q, ctx)
     return _pairing_json(result), None, 0
 
@@ -247,7 +239,7 @@ def _run_plane(args):
     if args.forms:
         forms = ioformats.polynomials_from_json(_read_json(args.forms))
     elif args.a:
-        forms = _binomial_forms(ctx, _parse_coeffs(args.a, ctx.m))
+        forms = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
     else:
         raise ValueError("specify the plane via --a or --forms FILE")
     report = fermat_hodge.plane_in_fermat(forms, ctx)
@@ -290,32 +282,25 @@ def _standard_decomposition(args, ctx: FermatContext):
     if len(degrees) != half or set(degrees[:-1]) - {1} or degrees[-1] not in (1, 2):
         raise ValueError("supported types are 1,...,1 and 1,...,1,2")
     coeffs = _parse_coeffs(args.a, ctx.m)
-    expected = half + (1 if degrees[-1] == 2 else 0)
-    if len(coeffs) != expected:
-        raise ValueError(f"--type {args.type} needs {expected} coefficients")
-    f, g = [], []
-    order = lex_order(ctx.nvars)
-    for j, deg in enumerate(degrees):
-        x = Polynomial.variable(ctx.nvars, 2 * j)
-        y = Polynomial.variable(ctx.nvars, 2 * j + 1)
+    quadric = degrees[-1] == 2
+    if len(coeffs) != half + quadric:
+        raise ValueError(f"--type {args.type} needs {half + quadric} coefficients")
+    # a quadric factor is the product of two binomials on the last pair
+    f = _binomial_forms(ctx, zip([*range(half), half - 1], coeffs))
+    if quadric:
+        f[-2:] = [f[-2] * f[-1]]
+    g = []
+    for j, fi in enumerate(f):
         pair_sum = Polynomial(
             ctx.nvars,
-            [
-                (tuple(ctx.d if t == 2 * j else 0 for t in range(ctx.nvars)), 1),
-                (tuple(ctx.d if t == 2 * j + 1 else 0 for t in range(ctx.nvars)), 1),
-            ],
+            [(tuple(ctx.d * (t == v) for t in range(ctx.nvars)), 1) for v in (2 * j, 2 * j + 1)],
         )
-        if deg == 1:
-            fi = x - y.scale(coeffs[j])
-        else:
-            fi = (x - y.scale(coeffs[j])) * (x - y.scale(coeffs[j + 1]))
-        quotients, remainder = divide(pair_sum, [fi], order)
+        quotients, remainder = divide(pair_sum, [fi], lex_order(ctx.nvars))
         if not remainder.is_zero():
             raise ValueError(
                 f"factor {j} does not divide its Fermat pair sum; "
                 "its roots must be d-th roots of -1"
             )
-        f.append(fi)
         g.append(quotients[0])
     return f, g
 
@@ -365,7 +350,7 @@ def _run_groebner(args):
         if not gens:
             raise ValueError("empty generator file")
     elif args.a:
-        gens = _binomial_forms(ctx, _parse_coeffs(args.a, ctx.m))
+        gens = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
         for j in range(1, ctx.nvars, 2):
             gens.append(
                 Polynomial.monomial(
@@ -531,9 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses, so one parser serves every request
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, csv_spec, code = args.handler(args)
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:

@@ -90,10 +90,15 @@ def all_pairings(n: int) -> list[tuple[tuple[int, int], ...]]:
     return result
 
 
-def _validate_pairing(pairing, nvars: int):
-    flat = [v for pair in pairing for v in pair]
-    if sorted(flat) != list(range(nvars)):
-        raise ValueError(f"pairing {pairing} must cover each of {nvars} coordinates once")
+def _resolve_pairing(pairing, n: int, count: int, noun: str) -> tuple[tuple[int, int], ...]:
+    """`pairing`, or the default one when it is None, checked to cover the
+    n+2 coordinates once and to have one pair for each of `count` `noun`."""
+    pairing = pairing if pairing is not None else default_pairing(n)
+    if sorted(v for pair in pairing for v in pair) != list(range(n + 2)):
+        raise ValueError(f"pairing {pairing} must cover each of {n + 2} coordinates once")
+    if count != len(pairing):
+        raise ValueError(f"expected {len(pairing)} {noun}, got {count}")
+    return pairing
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,7 @@ class LinearCycleSpec:
     pairing: tuple[tuple[int, int], ...] | None = None
 
     def resolved_pairing(self, ctx: FermatContext) -> tuple[tuple[int, int], ...]:
-        pairing = self.pairing if self.pairing is not None else default_pairing(ctx.n)
-        _validate_pairing(pairing, ctx.nvars)
-        if len(self.alpha) != len(pairing):
-            raise ValueError(
-                f"expected {len(pairing)} exponents, got {len(self.alpha)}"
-            )
-        return pairing
+        return _resolve_pairing(self.pairing, ctx.n, len(self.alpha), "exponents")
 
     def validate(self, ctx: FermatContext):
         self.resolved_pairing(ctx)
@@ -137,11 +136,7 @@ class ProductClassSpec:
             raise ValueError("scale must be nonzero")
 
     def resolved_pairing(self, n: int) -> tuple[tuple[int, int], ...]:
-        pairing = self.pairing if self.pairing is not None else default_pairing(n)
-        _validate_pairing(pairing, n + 2)
-        if len(self.a) != len(pairing):
-            raise ValueError(f"expected {len(pairing)} coefficients, got {len(self.a)}")
-        return pairing
+        return _resolve_pairing(self.pairing, n, len(self.a), "coefficients")
 
 
 def _pairing_product(ctx: FermatContext, pairing, coeffs, scale) -> Polynomial:
@@ -402,6 +397,14 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 # ---------------------------------------------------------------------------
 
 
+def _socle_check(generators, ctx: FermatContext) -> tuple[tuple[int, ...], int | None, bool]:
+    """Quotient dimensions in degrees 0..sigma+1, the top nonzero degree, and
+    whether the quotient is one-dimensional in degree sigma and zero above."""
+    dims = tuple(ideal_hilbert_dims(generators, ctx.sigma + 1))
+    socle = max((k for k, v in enumerate(dims) if v), default=None)
+    return dims, socle, dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
+
+
 @dataclass(frozen=True)
 class PlaneContainment:
     contained: bool
@@ -472,9 +475,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     if rebuilt != F:
         raise RuntimeError("cofactor reconstruction failed")
     generators = tuple(forms) + tuple(quotients)
-    top = ideal_hilbert_dims(generators, ctx.sigma + 1)
-    socle = max((k for k, v in enumerate(top) if v), default=None)
-    socle_ok = top[ctx.sigma] == 1 and top[ctx.sigma + 1] == 0
+    _, socle, socle_ok = _socle_check(generators, ctx)
     return PlaneContainment(True, restricted, tuple(quotients), generators, socle, socle_ok)
 
 
@@ -509,9 +510,7 @@ def complete_intersection_ideal(f, g, ctx: FermatContext) -> CompleteIntersectio
     if total != ctx.fermat_polynomial():
         raise ValueError("not a decomposition of F")
     generators = tuple(v for pair in zip(f, g) for v in pair)
-    dims = tuple(ideal_hilbert_dims(generators, ctx.sigma + 1))
-    socle = max((k for k, v in enumerate(dims) if v), default=None)
-    socle_ok = dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
+    dims, socle, socle_ok = _socle_check(generators, ctx)
     square = ideal_square_membership(ctx.fermat_polynomial(), generators)
     tangent = bounds.codim_report(dims[ctx.d], ctx.n, ctx.d)
     return CompleteIntersectionReport(generators, dims, socle, socle_ok, square, tangent)

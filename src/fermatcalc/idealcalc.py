@@ -53,6 +53,7 @@ from fermatcalc.multipoly import (
     divide,
     leading_term,
     lex_order,
+    minimal_generators,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -312,11 +313,7 @@ class ColonIdeal:
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
         reduction = _Reduction.avoiding(reduced.terms.values())
-        residues: dict[CyclotomicNumber, _Residue] = {}
-        for c in reduced.terms.values():
-            if c not in residues:
-                residues[c] = reduction(c)
-        self._terms = [(gamma, c, residues[c]) for gamma, c in reduced.terms.items()]
+        self._terms = [(gamma, c, reduction(c)) for gamma, c in reduced.terms.items()]
 
     def _multiplication_rows(
         self, index: dict[Monomial, int], kept
@@ -436,18 +433,9 @@ class ColonIdeal:
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by
         degree, through degree `up_to`."""
-        gens: list[list[Monomial]] = []
-        for k in range(up_to + 1):
-            current = self.leading_monomials(k)
-            fresh = [
-                m
-                for m in current
-                if not any(
-                    monomial_divides(g, m) for degree in gens for g in degree
-                )
-            ]
-            gens.append(sorted(fresh, key=self.order.key, reverse=True))
-        return gens
+        return minimal_generators(
+            (self.leading_monomials(k) for k in range(up_to + 1)), self.order
+        )
 
 
 # Module-level wrappers around ColonIdeal, matching the operation surface.
@@ -491,22 +479,24 @@ def ideal_slice(
     order = order or lex_order(nvars)
     cols = sorted(monomials_of_degree(nvars, k), key=order.key, reverse=True)
     index = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for g in gens:
-        dg = g.homogeneous_degree()
-        if dg is None:
-            raise ValueError("generators must be homogeneous and nonzero")
-        if dg > k:
-            continue
-        for gamma in monomials_of_degree(nvars, k - dg):
-            shifted = {monomial_mul(e, gamma): c for e, c in g.terms.items()}
-            rows.append({index[e]: c for e, c in shifted.items()})
-    pivots = echelon(rows)
+    pivots = echelon(row for _, _, row in _shifted_rows(gens, k, index))
     basis = []
     for pc in sorted(pivots):
         row = pivots[pc]
         basis.append(Polynomial(nvars, [(cols[c], v) for c, v in row.items()]))
     return DegreeSlice(k, "ideal", tuple(basis))
+
+
+def _shifted_rows(gens: Sequence[Polynomial], k: int, index: dict[Monomial, int]):
+    """(generator position, gamma, row) for each x^gamma * g of degree k, by
+    generator and then gamma in descending lex order; the row holds g's
+    coefficient at beta in column index[beta + gamma]."""
+    for i, g in enumerate(gens):
+        dg = g.homogeneous_degree()
+        if dg is None:
+            raise ValueError("generators must be homogeneous and nonzero")
+        for gamma in monomials_of_degree(g.nvars, k - dg):
+            yield i, gamma, {index[monomial_mul(e, gamma)]: c for e, c in g.terms.items()}
 
 
 def solve_linear_forms(
@@ -660,27 +650,23 @@ def ideal_square_membership(target: Polynomial, gens: Sequence[Polynomial]) -> S
     deg = target.homogeneous_degree()
     if deg is None:
         raise ValueError("target must be homogeneous and nonzero")
-    nvars = target.nvars
-    order = lex_order(nvars)
-    cols = sorted(monomials_of_degree(nvars, deg), key=order.key, reverse=True)
-    index = {m: i for i, m in enumerate(cols)}
-    # product row k carries the tag column width + k
-    width = len(cols)
-    products: list[tuple[int, int, Monomial]] = []
+    # columns in descending lex order; product row t carries the tag column width + t
+    index = {m: i for i, m in enumerate(monomials_of_degree(target.nvars, deg))}
+    width = len(index)
+    pairs, products = [], []
+    for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
+        p = gens[i] * gens[j]
+        if p:
+            pairs.append((i, j))
+            products.append(p)
+    tags: list[tuple[int, int, Monomial]] = []
     pivots: dict[int, dict] = {}
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            p = gens[i] * gens[j]
-            dp = p.homogeneous_degree()
-            if dp is None or dp > deg:
-                continue
-            for gamma in monomials_of_degree(nvars, deg - dp):
-                row = {index[monomial_mul(e, gamma)]: c for e, c in p.terms.items()}
-                row[width + len(products)] = CyclotomicNumber.one()
-                products.append((i, j, gamma))
-                echelon_insert(pivots, row, width)
+    for t, gamma, row in _shifted_rows(products, deg, index):
+        row[width + len(tags)] = CyclotomicNumber.one()
+        tags.append((*pairs[t], gamma))
+        echelon_insert(pivots, row, width)
     row = {index[e]: c for e, c in target.terms.items()}
     if reduce_row(pivots, row, width) is not None:
         return SquareMembership(False, None)
-    witness = sorted((*products[c - width], -v) for c, v in row.items())
+    witness = sorted((*tags[c - width], -v) for c, v in row.items())
     return SquareMembership(True, tuple(witness))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from fermatcalc.exactnum import CyclotomicNumber
@@ -102,12 +101,28 @@ def pair_leader_order(nvars: int) -> MonomialOrder:
     return MonomialOrder(tuple(range(0, nvars, 2)) + tuple(range(1, nvars, 2)))
 
 
-def _coerce_scalar(value) -> CyclotomicNumber | None:
-    if isinstance(value, CyclotomicNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CyclotomicNumber.from_rational(value)
-    return None
+def minimal_generators(
+    degrees: Iterable[Iterable[Monomial]], order: MonomialOrder
+) -> list[list[Monomial]]:
+    """Minimal generators of a monomial ideal given by its monomials degree
+    by degree, in increasing degree: per degree, the monomials divisible by
+    no generator of a lower degree, in descending order.
+
+    >>> minimal_generators([[], [(1, 1)], [(2, 1), (0, 3)]], lex_order(2))
+    [[], [(1, 1)], [(0, 3)]]
+    """
+    gens: list[list[Monomial]] = []
+    for current in degrees:
+        fresh = [
+            m
+            for m in current
+            if not any(monomial_divides(g, m) for degree in gens for g in degree)
+        ]
+        gens.append(sorted(fresh, key=order.key, reverse=True))
+    return gens
+
+
+_coerce_scalar = CyclotomicNumber._coerce
 
 
 class Polynomial:

@@ -90,6 +90,26 @@ def test_bound_values_for_surfaces():
         second_minimum_bound(2, 2)
 
 
+def test_bounds_refuse_exactly_what_the_fermat_context_refuses():
+    for n in range(-2, 9):
+        for d in range(-1, 7):
+            try:
+                FermatContext(n, d)
+                refusal = None
+            except ValueError as exc:
+                refusal = str(exc)
+            checked = [linear_cycle_bound, second_minimum_bound]
+            if refusal is not None or (n <= 4 and d <= 5):
+                checked.append(scan_divisor_minima)
+            for bound in checked:
+                if refusal is None:
+                    bound(n, d)
+                else:
+                    with pytest.raises(ValueError) as err:
+                        bound(n, d)
+                    assert str(err.value) == refusal
+
+
 def test_linear_bound_never_exceeds_second_bound():
     for n in (2, 4, 6, 8):
         for d in range(4, 10):

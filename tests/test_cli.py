@@ -105,6 +105,32 @@ def test_pair_verb(capsys):
     assert "non_socle_terms" not in payload
 
 
+def test_pair_reads_its_second_class_with_its_own_scale(capsys):
+    from fermatcalc.exactnum import CyclotomicNumber, zeta
+    from fermatcalc.fermat_hodge import (
+        ProductClassSpec,
+        linear_cycle_poly,
+        pair_classes,
+        product_class_poly,
+    )
+    from fermatcalc.idealcalc import FermatContext
+    from fermatcalc.ioformats import cyclotomic_from_json
+
+    argv = ["pair", "--n", "2", "--d", "5", "--alpha", "1,1", "--a2", "z,1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    c = cyclotomic_from_json(json.loads(out)["c"])
+    code, out = run(capsys, *argv, "--c-lambda2", "3")
+    assert code == 0
+    assert cyclotomic_from_json(json.loads(out)["c"]) == c * 3
+    ctx = FermatContext(2, 5)
+    one = CyclotomicNumber.one()
+    q = product_class_poly(ProductClassSpec((zeta(10), one), one), ctx)
+    assert pair_classes(linear_cycle_poly((1, 1), ctx), q, ctx).c == c
+    assert main(argv[:-2]) == 1
+    assert capsys.readouterr() == ("", "error: specify the second class via --alpha2 or --a2\n")
+
+
 def test_certify_csv(capsys):
     code, out = run(
         capsys,
@@ -237,6 +263,39 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as err:
             main(["tangent", "--n", "2", "--d", "5", "--alpha", "1,1", "--jobs", jobs])
         assert err.value.code == 2
+
+
+# every verb, a usage error and a pair with --a2, on small inputs
+ONE_PROCESS = [
+    ["hilbert", "--n", "2", "--d", "4", "--alpha", "1,1"],
+    ["tangent", "--n", "2", "--d", "5", "--a", "z,2", "--output", "table"],
+    ["linear-cycle", "--n", "2", "--d", "5", "--alpha", "1,3"],
+    ["pair", "--n", "2", "--d", "5", "--alpha", "1,1", "--a2", "z,1", "--c-lambda2", "3"],
+    ["certify", "--n", "2", "--d", "4", "--alpha", "1,1", "--output", "csv"],
+    ["recover", "--n", "2", "--d", "5", "--a", "2,1"],
+    ["prop11", "--d", "5", "--a", "2"],
+    ["plane", "--n", "2", "--d", "5", "--a", "z,z^3"],
+    ["dan-ci", "--n", "2", "--d", "5", "--type", "1,2", "--a", "z,z,z^3"],
+    ["special", "--n", "2", "--d", "4", "--a", "z*(3+4i)/5,z"],
+    ["scan-bounds", "--n", "2", "--d", "4", "--output", "csv"],
+    ["groebner", "--n", "2", "--d", "5", "--a", "z,3/2"],
+    ["tangent", "--n", "2"],
+]
+
+
+def test_requests_in_one_process_do_not_depend_on_their_order(capsys):
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    forward = [outcome(argv) for argv in ONE_PROCESS]
+    backward = [outcome(argv) for argv in reversed(ONE_PROCESS)]
+    assert forward == backward[::-1]
+    assert [code for code, _, _ in forward] == [0] * 10 + [1, 0, 2]
+    assert "the following arguments are required: --d" in forward[-1][2]
 
 
 def test_jobs_is_accepted_and_ignored(capsys):
