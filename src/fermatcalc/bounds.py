@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, lt_slice
@@ -70,12 +69,11 @@ def second_minimum_bound(n: int, d: int) -> int:
     """The next-smallest tangent codimension, attained by classes of
     complete intersections of type (1,...,1,2); equals 2d-7 for surfaces."""
     FermatContext(n, d)  # refuses an invalid (n, d)
-    correction = Fraction(3 * n * n, 8) + Fraction(9 * n, 4) + 2
-    assert correction.denominator == 1
+    # 3n^2/8 + 9n/4 + 2 = 3m(m+3)/2 + 2 for n = 2m, an integer as m(m+3) is even
     return (
         math.comb(n // 2 + d, d)
         + math.comb(n // 2 + d - 1, d - 1)
-        - int(correction)
+        - (3 * n * (n + 6) // 8 + 2)
     )
 
 

@@ -27,10 +27,6 @@ from fermatcalc.multipoly import (
 )
 
 
-def _context(args) -> FermatContext:
-    return FermatContext(args.n, args.d)
-
-
 def _parse_alpha(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
@@ -82,6 +78,8 @@ def _binomial_forms(ctx: FermatContext, pairs) -> list[Polynomial]:
     """The forms x_{2j} - a*x_{2j+1} for each (j, a) in `pairs`."""
     forms = []
     for j, a in pairs:
+        if 2 * j + 1 >= ctx.nvars:
+            raise ValueError(f"at most {ctx.nvars // 2} coefficients, one per coordinate pair")
         x = Polynomial.variable(ctx.nvars, 2 * j)
         y = Polynomial.variable(ctx.nvars, 2 * j + 1)
         forms.append(x - y.scale(a))
@@ -146,12 +144,11 @@ def _certificate_json(cert) -> tuple[dict, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns (payload, csv_spec_or_None, exit_code)
+# Verb handlers (args, ctx): each returns (payload, csv_spec_or_None, exit_code)
 # ---------------------------------------------------------------------------
 
 
-def _run_hilbert(args):
-    ctx = _context(args)
+def _run_hilbert(args, ctx):
     p = _class_poly(args, ctx)
     order = _parse_order(args.order, ctx.nvars)
     ci = ColonIdeal(p, ctx, order)
@@ -160,16 +157,14 @@ def _run_hilbert(args):
     return ioformats.profile_to_json(ci.hilbert_profile()), None, 0
 
 
-def _run_tangent(args):
-    ctx = _context(args)
+def _run_tangent(args, ctx):
     p = _class_poly(args, ctx)
     order = _parse_order(args.order, ctx.nvars)
     report = bounds.tangent_codim(p, ctx, order)
     return _bound_report_json(report), None, 0
 
 
-def _run_linear_cycle(args):
-    ctx = _context(args)
+def _run_linear_cycle(args, ctx):
     alpha = _parse_alpha(args.alpha)
     poly = fermat_hodge.linear_cycle_poly(alpha, ctx)
     payload = {
@@ -180,16 +175,14 @@ def _run_linear_cycle(args):
     return payload, None, 0
 
 
-def _run_pair(args):
-    ctx = _context(args)
+def _run_pair(args, ctx):
     p = _class_poly(args, ctx)
     q = _class_poly(args, ctx, "2")
     result = fermat_hodge.pair_classes(p, q, ctx)
     return _pairing_json(result), None, 0
 
 
-def _run_certify(args):
-    ctx = _context(args)
+def _run_certify(args, ctx):
     p = _class_poly(args, ctx)
     cert = fermat_hodge.rationality_certificate(
         p, ctx, all_coordinate_pairings=args.all_pairings
@@ -198,8 +191,7 @@ def _run_certify(args):
     return payload, csv_spec, 0
 
 
-def _run_recover(args):
-    ctx = _context(args)
+def _run_recover(args, ctx):
     p = _class_poly(args, ctx)
     spec = fermat_hodge.recover_product_structure(p, ctx)
     payload = {
@@ -210,7 +202,7 @@ def _run_recover(args):
     return payload, None, 0
 
 
-def _run_prop11(args):
+def _run_prop11(args, ctx):
     conductor = 2 * args.d
     a = ioformats.parse_cyclotomic_expr(args.a, conductor)
     report = fermat_hodge.rationality_scan(a, args.d)
@@ -234,8 +226,7 @@ def _run_prop11(args):
     return payload, None, 0
 
 
-def _run_plane(args):
-    ctx = _context(args)
+def _run_plane(args, ctx):
     if args.forms:
         forms = ioformats.polynomials_from_json(_read_json(args.forms))
     elif args.a:
@@ -255,8 +246,7 @@ def _run_plane(args):
     return payload, None, 0
 
 
-def _run_dan_ci(args):
-    ctx = _context(args)
+def _run_dan_ci(args, ctx):
     if args.decomp:
         f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
     else:
@@ -305,8 +295,7 @@ def _standard_decomposition(args, ctx: FermatContext):
     return f, g
 
 
-def _run_special(args):
-    ctx = _context(args)
+def _run_special(args, ctx):
     coeffs = _parse_coeffs(args.a, ctx.m)
     result = fermat_hodge.special_family(args.d, coeffs, ctx)
     cert_payload, _ = _certificate_json(result.certificate)
@@ -320,7 +309,7 @@ def _run_special(args):
     return payload, None, 0
 
 
-def _run_scan_bounds(args):
+def _run_scan_bounds(args, ctx):
     report = bounds.scan_divisor_minima(args.n, args.d)
     payload = {
         "n": report.n,
@@ -343,8 +332,7 @@ def _run_scan_bounds(args):
     return payload, None, 0 if report.all_hold else 1
 
 
-def _run_groebner(args):
-    ctx = _context(args)
+def _run_groebner(args, ctx):
     if args.gens:
         gens = ioformats.polynomials_from_json(_read_json(args.gens))
         if not gens:
@@ -413,11 +401,10 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _add_common(sub, n=True, d=True):
+def _add_common(sub, n=True):
     if n:
         sub.add_argument("--n", type=int, required=True, help="even dimension")
-    if d:
-        sub.add_argument("--d", type=int, required=True, help="degree")
+    sub.add_argument("--d", type=int, required=True, help="degree")
     sub.add_argument("--output", choices=("json", "csv", "table"), default="json")
     sub.add_argument(
         "--jobs", type=_jobs, default=1,
@@ -523,7 +510,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        payload, csv_spec, code = args.handler(args)
+        ctx = FermatContext(args.n, args.d) if "n" in vars(args) else None
+        payload, csv_spec, code = args.handler(args, ctx)
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

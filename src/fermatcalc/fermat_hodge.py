@@ -291,32 +291,22 @@ def recover_product_structure(p: Polynomial, ctx: FermatContext) -> ProductClass
     half = ctx.n // 2 + 1
     if s1.dim != half:
         raise ValueError("no product structure")
-    pivots: list[int] = []
-    partners: dict[int, tuple[int, CyclotomicNumber | None]] = {}
+    partners: dict[int, tuple[int, CyclotomicNumber] | None] = {}
     for form in s1.basis:
         items = form.sorted_terms(ci.order)
-        lead = items[0][0].index(1)
-        if len(items) == 1:
-            partners[lead] = (-1, None)  # partner assigned below
-        elif len(items) == 2:
-            other = items[1][0].index(1)
-            partners[lead] = (other, -items[1][1])
-        else:
+        if len(items) > 2:
             raise ValueError("violates product shape")
-        pivots.append(lead)
-    used = {q for q, _ in partners.values() if q >= 0}
-    if len(used) != sum(1 for q, _ in partners.values() if q >= 0):
+        lead = items[0][0].index(1)
+        # a lone x_p is paired with a free variable below
+        partners[lead] = (items[1][0].index(1), -items[1][1]) if len(items) == 2 else None
+    used = [pair[0] for pair in partners.values() if pair]
+    if len(set(used)) != len(used):
         raise ValueError("violates product shape")
-    free = [
-        v for v in range(ctx.nvars) if v not in partners and v not in used
-    ]
+    free = [v for v in range(ctx.nvars) if v not in partners and v not in used]
     pairs = []
     coeffs = []
     for lead in sorted(partners):
-        q, a = partners[lead]
-        if q < 0:
-            q = free.pop(0)
-            a = CyclotomicNumber.zero()
+        q, a = partners[lead] or (free.pop(0), CyclotomicNumber.zero())
         pairs.append((lead, q))
         coeffs.append(a)
     rebuilt = _pairing_product(ctx, pairs, coeffs, 1)

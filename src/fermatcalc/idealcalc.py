@@ -138,28 +138,14 @@ def reduce_mod_jacobian(p: Polynomial, ctx: FermatContext) -> Polynomial:
 
 @dataclass(frozen=True)
 class DegreeSlice:
-    """A graded piece of an ideal (polynomial basis in reduced echelon form)
-    or of the quotient algebra (complement basis of monomials)."""
+    """A graded piece of an ideal, its basis in reduced echelon form."""
 
     degree: int
-    kind: str  # "ideal" or "quotient"
     basis: tuple[Polynomial, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def reduce(self, f: Polynomial, order: MonomialOrder) -> Polynomial:
-        """Remainder of f against the echelon basis (ideal slices only)."""
-        for b in self.basis:
-            lt, lc = leading_term(b, order)
-            c = f.terms.get(lt)
-            if c is not None:
-                f = f - b.scale(c / lc)
-        return f
-
-    def contains(self, f: Polynomial, order: MonomialOrder) -> bool:
-        return self.reduce(f, order).is_zero()
 
 
 @dataclass(frozen=True)
@@ -338,19 +324,22 @@ class ColonIdeal:
         targets = sorted(rows, reverse=True)
         return [rows[tau][0] for tau in targets], [rows[tau][1] for tau in targets]
 
-    @staticmethod
-    def _full_rank_mod_p(residue_rows: list[dict], width: int) -> bool:
-        """Whether the rows reduced mod p reach rank `width`.  A nonzero
-        width x width minor mod p is the image of a nonzero minor over
-        Q(zeta), so True proves that the exact rank is `width` as well."""
+    def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
+        """Reduced echelon pivots of the multiplication rows on the columns
+        `index` and the targets `kept`: the identity when the rows mod p
+        reach rank len(index), as a nonzero full minor mod p is the image of
+        a nonzero minor over Q(zeta), and else the exact echelon form."""
+        rows, residue_rows = self._multiplication_rows(index, kept)
+        width = len(index)
         pivots: dict[int, dict] = {}
         for i, row in enumerate(residue_rows):
             if len(pivots) + len(residue_rows) - i < width:
-                return False  # too few rows left to reach full rank
+                break  # too few rows left to reach full rank
             echelon_insert(pivots, row)
             if len(pivots) == width:
-                return True
-        return False
+                one = CyclotomicNumber.one()
+                return {col: {col: one} for col in index.values()}
+        return echelon(rows)
 
     def _kernel_data(self, k: int):
         """Echelon data of the multiplication matrix at degree k: a tuple
@@ -363,12 +352,7 @@ class ColonIdeal:
         cap = self.ctx.d - 2
         source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source) if max(m) <= cap}
-        rows, residue_rows = self._multiplication_rows(index, lambda tau: max(tau) <= cap)
-        if self._full_rank_mod_p(residue_rows, len(index)):
-            one = CyclotomicNumber.one()
-            pivots = {col: {col: one} for col in index.values()}
-        else:
-            pivots = echelon(rows)
+        pivots = self._pivots(index, lambda tau: max(tau) <= cap)
         pivot_cols = sorted(pivots)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, pivot_cols, free_cols)
@@ -395,18 +379,12 @@ class ColonIdeal:
                     terms.append((source[pc], -v))
             basis.append(Polynomial(self.ctx.nvars, terms))
         basis.sort(key=lambda b: self.order.key(leading_term(b, self.order)[0]), reverse=True)
-        return DegreeSlice(k, "ideal", tuple(basis))
+        return DegreeSlice(k, tuple(basis))
 
     def quotient_monomials(self, k: int) -> tuple[Monomial, ...]:
         """Monomial complement basis of R_k (the non-leading-term monomials)."""
         source, _, pivot_cols, _ = self._kernel_data(k)
         return tuple(self.order.sort_descending(source[c] for c in pivot_cols))
-
-    def quotient_slice(self, k: int) -> DegreeSlice:
-        basis = tuple(
-            Polynomial.monomial(self.ctx.nvars, m) for m in self.quotient_monomials(k)
-        )
-        return DegreeSlice(k, "quotient", basis)
 
     def leading_monomials(self, k: int) -> frozenset[Monomial]:
         """Leading terms of the echelonized degree-k ideal slice."""
@@ -425,10 +403,7 @@ class ColonIdeal:
         targets = {monomial_div(socle, u) for u in self.quotient_monomials(i)}
         right = self.quotient_monomials(self.ctx.sigma - i)
         index = {v: jdx for jdx, v in enumerate(right)}
-        rows, residue_rows = self._multiplication_rows(index, targets.__contains__)
-        if self._full_rank_mod_p(residue_rows, len(index)):
-            return len(index)
-        return len(echelon(rows))
+        return len(self._pivots(index, targets.__contains__))
 
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by
@@ -484,7 +459,7 @@ def ideal_slice(
     for pc in sorted(pivots):
         row = pivots[pc]
         basis.append(Polynomial(nvars, [(cols[c], v) for c, v in row.items()]))
-    return DegreeSlice(k, "ideal", tuple(basis))
+    return DegreeSlice(k, tuple(basis))
 
 
 def _shifted_rows(gens: Sequence[Polynomial], k: int, index: dict[Monomial, int]):

@@ -22,7 +22,6 @@ from fermatcalc.multipoly import Polynomial, lex_order
 
 __all__ = [
     "frac_str",
-    "parse_frac",
     "cyclotomic_to_json",
     "cyclotomic_from_json",
     "polynomial_to_json",
@@ -39,10 +38,6 @@ def frac_str(q: Fraction | None) -> str | None:
     if q is None:
         return None
     return str(Fraction(q))
-
-
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def cyclotomic_to_json(z: CyclotomicNumber) -> dict:
@@ -102,7 +97,7 @@ def slice_to_json(s: DegreeSlice) -> dict:
     return {
         "k": s.degree,
         "dim": s.dim,
-        "kind": s.kind,
+        "kind": "ideal",
         "basis": [polynomial_to_json(b) for b in s.basis],
     }
 

@@ -75,10 +75,6 @@ class MonomialOrder:
         if sorted(self.priority) != list(range(len(self.priority))):
             raise ValueError("priority must be a permutation of the variable indices")
 
-    @property
-    def nvars(self) -> int:
-        return len(self.priority)
-
     def key(self, exps: Monomial):
         return tuple(exps[v] for v in self.priority)
 
@@ -290,12 +286,12 @@ class Polynomial:
     def substitute_linear(self, index: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute the polynomial `replacement` for the variable x_index."""
         self._check_compatible(replacement)
-        powers: dict[int, Polynomial] = {0: Polynomial.constant(self.nvars, 1)}
+        powers = [Polynomial.constant(self.nvars, 1)]
+        for _ in range(max((e[index] for e in self.terms), default=0)):
+            powers.append(powers[-1] * replacement)
         result = Polynomial.zero(self.nvars)
         for exps, coeff in self.terms.items():
             e = exps[index]
-            if e not in powers:
-                powers[e] = replacement ** e
             rest = list(exps)
             rest[index] = 0
             result = result + powers[e] * Polynomial.monomial(self.nvars, tuple(rest), coeff)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +90,14 @@ def test_bound_values_for_surfaces():
         linear_cycle_bound(3, 5)
     with pytest.raises(ValueError):
         second_minimum_bound(2, 2)
+
+
+def test_second_minimum_bound_matches_its_rational_formula():
+    for n in range(2, 41, 2):
+        for d in range(3, 13):
+            correction = Fraction(3 * n * n, 8) + Fraction(9 * n, 4) + 2
+            expected = math.comb(n // 2 + d, d) + math.comb(n // 2 + d - 1, d - 1) - correction
+            assert second_minimum_bound(n, d) == expected
 
 
 def test_bounds_refuse_exactly_what_the_fermat_context_refuses():

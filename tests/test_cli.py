@@ -370,6 +370,7 @@ MALFORMED = [
     ["recover", "--n", "2", "--d", "5", "--poly", "/nonexistent.json"],
     ["prop11", "--d", "2", "--a", "1"],  # degree too small
     ["plane", "--n", "2", "--d", "5", "--a", "z"],  # wrong form count
+    ["plane", "--n", "2", "--d", "5", "--a", "z,z,z"],  # more forms than coordinate pairs
     ["plane", "--n", "2", "--d", "5"],  # no plane given
     ["groebner", "--n", "2", "--d", "5"],  # no generators given
     ["dan-ci", "--n", "2", "--d", "5", "--type", "3,1", "--a", "z,z"],
@@ -377,6 +378,7 @@ MALFORMED = [
     ["special", "--n", "3", "--d", "4", "--a", "z"],  # odd dimension
     ["scan-bounds", "--n", "3", "--d", "5"],
     ["groebner", "--n", "2", "--d", "5", "--a", "z,z", "--cap", "0"],
+    ["groebner", "--n", "2", "--d", "5", "--a", "z,z,z"],  # more binomials than pairs
 ]
 
 

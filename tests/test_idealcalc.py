@@ -195,7 +195,7 @@ def test_jacobian_generators_lie_in_every_colon_slice(quintic_surface):
         power = Polynomial.monomial(4, (0, ctx.d - 1, 0, 0))
         for gamma in monomials_of_degree(4, k - (ctx.d - 1)):
             g = power * Polynomial.monomial(4, gamma)
-            assert slice_k.contains(g, ci.order)
+            assert ideal_slice([*slice_k.basis, g], k, ci.order) == slice_k
 
 
 def test_lt_slice():
@@ -204,9 +204,9 @@ def test_lt_slice():
     order = pair_leader_order(4)
     from fermatcalc.idealcalc import DegreeSlice
 
-    s = DegreeSlice(1, "ideal", (x[0] - x[1].scale(a), x[2] - x[3].scale(b)))
+    s = DegreeSlice(1, (x[0] - x[1].scale(a), x[2] - x[3].scale(b)))
     assert lt_slice(s, order) == {(1, 0, 0, 0), (0, 0, 1, 0)}
-    assert lt_slice(DegreeSlice(1, "ideal", ()), order) == frozenset()
+    assert lt_slice(DegreeSlice(1, ()), order) == frozenset()
 
 
 def test_linear_cycle_lt_ideal_matches_monomial_template(quintic_surface):
@@ -411,7 +411,7 @@ def test_degree_cap_defaults_beyond_socle(quintic_surface):
 
 def test_negative_degrees_are_refused(quintic_surface):
     ci = ColonIdeal(linear_cycle_class(quintic_surface, (1, 1)), quintic_surface)
-    for entry in (ci.rank, ci.slice, ci.quotient_monomials, ci.leading_monomials, ci.quotient_slice):
+    for entry in (ci.rank, ci.slice, ci.quotient_monomials, ci.leading_monomials):
         with pytest.raises(ValueError, match="negative degree"):
             entry(-1)
 
@@ -420,7 +420,7 @@ def test_ideal_and_quotient_slices_are_complementary(quintic_surface):
     ctx = quintic_surface
     ci = ColonIdeal(linear_cycle_class(ctx, (3, 5)), ctx)
     for k in range(ctx.sigma + 1):
-        assert ci.slice(k).dim + ci.quotient_slice(k).dim == count_monomials(4, k)
+        assert ci.slice(k).dim + len(ci.quotient_monomials(k)) == count_monomials(4, k)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +729,36 @@ def test_full_rank_degree_stores_the_pivots_of_the_exact_engine(monkeypatch):
     assert len(pivot_cols) == 50
     assert [source[c] for c in free_cols] == [m for m in source if max(m) > ctx.d - 2]
     assert pivots == TargetLoopColon(p, ctx)._kernel_data(3)[1]
+
+
+def test_pairing_rank_on_a_full_rank_degree_needs_no_exact_elimination(monkeypatch):
+    from fermatcalc import idealcalc
+
+    ctx = FermatContext(4, 4)
+    p = random_reduced_class(ctx, random.Random(5), terms=40)
+    expected = TargetLoopColon(p, ctx).pairing_rank(3)
+
+    def refuse(rows):
+        raise AssertionError("a pairing proved full rank mod p needs no exact elimination")
+
+    monkeypatch.setattr(idealcalc, "echelon", refuse)
+    assert ColonIdeal(p, ctx).pairing_rank(3) == expected == 50
+
+
+def test_pairing_rank_eliminates_only_its_rank_deficient_degrees(monkeypatch):
+    from fermatcalc import idealcalc
+
+    ctx = FermatContext(4, 5)
+    p = linear_cycle_class(ctx, (1, 3, 5))
+    ref = TargetLoopColon(p, ctx)
+    calls = []
+    monkeypatch.setattr(idealcalc, "echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
+    assert ColonIdeal(p, ctx).pairing_rank(0) == ref.pairing_rank(0) == 1
+    assert calls == [1]  # degree sigma's one capped target; degree 0 and the pairing pass mod p
+    for i in range(1, ctx.sigma):
+        calls.clear()
+        assert ColonIdeal(p, ctx).pairing_rank(i) == ref.pairing_rank(i)
+        assert len(calls) == 2  # degrees i and sigma-i; the pairing itself passes mod p
 
 
 def product_profile(ctx):

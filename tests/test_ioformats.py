@@ -9,7 +9,6 @@ from fermatcalc.ioformats import (
     cyclotomic_to_json,
     frac_str,
     parse_cyclotomic_expr,
-    parse_frac,
     polynomial_from_json,
     polynomial_to_json,
 )
@@ -20,8 +19,6 @@ def test_rational_strings():
     assert frac_str(Fraction(22, 7)) == "22/7"
     assert frac_str(Fraction(-1)) == "-1"
     assert frac_str(None) is None
-    assert parse_frac("22/7") == Fraction(22, 7)
-    assert parse_frac("-3") == Fraction(-3)
 
 
 def test_cyclotomic_json_round_trip():
