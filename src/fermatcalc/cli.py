@@ -17,7 +17,7 @@ import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
 from fermatcalc.exactnum import CyclotomicNumber
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, buchberger
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, buchberger, check_colon_size
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -149,6 +149,7 @@ def _certificate_json(cert) -> tuple[dict, tuple]:
 
 
 def _run_hilbert(args, ctx):
+    check_colon_size(ctx)  # before building a class that may already be too large
     p = _class_poly(args, ctx)
     order = _parse_order(args.order, ctx.nvars)
     ci = ColonIdeal(p, ctx, order)
@@ -158,6 +159,7 @@ def _run_hilbert(args, ctx):
 
 
 def _run_tangent(args, ctx):
+    check_colon_size(ctx)
     p = _class_poly(args, ctx)
     order = _parse_order(args.order, ctx.nvars)
     report = bounds.tangent_codim(p, ctx, order)
@@ -192,6 +194,7 @@ def _run_certify(args, ctx):
 
 
 def _run_recover(args, ctx):
+    check_colon_size(ctx)
     p = _class_poly(args, ctx)
     spec = fermat_hodge.recover_product_structure(p, ctx)
     payload = {

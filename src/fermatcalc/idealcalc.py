@@ -24,8 +24,20 @@ A rank is first taken modulo a prime p = 1 (mod L), L the conductor of P's
 coefficients, through the ring map Z_(p)[zeta_L] -> F_p.  A nonzero minor
 mod p is the image of a nonzero minor over Q(zeta_L), so a rank mod p that
 reaches the number of capped columns proves full rank exactly, and the
-reduced echelon form of the capped block is then the identity.  Any other
-outcome proves nothing, and the same rows are eliminated exactly.
+reduced echelon form of the capped block is then the identity.
+
+A rank-deficient degree is proved by a sandwich.  Let G be the exact
+degree-1 slice of J : P, checked by reducing every g * P to 0 modulo J.
+Then G + J is contained in J : P, and reduction mod p is a ring map, so
+
+    rank_p(k) <= rank(k) <= dim (S/(G + J))_k.
+
+The right side is `ideal_hilbert_dims` of G and the x_i^(d-1), which solves
+G's linear forms out first and spans in the remaining variables.  When the
+ends meet, the rank is proved without exact rows.  They meet at every
+degree for linear cycles, where J : P = I_delta + J is generated in degree
+1 modulo J, and for product classes.  When they do not meet, the rows are
+eliminated exactly.
 
 All exact linear algebra is elimination over Q(zeta_m) by the engine in
 `fermatcalc.echelon`, which the mod-p pass runs too.  Columns follow the
@@ -36,6 +48,7 @@ routes can be compared verbatim.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -49,6 +62,7 @@ from fermatcalc.multipoly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    count_capped_monomials,
     count_monomials,
     divide,
     leading_term,
@@ -66,6 +80,8 @@ __all__ = [
     "DegreeSlice",
     "HilbertProfile",
     "ColonIdeal",
+    "COLON_MAX_COLUMNS",
+    "check_colon_size",
     "GroebnerResult",
     "SquareMembership",
     "reduce_mod_jacobian",
@@ -271,19 +287,41 @@ class _Reduction:
         return _Residue(v * pow(x.den, -1, p) % p, p)
 
 
+# Widest capped catalecticant a ColonIdeal accepts: its column count at
+# degree sigma//2, the widest degree a Hilbert profile eliminates.
+COLON_MAX_COLUMNS = 1000
+
+
+def check_colon_size(ctx: FermatContext) -> None:
+    """Refuse (n, d) whose capped catalecticant at degree sigma//2 has more
+    than COLON_MAX_COLUMNS columns, counted without listing them."""
+    k = ctx.sigma // 2
+    width = count_capped_monomials(ctx.nvars, k, ctx.d - 2)
+    if width > COLON_MAX_COLUMNS:
+        raise ValueError(
+            f"(n, d) = ({ctx.n}, {ctx.d}) has {width} capped columns at degree {k}, "
+            f"above the colon limit of {COLON_MAX_COLUMNS}"
+        )
+
+
 class ColonIdeal:
     """The annihilator ideal (J^F : P) of a class polynomial P, computed and
     cached degree by degree.
 
     P must be homogeneous of degree sigma with a nonzero reduction modulo the
     Jacobian ideal; classes inside the Jacobian ideal have zero primitive
-    part and no associated Artinian Gorenstein algebra.
+    part and no associated Artinian Gorenstein algebra.  (n, d) must pass
+    `check_colon_size`.
 
     Degree k is eliminated on the capped catalecticant only; `rank` reads a
     degree above sigma/2 at sigma-k, while `slice`, `quotient_monomials`,
     `leading_monomials` and `lt_generators` use degree k itself.  A degree
     whose rank mod p equals its number of capped columns is proved full rank
-    without exact elimination (see the module docstring).
+    without exact elimination.  For 1 < k <= sigma/2, `rank` first tries the
+    sandwich rank_p(k) <= rank(k) <= dim (S/(G + J))_k, G the degree-1 slice:
+    G + J lies in J : P once every g * P reduces to 0 mod J, and reduction
+    mod p is a ring map.  Only when the ends differ are the rows eliminated
+    exactly (see the module docstring).
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -294,52 +332,58 @@ class ColonIdeal:
         reduced = reduce_mod_jacobian(p, ctx)
         if reduced.is_zero():
             raise ValueError("class has zero primitive part")
+        check_colon_size(ctx)
         self.ctx = ctx
         self.order = order or lex_order(ctx.nvars)
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
+        self._ranks: dict[int, int] = {}
         reduction = _Reduction.avoiding(reduced.terms.values())
         self._terms = [(gamma, c, reduction(c)) for gamma, c in reduced.terms.items()]
 
-    def _multiplication_rows(
-        self, index: dict[Monomial, int], kept
-    ) -> tuple[list[dict], list[dict]]:
-        """Nonzero rows of multiplication by P over Q(zeta) and mod p, one
-        per kept target: for each source monomial beta and term c * x^gamma
-        of P, the row of tau = beta + gamma holds c (and its residue) in
-        column index[beta].  Rows come in descending lex order of their
-        targets, the order of `monomials_of_degree`: the echelon form does
-        not depend on the row order, but the elimination work and the
-        conductors of intermediate values do."""
-        rows: dict[Monomial, tuple[dict, dict]] = {}
+    def _multiplication_rows(self, index: dict[Monomial, int], kept, exact: bool) -> list[dict]:
+        """Nonzero rows of multiplication by P, over Q(zeta) when `exact` and
+        else mod p, one per kept target: for each source monomial beta and
+        term c * x^gamma of P, the row of tau = beta + gamma holds c (or its
+        residue) in column index[beta].  A term whose residue is 0 leaves no
+        entry mod p, so no row holds a zero the engine could pivot on.  Rows
+        come in descending lex order of their targets, the order of
+        `monomials_of_degree`: the echelon form does not depend on the row
+        order, but the elimination work and the conductors of intermediate
+        values do."""
+        terms = [(gamma, c if exact else r) for gamma, c, r in self._terms if exact or r]
+        rows: dict[Monomial, dict] = {}
         for beta, col in index.items():
-            for gamma, c, r in self._terms:
+            for gamma, v in terms:
                 tau = tuple(map(add, beta, gamma))
                 if kept(tau):
-                    pair = rows.get(tau)
-                    if pair is None:
-                        rows[tau] = pair = ({}, {})
-                    pair[0][col] = c
-                    pair[1][col] = r
-        targets = sorted(rows, reverse=True)
-        return [rows[tau][0] for tau in targets], [rows[tau][1] for tau in targets]
+                    row = rows.get(tau)
+                    if row is None:
+                        rows[tau] = row = {}
+                    row[col] = v
+        return [rows[tau] for tau in sorted(rows, reverse=True)]
+
+    def _reaches_mod_p(self, index: dict[Monomial, int], kept, target: int) -> bool:
+        """Whether the multiplication rows on the columns `index` and the
+        targets `kept` reach rank `target` mod p.  A nonzero minor mod p is
+        the image of a nonzero minor over Q(zeta), so True proves the exact
+        rank is at least `target`."""
+        rows = self._multiplication_rows(index, kept, exact=False)
+        pivots: dict[int, dict] = {}
+        for i, row in enumerate(rows):
+            if len(pivots) >= target or len(pivots) + len(rows) - i < target:
+                break  # reached, or too few rows left to reach
+            echelon_insert(pivots, row)
+        return len(pivots) >= target
 
     def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns
         `index` and the targets `kept`: the identity when the rows mod p
-        reach rank len(index), as a nonzero full minor mod p is the image of
-        a nonzero minor over Q(zeta), and else the exact echelon form."""
-        rows, residue_rows = self._multiplication_rows(index, kept)
-        width = len(index)
-        pivots: dict[int, dict] = {}
-        for i, row in enumerate(residue_rows):
-            if len(pivots) + len(residue_rows) - i < width:
-                break  # too few rows left to reach full rank
-            echelon_insert(pivots, row)
-            if len(pivots) == width:
-                one = CyclotomicNumber.one()
-                return {col: {col: one} for col in index.values()}
-        return echelon(rows)
+        reach rank len(index), and else the exact echelon form."""
+        if self._reaches_mod_p(index, kept, len(index)):
+            one = CyclotomicNumber.one()
+            return {col: {col: one} for col in index.values()}
+        return echelon(self._multiplication_rows(index, kept, exact=True))
 
     def _kernel_data(self, k: int):
         """Echelon data of the multiplication matrix at degree k: a tuple
@@ -359,13 +403,41 @@ class ColonIdeal:
         self._cache[k] = data
         return data
 
+    @functools.cached_property
+    def _upper_bounds(self) -> list[int] | None:
+        """dim (S/(G + J))_k for k = 0..sigma//2, G the degree-1 slice, or
+        None unless every g * P reduces to 0 mod J, so that G + J lies in
+        J : P and bounds its quotient from above."""
+        ctx = self.ctx
+        forms = list(self.slice(1).basis)
+        if any(reduce_mod_jacobian(g * self.reduced, ctx) for g in forms):
+            return None
+        powers = [
+            Polynomial.monomial(ctx.nvars, tuple((ctx.d - 1) * (j == i) for j in range(ctx.nvars)))
+            for i in range(ctx.nvars)
+        ]
+        return ideal_hilbert_dims(forms + powers, ctx.sigma // 2)
+
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
         which equals the quotient dimension dim R_k.  The capped matrix at
         degree sigma-k is the transpose of the one at k, so a degree above
-        sigma/2 is read at sigma-k."""
+        sigma/2 is read at sigma-k.  A degree 1 < k <= sigma/2 whose rank
+        mod p meets `_upper_bounds` is proved with no exact rows; any other
+        degree takes `_kernel_data`."""
         sigma = self.ctx.sigma
-        return len(self._kernel_data(sigma - k if sigma < 2 * k <= 2 * sigma else k)[2])
+        k = sigma - k if sigma < 2 * k <= 2 * sigma else k
+        if k in self._ranks:
+            return self._ranks[k]
+        if 1 < k <= sigma // 2 and k not in self._cache and self._upper_bounds is not None:
+            bound = self._upper_bounds[k]
+            cap = self.ctx.d - 2
+            columns = sorted(monomials_of_degree(self.ctx.nvars, k, cap), key=self.order.key)
+            index = {m: i for i, m in enumerate(columns)}
+            if self._reaches_mod_p(index, lambda tau: max(tau) <= cap, bound):
+                self._ranks[k] = bound
+                return bound
+        return len(self._kernel_data(k)[2])
 
     def slice(self, k: int) -> DegreeSlice:
         """Reduced echelon basis of the degree-k piece of the colon ideal."""

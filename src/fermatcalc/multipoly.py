@@ -61,6 +61,16 @@ def count_monomials(nvars: int, degree: int) -> int:
     return math.comb(nvars - 1 + degree, degree)
 
 
+def count_capped_monomials(nvars: int, degree: int, cap: int) -> int:
+    """Number of tuples `monomials_of_degree(nvars, degree, cap)` yields,
+    counted by inclusion-exclusion over the slots above the cap instead of
+    listed."""
+    return sum(
+        (-1) ** j * math.comb(nvars, j) * count_monomials(nvars, degree - j * (cap + 1))
+        for j in range(nvars + 1)
+    )
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Lexicographic order determined by a variable priority list.

@@ -53,6 +53,34 @@ def test_linear_cycle_round_trips_through_polynomial_json(capsys, tmp_path):
     assert json.loads(out)["value"] == 2
 
 
+def test_hilbert_of_a_class_divisible_by_its_prime(capsys, tmp_path):
+    from fermatcalc.fermat_hodge import linear_cycle_poly
+    from fermatcalc.idealcalc import FermatContext
+    from fermatcalc.ioformats import polynomial_to_json
+
+    p = linear_cycle_poly((1, 3), FermatContext(2, 5))
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(polynomial_to_json(p.scale(2147483951))), encoding="utf-8")
+    code, out = run(capsys, "hilbert", "--n", "2", "--d", "5", "--poly", str(path))
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 2, 3, 4, 3, 2, 1]
+    assert run(capsys, "hilbert", "--n", "2", "--d", "5", "--alpha", "1,3") == (0, out)
+
+
+@pytest.mark.parametrize("verb", ["hilbert", "tangent", "recover"])
+def test_colon_verbs_refuse_a_catalecticant_above_the_envelope(capsys, verb):
+    import time
+
+    start = time.perf_counter()
+    code = main([verb, "--n", "40", "--d", "40", "--alpha", ",".join(["1"] * 21)])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: (n, d) = (40, 40) has ") and err.count("\n") == 1
+    assert "above the colon limit of 1000" in err
+
+
 @pytest.mark.parametrize(
     "blob",
     [

@@ -783,3 +783,124 @@ def test_product_class_profiles_are_powers_of_a_truncated_geometric_series(n, d)
         assert dims == product_profile(ctx)
     if (n, d) == (4, 5):
         assert dims == (1, 3, 6, 10, 12, 12, 10, 6, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# The rank sandwich rank_p(k) <= rank(k) <= dim (S/(G + J))_k
+# ---------------------------------------------------------------------------
+
+
+def record_kernel_degrees(monkeypatch) -> list[int]:
+    """Degrees of every uncached `_kernel_data` call from now on."""
+    degrees = []
+    kernel_data = ColonIdeal._kernel_data
+
+    def recording(self, k):
+        if k not in self._cache:
+            degrees.append(k)
+        return kernel_data(self, k)
+
+    monkeypatch.setattr(ColonIdeal, "_kernel_data", recording)
+    return degrees
+
+
+def sandwich_class(ctx, kind, entries, data):
+    """A class of the given kind whose coefficients come from `entries`
+    (linear cycles always carry powers of zeta_2d)."""
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+
+    nonzero = entries.filter(bool)
+    if kind == "linear":
+        odd = st.sampled_from(range(1, 2 * ctx.d, 2))
+        alpha = data.draw(st.tuples(*[odd] * (ctx.n // 2 + 1)), label="alpha")
+        return linear_cycle_class(ctx, alpha)
+    if kind == "product":
+        a = [CyclotomicNumber._coerce(data.draw(nonzero)) for _ in range(ctx.n // 2 + 1)]
+        return product_class_poly(ProductClassSpec(tuple(a), CyclotomicNumber.one()), ctx)
+    monos = list(monomials_of_degree(ctx.nvars, ctx.sigma, cap=ctx.d - 2))
+    if kind == "dense":
+        support = monos
+    else:
+        support = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return Polynomial(ctx.nvars, [(e, data.draw(nonzero)) for e in support])
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sandwich_ranks_match_the_target_loop_and_the_rational_oracle(field, data):
+    import math
+
+    entries, _ = FIELDS[field]
+    ctx = data.draw(st.sampled_from([FermatContext(2, 4), FermatContext(2, 5),
+                                     FermatContext(4, 3), FermatContext(4, 4)]), label="ctx")
+    kind = data.draw(st.sampled_from(["sparse", "dense", "linear", "product"]), label="kind")
+    if kind == "dense" and (ctx.n, ctx.d) == (4, 4):
+        # the oracle expands Q(zeta_10) entries into 4x4 rational blocks, which
+        # takes about 90 s on a dense (4,4) class on a 2-core x86_64 host, so
+        # those classes stay rational
+        entries, _ = FIELDS["rational"]
+    p = sandwich_class(ctx, kind, entries, data)
+    ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+    m = math.lcm(*(c.m for c in ref.reduced.terms.values()))
+    for k in range(ctx.sigma + 1):
+        assert ci.rank(k) == ref.rank(k) == ref.oracle_rank(k, m)
+    if kind in ("linear", "product"):
+        assert sorted(ci._ranks) == list(range(2, ctx.sigma // 2 + 1))
+
+
+@pytest.mark.parametrize("n,d", [(4, 5), (2, 9), (6, 4)])
+def test_linear_and_product_profiles_need_no_exact_elimination_past_degree_one(n, d, monkeypatch):
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+
+    from conftest import random_product_coefficients
+
+    ctx = FermatContext(n, d)
+    rng = random.Random(n + d)
+    alpha = tuple(rng.randrange(1, 2 * d, 2) for _ in range(n // 2 + 1))
+    spec = ProductClassSpec(random_product_coefficients(ctx, rng), CyclotomicNumber.one())
+    degrees = record_kernel_degrees(monkeypatch)
+    for p in (linear_cycle_class(ctx, alpha), product_class_poly(spec, ctx)):
+        degrees.clear()
+        ci = ColonIdeal(p, ctx)
+        assert ci.hilbert_profile().dims == product_profile(ctx)
+        assert sorted(degrees) == [0, 1]
+        assert sorted(ci._ranks) == list(range(2, ctx.sigma // 2 + 1))
+
+
+def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch):
+    from fermatcalc.idealcalc import DegreeSlice
+
+    ctx = FermatContext(4, 5)
+    p = linear_cycle_class(ctx, (1, 3, 5))
+    x5 = Polynomial.variable(ctx.nvars, 5)
+    powers = [Polynomial.variable(ctx.nvars, i) ** (ctx.d - 1) for i in range(ctx.nvars)]
+    honest = ColonIdeal(p, ctx).slice(1).basis
+    perturbed = (honest[0] + x5, *honest[1:])
+    # unchecked, the perturbed forms would bound rank(4) = 12 by 11
+    assert ideal_hilbert_dims([*perturbed, *powers], 4)[4] == 11
+    assert ideal_hilbert_dims([*honest, *powers], 4)[4] == 12
+
+    slice_ = ColonIdeal.slice
+    monkeypatch.setattr(
+        ColonIdeal, "slice", lambda self, k: DegreeSlice(1, perturbed) if k == 1 else slice_(self, k)
+    )
+    degrees = record_kernel_degrees(monkeypatch)
+    ci = ColonIdeal(p, ctx)
+    assert ci.rank(4) == TargetLoopColon(p, ctx).rank(4) == 12
+    assert ci._upper_bounds is None and not ci._ranks
+    assert degrees == [4]
+    assert ci.hilbert_profile().dims == product_profile(ctx)
+    assert sorted(degrees) == [0, 1, 2, 3, 4]
+
+
+def test_a_coefficient_divisible_by_the_prime_leaves_no_residue_entry():
+    from fermatcalc.idealcalc import _Reduction
+
+    ctx = FermatContext(2, 5)
+    p = linear_cycle_class(ctx, (1, 3))
+    prime = _Reduction.avoiding(p.terms.values()).p
+    assert prime == 2147483951
+    scaled = ColonIdeal(p.scale(prime), ctx)  # every residue is 0 mod the same prime
+    assert scaled.hilbert_profile() == ColonIdeal(p, ctx).hilbert_profile()
+    assert scaled.slice(2) == ColonIdeal(p, ctx).slice(2)

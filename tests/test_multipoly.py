@@ -244,3 +244,12 @@ def test_order_validation():
 def test_count_monomials_matches_the_enumeration(nvars):
     for degree in range(-2, 6):
         assert count_monomials(nvars, degree) == len(list(monomials_of_degree(nvars, degree)))
+
+
+@pytest.mark.parametrize("nvars,cap", [(0, 2), (1, 3), (4, 2), (6, 3), (5, 0)])
+def test_capped_count_matches_the_enumeration(nvars, cap):
+    from fermatcalc.multipoly import count_capped_monomials
+
+    for degree in range(-1, nvars * cap + 3):
+        expected = sum(1 for _ in monomials_of_degree(nvars, degree, cap))
+        assert count_capped_monomials(nvars, degree, cap) == expected
