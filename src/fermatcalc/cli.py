@@ -3,8 +3,9 @@
 Every verb validates its flags, runs the corresponding library operation and
 emits a deterministic report (json, csv or table).  Exit codes: 0 on success
 (and when all assertions of an assertion verb hold), 1 on a computation or
-assertion failure, 2 on usage errors, 3 when an internal consistency check
-fails (a result that contradicts the theorem it implements).
+assertion failure or a value the library rejects, 2 when argparse cannot
+parse the command line, 3 when an internal consistency check fails (a result
+that contradicts the theorem it implements).
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
 from fermatcalc.exactnum import CyclotomicNumber
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, buchberger, check_colon_size
+from fermatcalc.idealcalc import (
+    ColonIdeal,
+    FermatContext,
+    buchberger,
+    check_class_size,
+    check_colon_size,
+)
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -167,6 +174,7 @@ def _run_tangent(args, ctx):
 
 
 def _run_linear_cycle(args, ctx):
+    check_class_size(ctx)
     alpha = _parse_alpha(args.alpha)
     poly = fermat_hodge.linear_cycle_poly(alpha, ctx)
     payload = {
@@ -178,6 +186,7 @@ def _run_linear_cycle(args, ctx):
 
 
 def _run_pair(args, ctx):
+    check_class_size(ctx)
     p = _class_poly(args, ctx)
     q = _class_poly(args, ctx, "2")
     result = fermat_hodge.pair_classes(p, q, ctx)
@@ -185,6 +194,7 @@ def _run_pair(args, ctx):
 
 
 def _run_certify(args, ctx):
+    check_class_size(ctx)  # the certificate builds a linear cycle per row
     p = _class_poly(args, ctx)
     cert = fermat_hodge.rationality_certificate(
         p, ctx, all_coordinate_pairings=args.all_pairings

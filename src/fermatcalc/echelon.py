@@ -12,8 +12,9 @@ operation but never hold a pivot, so a stored row's tag entries record which
 combination of input rows it is (the augmented matrix [A | I]).
 
 The engine only uses `+ - *`, `1 / x` and truthiness of the coefficients, so
-the same code runs over `CyclotomicNumber` and over `Fraction`.  Solving
-x + 3y = 5, 2x + 4y = 6 by reducing the target (5, 6) against the rows
+the same code runs over `CyclotomicNumber` and over `Fraction`;
+`reaches_rank_mod_p` runs the same insertion on plain ints modulo a prime.
+Solving x + 3y = 5, 2x + 4y = 6 by reducing the target (5, 6) against the rows
 (1, 2) and (3, 4), each tagged with its own column:
 
 >>> from fractions import Fraction
@@ -31,9 +32,9 @@ True
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
-__all__ = ["echelon", "echelon_insert", "reduce_row"]
+__all__ = ["echelon", "echelon_insert", "reaches_rank_mod_p", "reduce_row"]
 
 
 def _row_submul(row: dict, factor, pivot_row: dict, skip: int):
@@ -88,3 +89,40 @@ def echelon(rows: Iterable[dict]) -> dict[int, dict]:
     for row in rows:
         echelon_insert(pivots, dict(row))
     return pivots
+
+
+def reaches_rank_mod_p(rows: Sequence[dict[int, int]], p: int, target: int) -> bool:
+    """Whether `rows`, int entries in [1, p), reach rank `target` over F_p.
+
+    The insertion is `echelon_insert`'s on residues, and it stops once the
+    rank reaches `target` or too few rows are left to reach it.  The rows
+    are reduced in place."""
+
+    def submul(row: dict, factor: int, pivot_row: dict, skip: int):
+        for c, v in pivot_row.items():
+            if c != skip:
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+
+    pivots: dict[int, dict] = {}
+    for i, row in enumerate(rows):
+        if len(pivots) >= target or len(pivots) + len(rows) - i < target:
+            break
+        for c in [k for k in row if k in pivots]:
+            submul(row, row.pop(c), pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            for k in row:
+                row[k] = row[k] * inv % p
+        for existing in pivots.values():
+            f = existing.pop(c, None)
+            if f is not None:
+                submul(existing, f, row, c)
+        pivots[c] = row
+    return len(pivots) >= target

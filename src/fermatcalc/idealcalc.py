@@ -34,16 +34,25 @@ Then G + J is contained in J : P, and reduction mod p is a ring map, so
 
 The right side is `ideal_hilbert_dims` of G and the x_i^(d-1), which solves
 G's linear forms out first and spans in the remaining variables.  When the
-ends meet, the rank is proved without exact rows.  They meet at every
-degree for linear cycles, where J : P = I_delta + J is generated in degree
-1 modulo J, and for product classes.  When they do not meet, the rows are
-eliminated exactly.
+ends meet, the rank is proved without exact rows.  When they do not meet,
+the rows are eliminated exactly.
+
+When G has n/2+1 forms, as for linear cycles (J : P = I_delta + J) and
+product classes, the upper bound is the rank and no mod-p row is built.
+Solving G leaves the n/2+1 free variables y_j, and S/(G + J) is a quotient
+of the complete intersection C = k[y]/(y_j^(d-1)), whose socle sits in
+degree (n/2+1)(d-2) = sigma.  S/(J : P) is a quotient of C that is nonzero
+in degree sigma.  Every nonzero ideal of the Gorenstein algebra C contains
+its socle (Iarrobino-Kanev), so the kernel is 0 and S/(J : P) = S/(G + J)
+= C.  The same argument bounds dim G by n/2+1: more forms would leave too
+few variables to reach degree sigma, so more is reported as an internal
+error.
 
 All exact linear algebra is elimination over Q(zeta_m) by the engine in
-`fermatcalc.echelon`, which the mod-p pass runs too.  Columns follow the
-active monomial order, so every echelon basis returned here is the unique
-reduced echelon form of its subspace: slices computed along different
-routes can be compared verbatim.
+`fermatcalc.echelon`; the mod-p pass runs the same insertion on ints
+(`reaches_rank_mod_p`).  Columns follow the active monomial order, so every
+echelon basis returned here is the unique reduced echelon form of its
+subspace: slices computed along different routes can be compared verbatim.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
-from fermatcalc.echelon import echelon, echelon_insert, reduce_row
+from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p, reduce_row
 from fermatcalc.exactnum import CyclotomicNumber
 from fermatcalc.multipoly import (
     Monomial,
@@ -82,6 +91,8 @@ __all__ = [
     "ColonIdeal",
     "COLON_MAX_COLUMNS",
     "check_colon_size",
+    "CLASS_MAX_TERMS",
+    "check_class_size",
     "GroebnerResult",
     "SquareMembership",
     "reduce_mod_jacobian",
@@ -215,40 +226,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class _Residue:
-    """An element of the prime field F_p with the arithmetic the echelon
-    engine uses: + - *, 1 / x, truthiness and comparison with 1."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v
-        self.p = p
-
-    def __add__(self, other):
-        return _Residue((self.v + other.v) % self.p, self.p)
-
-    def __sub__(self, other):
-        return _Residue((self.v - other.v) % self.p, self.p)
-
-    def __mul__(self, other):
-        return _Residue(self.v * other.v % self.p, self.p)
-
-    def __neg__(self):
-        return _Residue(-self.v % self.p, self.p)
-
-    def __rtruediv__(self, other: int):
-        return _Residue(other * pow(self.v, -1, self.p) % self.p, self.p)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, _Residue):
-            return (self.v, self.p) == (other.v, other.p)
-        return self.v == other % self.p
-
-
 @dataclass(frozen=True)
 class _Reduction:
     """The ring map Z_(p)[zeta_L] -> F_p sending zeta_L to w, an element of
@@ -278,18 +255,24 @@ class _Reduction:
             if all(pow(w, L // q, p) != 1 for q in primes):
                 return cls(L, p, w)
 
-    def __call__(self, x: CyclotomicNumber) -> _Residue:
+    def __call__(self, x: CyclotomicNumber) -> int:
+        """The image of x in F_p, as an int in [0, p)."""
         p = self.p
         wm = pow(self.w, self.conductor // x.m, p)
         v = 0
         for c in reversed(x.nums):
             v = (v * wm + c) % p
-        return _Residue(v * pow(x.den, -1, p) % p, p)
+        return v * pow(x.den, -1, p) % p
 
 
 # Widest capped catalecticant a ColonIdeal accepts: its column count at
 # degree sigma//2, the widest degree a Hilbert profile eliminates.
 COLON_MAX_COLUMNS = 1000
+
+# Most terms a linear cycle or product class may have: one geometric factor
+# of d-1 terms per coordinate pair gives (d-1)^(n/2+1).  (4, 17), (6, 9) and
+# (8, 6) fit, and each builds in under half a second.
+CLASS_MAX_TERMS = 4096
 
 
 def check_colon_size(ctx: FermatContext) -> None:
@@ -301,6 +284,17 @@ def check_colon_size(ctx: FermatContext) -> None:
         raise ValueError(
             f"(n, d) = ({ctx.n}, {ctx.d}) has {width} capped columns at degree {k}, "
             f"above the colon limit of {COLON_MAX_COLUMNS}"
+        )
+
+
+def check_class_size(ctx: FermatContext) -> None:
+    """Refuse (n, d) whose linear cycles have more than CLASS_MAX_TERMS
+    terms, counted before any class is built."""
+    terms = (ctx.d - 1) ** (ctx.n // 2 + 1)
+    if terms > CLASS_MAX_TERMS:
+        raise ValueError(
+            f"(n, d) = ({ctx.n}, {ctx.d}) has (d-1)^(n/2+1) = {ctx.d - 1}^{ctx.n // 2 + 1} "
+            f"terms per linear cycle, above the class limit of {CLASS_MAX_TERMS}"
         )
 
 
@@ -320,8 +314,11 @@ class ColonIdeal:
     without exact elimination.  For 1 < k <= sigma/2, `rank` first tries the
     sandwich rank_p(k) <= rank(k) <= dim (S/(G + J))_k, G the degree-1 slice:
     G + J lies in J : P once every g * P reduces to 0 mod J, and reduction
-    mod p is a ring map.  Only when the ends differ are the rows eliminated
-    exactly (see the module docstring).
+    mod p is a ring map.  When G has n/2+1 forms the right side is the rank
+    with no mod-p pass, since S/(J : P) is then the complete intersection
+    C = k[y]/(y_j^(d-1)) in the n/2+1 free variables: a nonzero kernel of
+    C -> S/(J : P) would contain C's socle, in degree sigma.  Only when the
+    ends differ are the rows eliminated exactly (see the module docstring).
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -339,6 +336,7 @@ class ColonIdeal:
         self._cache: dict[int, tuple] = {}
         self._ranks: dict[int, int] = {}
         reduction = _Reduction.avoiding(reduced.terms.values())
+        self._prime = reduction.p
         self._terms = [(gamma, c, reduction(c)) for gamma, c in reduced.terms.items()]
 
     def _multiplication_rows(self, index: dict[Monomial, int], kept, exact: bool) -> list[dict]:
@@ -369,12 +367,7 @@ class ColonIdeal:
         the image of a nonzero minor over Q(zeta), so True proves the exact
         rank is at least `target`."""
         rows = self._multiplication_rows(index, kept, exact=False)
-        pivots: dict[int, dict] = {}
-        for i, row in enumerate(rows):
-            if len(pivots) >= target or len(pivots) + len(rows) - i < target:
-                break  # reached, or too few rows left to reach
-            echelon_insert(pivots, row)
-        return len(pivots) >= target
+        return reaches_rank_mod_p(rows, self._prime, target)
 
     def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns
@@ -407,11 +400,17 @@ class ColonIdeal:
     def _upper_bounds(self) -> list[int] | None:
         """dim (S/(G + J))_k for k = 0..sigma//2, G the degree-1 slice, or
         None unless every g * P reduces to 0 mod J, so that G + J lies in
-        J : P and bounds its quotient from above."""
+        J : P and bounds its quotient from above.  Entry 1 is n+2 - dim G.
+        G cannot have more than n/2+1 forms (module docstring); if it does,
+        a RuntimeError reports the broken check."""
         ctx = self.ctx
         forms = list(self.slice(1).basis)
         if any(reduce_mod_jacobian(g * self.reduced, ctx) for g in forms):
             return None
+        if len(forms) > ctx.n // 2 + 1:
+            raise RuntimeError(
+                f"the degree-one colon has {len(forms)} forms, above n/2+1 = {ctx.n // 2 + 1}"
+            )
         powers = [
             Polynomial.monomial(ctx.nvars, tuple((ctx.d - 1) * (j == i) for j in range(ctx.nvars)))
             for i in range(ctx.nvars)
@@ -422,19 +421,24 @@ class ColonIdeal:
         """dim of the image of multiplication by P on the degree-k slice,
         which equals the quotient dimension dim R_k.  The capped matrix at
         degree sigma-k is the transpose of the one at k, so a degree above
-        sigma/2 is read at sigma-k.  A degree 1 < k <= sigma/2 whose rank
-        mod p meets `_upper_bounds` is proved with no exact rows; any other
-        degree takes `_kernel_data`."""
+        sigma/2 is read at sigma-k.  A degree 1 < k <= sigma/2 is read off
+        `_upper_bounds` with no exact rows when G has n/2+1 forms or when its
+        rank mod p meets the bound; any other degree takes `_kernel_data`."""
         sigma = self.ctx.sigma
         k = sigma - k if sigma < 2 * k <= 2 * sigma else k
         if k in self._ranks:
             return self._ranks[k]
         if 1 < k <= sigma // 2 and k not in self._cache and self._upper_bounds is not None:
             bound = self._upper_bounds[k]
-            cap = self.ctx.d - 2
-            columns = sorted(monomials_of_degree(self.ctx.nvars, k, cap), key=self.order.key)
-            index = {m: i for i, m in enumerate(columns)}
-            if self._reaches_mod_p(index, lambda tau: max(tau) <= cap, bound):
+            # entry 1 is n+2 - dim G: n/2+1 forms leave the complete
+            # intersection C, which S/(J : P) equals (module docstring)
+            proved = self._upper_bounds[1] == self.ctx.n // 2 + 1
+            if not proved:
+                cap = self.ctx.d - 2
+                columns = sorted(monomials_of_degree(self.ctx.nvars, k, cap), key=self.order.key)
+                index = {m: i for i, m in enumerate(columns)}
+                proved = self._reaches_mod_p(index, lambda tau: max(tau) <= cap, bound)
+            if proved:
                 self._ranks[k] = bound
                 return bound
         return len(self._kernel_data(k)[2])

@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fermatcalc import bounds
-from fermatcalc.cli import main
+from fermatcalc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -79,6 +80,26 @@ def test_colon_verbs_refuse_a_catalecticant_above_the_envelope(capsys, verb):
     assert out == ""
     assert err.startswith("error: (n, d) = (40, 40) has ") and err.count("\n") == 1
     assert "above the colon limit of 1000" in err
+
+
+@pytest.mark.parametrize("verb", ["certify", "pair", "linear-cycle"])
+def test_class_verbs_refuse_a_linear_cycle_above_the_class_limit(capsys, verb):
+    import time
+
+    ones = ",".join(["1"] * 21)
+    argv = [verb, "--n", "40", "--d", "40", "--alpha", ones]
+    if verb == "pair":
+        argv += ["--alpha2", ones]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == (
+        "error: (n, d) = (40, 40) has (d-1)^(n/2+1) = 39^21 terms per linear cycle, "
+        "above the class limit of 4096\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -281,9 +302,19 @@ def test_prop11_plain_i_at_degree_six_satisfies_the_direct_condition(capsys):
     assert payload["scan"] is True and payload["direct"] is True
 
 
+def test_readme_examples_of_rejected_values_exit_one(capsys):
+    assert main(["hilbert", "--n", "3", "--d", "5", "--alpha", "1,1"]) == 1
+    assert capsys.readouterr().err == "error: dimension n must be a positive even integer\n"
+    assert main(["hilbert", "--n", "2", "--d", "5"]) == 1
+    assert capsys.readouterr().err == "error: specify a class via --alpha, --a or --poly\n"
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["tangent", "--n", "2"])  # missing --d
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["hilbert", "--n", "two", "--d", "5"])  # the README's wrong-type example
     assert err.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-verb"])
@@ -520,3 +551,95 @@ def test_readme_examples_run(line, capsys):
         profile = (1, 3, 6, 10, 12, 12, 10, 6, 3, 1)
         assert f"Hilbert profile {profile}" in README.read_text(encoding="utf-8")
         assert tuple(json.loads(out)["dims"]) == profile
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every verb, small (n, d), a fixed vocabulary of flags and values
+# ---------------------------------------------------------------------------
+
+# n = 4 only with d = 3: `certify --all-pairings` at (4, 4) alone takes 6-8 s
+FUZZ_VALID = [("2", "3"), ("2", "4"), ("2", "5"), ("2", "6"), ("4", "3")]
+FUZZ_INVALID = [("2", "-1"), ("2", "0"), ("2", "2"), ("2", "x"), ("4", "2"), ("3", "5"),
+                ("0", "4"), ("-2", "5"), ("1.5", "5")]
+FUZZ_VALUES = {
+    # a repeated --n or --d overrides the pair drawn first, so neither may reach n = 4, d >= 4
+    "--n": ["-2", "0", "1.5", "2", "3", "x"],
+    "--d": ["-1", "0", "2", "3", "x"],
+    "--alpha": ["1", "1,1", "1,3", "1,1,1", "2,2", "1,11", "-1,1", "0,1", "", ",", "a"],
+    "--a": ["z", "z,2", "0,1", "z,z,z", "z,z^3,z^5", "1/0", "q", "", "(", "z^-1", "i,1", "2**3"],
+    "--c-lambda": ["0", "z", "1/2", "q", "z^10"],
+    "--order": ["0,1,2,3", "3,2,1,0", "0,1", "0,0,1,1", "0,1,2,9", "-1,0,1,2", "a", ""],
+    "--degree": ["-1", "0", "1", "2", "99"],
+    "--cap": ["-1", "0", "1", "4", "x"],
+    "--type": ["1,1", "1,2", "2,1", "3", "1,1,1", "1,1,2", "", "x"],
+    "--output": ["json", "csv", "table", "xml"],
+    "--jobs": ["1", "2", "0"],
+}
+FUZZ_FILES = {
+    "class": {"vars": 4, "m": 10, "terms": [{"exp": [1, 2, 0, 3], "coeff": ["1", "0", "0", "0"]}]},
+    "short_exp": {"vars": 4, "m": 10, "terms": [{"exp": [1], "coeff": ["1"]}]},
+    "zero_m": {"vars": 4, "m": 0, "terms": [{"exp": [3, 3, 0, 0], "coeff": ["1"]}]},
+    "negative_exp": {"vars": 4, "m": 10, "terms": [{"exp": [-1, 3, 2, 2], "coeff": ["1"]}]},
+    "forms": [{"vars": 4, "m": 10, "terms": [{"exp": [1, 0, 0, 0], "coeff": ["1"]}]}],
+    "zero_form": [{"vars": 4, "m": 1, "terms": []}],
+    "mixed_vars": [{"vars": 4, "m": 1, "terms": [{"exp": [1, 0, 0, 0], "coeff": ["1"]}]},
+                   {"vars": 2, "m": 1, "terms": [{"exp": [1, 0], "coeff": ["1"]}]}],
+    "decomp": {"f": [], "g": []},
+    "empty_list": [],
+    "empty_object": {},
+    "number": 3,
+}
+FILE_FLAGS = ("--poly", "--forms", "--decomp", "--gens")
+VERB_FLAGS = {
+    name: [o for action in sub._actions for o in action.option_strings if o.startswith("--")]
+    for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = [str(root / "missing.json"), str(root)]
+    (root / "not_json.json").write_text("not json", encoding="utf-8")
+    paths.append(str(root / "not_json.json"))
+    for name, value in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(json.dumps(value), encoding="utf-8")
+        paths.append(str(root / f"{name}.json"))
+    return paths
+
+
+def fuzz_value(flag, data, paths):
+    base = flag.removesuffix("2")  # the second class draws the first class's values
+    if base in FILE_FLAGS:
+        return data.draw(st.sampled_from(paths))
+    return data.draw(st.sampled_from(FUZZ_VALUES[base]))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_exits_with_a_documented_code_and_no_traceback(fuzz_paths, data):
+    import contextlib
+    import io
+
+    verb = data.draw(st.sampled_from(sorted(VERB_FLAGS)), label="verb")
+    n, d = data.draw(st.sampled_from(FUZZ_VALID) | st.sampled_from(FUZZ_INVALID), label="n, d")
+    argv = [verb]
+    if data.draw(st.integers(0, 9), label="omit --n/--d") > 0:
+        argv += ["--n", n, "--d", d] if "--n" in VERB_FLAGS[verb] else ["--d", d]
+    other = [f for f in VERB_FLAGS[verb] if f not in ("--n", "--d", "--help")]
+    foreign = sorted({f for flags in VERB_FLAGS.values() for f in flags} - {"--help"})
+    for flag in data.draw(st.lists(st.sampled_from(other), max_size=4, unique=True), label="flags"):
+        argv += [flag] if flag == "--all-pairings" else [flag, fuzz_value(flag, data, fuzz_paths)]
+    if data.draw(st.integers(0, 9), label="foreign flag") == 0:
+        flag = data.draw(st.sampled_from(foreign))
+        argv += [flag] if flag == "--all-pairings" else [flag, fuzz_value(flag, data, fuzz_paths)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 3 or (code == 1 and verb != "scan-bounds"):  # scan-bounds exits 1 on a failed assertion
+        assert err.getvalue().startswith("error: ") and out.getvalue() == "", argv

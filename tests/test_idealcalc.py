@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermatcalc.echelon import echelon, echelon_insert
+from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
@@ -452,6 +452,18 @@ def test_echelon_matches_sympy_rref(matrix):
         assert [pivots[c].get(j, 0) for j in range(len(matrix[0]))] == theirs
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrices(st.integers(0, 6)), st.integers(0, 7))
+def test_rank_mod_p_matches_sympy_over_the_prime_field(matrix, target):
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(7)
+    rank = DomainMatrix([[field(v) for v in row] for row in matrix],
+                        (len(matrix), len(matrix[0])), field).rank()
+    assert reaches_rank_mod_p([sparse(row) for row in matrix], 7, target) == (rank >= target)
+
+
 FIELDS = {
     "rational": (st.integers(-3, 3).map(Fraction), Fraction(1)),
     "zeta10": (
@@ -677,12 +689,12 @@ def test_residue_map_is_a_ring_homomorphism(conductor, data):
         return CyclotomicNumber.from_coords(m, coords)
 
     x, y = value(), value()
-    assert red(x + y) == red(x) + red(y)
-    assert red(x - y) == red(x) - red(y)
-    assert red(x * y) == red(x) * red(y)
+    assert red(x + y) == (red(x) + red(y)) % red.p
+    assert red(x - y) == (red(x) - red(y)) % red.p
+    assert red(x * y) == red(x) * red(y) % red.p
     assert red(x.promote(conductor)) == red(x)
     if x:
-        assert red(1 / x) == 1 / red(x)
+        assert red(1 / x) == pow(red(x), -1, red.p)
 
 
 def test_prime_search_skips_a_prime_dividing_a_denominator():
@@ -904,3 +916,87 @@ def test_a_coefficient_divisible_by_the_prime_leaves_no_residue_entry():
     scaled = ColonIdeal(p.scale(prime), ctx)  # every residue is 0 mod the same prime
     assert scaled.hilbert_profile() == ColonIdeal(p, ctx).hilbert_profile()
     assert scaled.slice(2) == ColonIdeal(p, ctx).slice(2)
+
+
+# ---------------------------------------------------------------------------
+# The complete-intersection route: dim G = n/2+1 gives every rank exactly
+# ---------------------------------------------------------------------------
+
+
+def record_mod_p_degrees(monkeypatch) -> list[int]:
+    """Column degree of every `_reaches_mod_p` call from now on."""
+    degrees = []
+    reaches = ColonIdeal._reaches_mod_p
+
+    def recording(self, index, kept, target):
+        degrees.append(sum(next(iter(index))) if index else 0)
+        return reaches(self, index, kept, target)
+
+    monkeypatch.setattr(ColonIdeal, "_reaches_mod_p", recording)
+    return degrees
+
+
+def ci_route_classes(ctx):
+    """A linear cycle, a product class and a product class with a zero
+    coefficient (its factor x_p^(d-2) is annihilated by x_p alone)."""
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+
+    from conftest import random_product_coefficients
+
+    rng = random.Random(ctx.n * ctx.d)
+    alpha = tuple(rng.randrange(1, 2 * ctx.d, 2) for _ in range(ctx.n // 2 + 1))
+    a = random_product_coefficients(ctx, rng)
+    with_zero = (CyclotomicNumber.zero(), *a[1:])
+    return {
+        "linear": linear_cycle_class(ctx, alpha),
+        "product": product_class_poly(ProductClassSpec(a, CyclotomicNumber.one()), ctx),
+        "zero a_0": product_class_poly(ProductClassSpec(with_zero, CyclotomicNumber.one()), ctx),
+    }
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5), (6, 4)])
+def test_complete_intersection_ranks_need_no_mod_p_rows_past_degree_one(n, d, monkeypatch):
+    ctx = FermatContext(n, d)
+    degrees = record_mod_p_degrees(monkeypatch)
+    for kind, p in ci_route_classes(ctx).items():
+        degrees.clear()
+        ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+        assert ci.hilbert_profile().dims == product_profile(ctx), kind
+        assert ci.slice(1).dim == n // 2 + 1, kind
+        assert max(degrees) <= 1, kind  # only degrees 0 and 1 ran mod p
+        assert sorted(ci._ranks) == list(range(2, ctx.sigma // 2 + 1)), kind
+        for k in range(ctx.sigma // 2 + 1):
+            assert ci.rank(k) == ref.rank(k), (kind, k)
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (4, 4)])
+def test_two_linear_cycles_differing_in_one_exponent_keep_the_sandwich(n, d, monkeypatch):
+    ctx = FermatContext(n, d)
+    alpha = tuple(range(1, n + 2, 2))
+    beta = (*alpha[:-1], alpha[-1] + 2)
+    p = linear_cycle_class(ctx, alpha) + linear_cycle_class(ctx, beta)
+    degrees = record_mod_p_degrees(monkeypatch)
+    ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+    for k in range(ctx.sigma + 1):
+        assert ci.rank(k) == ref.rank(k)
+    assert ci.slice(1).dim == n // 2  # the last pair's two roots share no form
+    assert ci._upper_bounds is not None and ci._upper_bounds[1] == n // 2 + 2
+    assert max(degrees) >= 2  # ranks past degree one took the sandwich or the exact route
+
+
+def test_more_degree_one_forms_than_free_variables_is_an_internal_error(monkeypatch):
+    from fermatcalc import idealcalc
+    from fermatcalc.idealcalc import DegreeSlice
+
+    ctx = FermatContext(2, 5)
+    ci = ColonIdeal(linear_cycle_class(ctx, (1, 3)), ctx)
+    honest = ci.slice(1).basis
+    extra = next(x for x in (Polynomial.variable(4, i) for i in range(4))
+                 if ideal_slice([*honest, x], 1).dim == 3)
+    slice_ = ColonIdeal.slice
+    monkeypatch.setattr(ColonIdeal, "slice", lambda self, k: (
+        DegreeSlice(1, (*honest, extra)) if k == 1 else slice_(self, k)))
+    # let every form pass the g * P check, so that only the count can catch it
+    monkeypatch.setattr(idealcalc, "reduce_mod_jacobian", lambda p, ctx: Polynomial(p.nvars, {}))
+    with pytest.raises(RuntimeError, match=r"3 forms, above n/2\+1 = 2"):
+        ci.rank(2)
