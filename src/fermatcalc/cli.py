@@ -157,6 +157,8 @@ def _certificate_json(cert) -> tuple[dict, tuple]:
 
 def _run_hilbert(args, ctx):
     check_colon_size(ctx)  # before building a class that may already be too large
+    if args.degree is not None and args.degree > ctx.sigma:  # (J : P)_k is all of S_k there
+        raise ValueError(f"slice degree must lie in 0..{ctx.sigma}")
     p = _class_poly(args, ctx)
     order = _parse_order(args.order, ctx.nvars)
     ci = ColonIdeal(p, ctx, order)

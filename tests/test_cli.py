@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,24 @@ def test_recover_verb(capsys):
     assert payload["a"][0]["coords"] == ["2"]
 
 
+def test_recover_keeps_each_coefficient_conductor(capsys):
+    # the class's products mix conductor-1 and conductor-8 coefficients; the
+    # rational -1 and 3/2 print at conductor 1, the rational -3 (from 3z^4)
+    # at conductor 8, as each was computed
+    code, out = run(
+        capsys, "recover", "--n", "6", "--d", "4", "--a=-z^2,-1,1/2*z^7,3*z^4", "--c-lambda", "3/2"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a"] == [
+        {"coords": ["0", "0", "-1", "0"], "m": 8},
+        {"coords": ["-1"], "m": 1},
+        {"coords": ["0", "0", "0", "-1/2"], "m": 8},
+        {"coords": ["-3", "0", "0", "0"], "m": 8},
+    ]
+    assert payload["c_lambda"] == {"coords": ["3/2"], "m": 1}
+
+
 def test_prop11_verb(capsys):
     code, out = run(capsys, "prop11", "--d", "5", "--a", "2")
     assert code == 0
@@ -410,6 +429,24 @@ def test_computation_errors_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
     code = main(["special", "--n", "2", "--d", "4", "--a", "2,z"])
     assert code == 1
+
+
+def test_slice_degree_above_sigma_is_refused_before_the_class_is_built(capsys):
+    # above sigma = 6 all of S_k lies in J : P; the slice at 100000 would
+    # list every monomial of that degree
+    t0 = time.perf_counter()
+    code = main(["hilbert", "--n", "2", "--d", "5", "--alpha", "1,1", "--degree", "100000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: slice degree must lie in 0..6\n")
+
+
+def test_slice_degree_sigma_is_the_top_slice(capsys):
+    # S/(J : P) is one-dimensional in degree sigma: 83 of the 84 monomials
+    code, out = run(capsys, "hilbert", "--n", "2", "--d", "5", "--alpha", "1,1", "--degree", "6")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] == 6 and payload["dim"] == 83 == len(payload["basis"])
 
 
 def test_negative_degree_is_refused(capsys):

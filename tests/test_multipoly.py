@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, zeta
+from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
+from fermatcalc.fermat_hodge import linear_cycle_poly
+from fermatcalc.idealcalc import FermatContext
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -253,3 +256,156 @@ def test_capped_count_matches_the_enumeration(nvars, cap):
     for degree in range(-1, nvars * cap + 3):
         expected = sum(1 for _ in monomials_of_degree(nvars, degree, cap))
         assert count_capped_monomials(nvars, degree, cap) == expected
+
+
+# ---------------------------------------------------------------------------
+# The packed product against the term-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def term_pair_product(p, q):
+    """The term-pair loop `Polynomial.__mul__` ran before the packed
+    product: one `CyclotomicNumber` product and one sum per term pair, in
+    loop order.  Returns the terms, the lcm of the pair conductors reaching
+    each monomial, and the monomials whose running sum cancelled to zero on
+    the way (where the loop restarted its conductor lcm)."""
+    data, reached, cancelled = {}, {}, set()
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            reached[key] = math.lcm(reached.get(key, 1), c1.m, c2.m)
+            c = c1 * c2
+            cur = data.get(key)
+            if cur is not None:
+                c = cur + c
+            if c:
+                data[key] = c
+            elif key in data:
+                del data[key]
+                cancelled.add(key)
+    return data, reached, cancelled
+
+
+def assert_matches_term_pairs(p, q):
+    """p * q has the loop's monomials and, coefficient by coefficient, the
+    loop's (m, nums, den); where the loop's running sum cancelled, the same
+    value at the lcm of all the pair conductors reaching it."""
+    product = p * q
+    expected, reached, cancelled = term_pair_product(p, q)
+    assert product.nvars == p.nvars
+    assert product.terms.keys() == expected.keys()
+    for e, c in expected.items():
+        got = product.terms[e]
+        if e in cancelled:
+            assert got == c and got.m == reached[e]
+        else:
+            assert (got.m, got.nums, got.den) == (c.m, c.nums, c.den)
+    return product
+
+
+PRODUCT_CONDUCTORS = [1, 3, 4, 5, 8, 10, 14, 18]
+
+
+@st.composite
+def cyclotomic_values(draw, conductors):
+    m = draw(st.sampled_from(conductors))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+    nums = draw(st.lists(entry, min_size=euler_phi(m), max_size=euler_phi(m)))
+    den = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(2**64, 2**70)))
+    return CyclotomicNumber(m, nums, den)
+
+
+@st.composite
+def polynomials(draw, nvars, conductors, max_exponent, max_terms=6):
+    exps = st.tuples(*[st.integers(0, max_exponent)] * nvars)
+    terms = st.lists(st.tuples(exps, cyclotomic_values(conductors)), max_size=max_terms)
+    return Polynomial(nvars, draw(terms))
+
+
+conductor_sets = st.lists(st.sampled_from(PRODUCT_CONDUCTORS), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_product_matches_the_term_pair_loop(data):
+    nvars = data.draw(st.integers(0, 3))
+    conductors = data.draw(conductor_sets)
+    max_exponent = data.draw(st.sampled_from([1, 2, 300]))
+    p = data.draw(polynomials(nvars, conductors, max_exponent))
+    q = data.draw(polynomials(nvars, conductors, max_exponent))
+    assert_matches_term_pairs(p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_product_cancels_cross_terms_exactly(data):
+    # (D x0 + D x1)(C x0 - C x1): every cross term D_i C_j x0 x1 cancels
+    # against its mirror, within one conductor and across several
+    conductors = data.draw(conductor_sets)
+    c = data.draw(polynomials(3, conductors, 2, max_terms=4))
+    d = data.draw(polynomials(3, conductors, 2, max_terms=4))
+
+    def shifted(f, var, sign=1):
+        return [
+            (tuple(e + (v == var) for v, e in enumerate(exps)), sign * coeff)
+            for exps, coeff in f.terms.items()
+        ]
+
+    p = Polynomial(3, shifted(d, 0) + shifted(d, 1))
+    q = Polynomial(3, shifted(c, 0) + shifted(c, 1, -1))
+    product = assert_matches_term_pairs(p, q)
+    x = variables(3)
+    assert product == (x[0] * x[0] - x[1] * x[1]) * d * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PRODUCT_CONDUCTORS), st.integers(0, 17), st.integers(2, 9), st.integers(1, 3)
+)
+def test_packed_product_telescopes_like_the_loop(m, k, d, r):
+    # (x0 - a x1) * sum_q x0^(d-2-q) (a x1)^q: the factor's first
+    # coefficient is the conductor-1 one, the others lie at m
+    a = root_of_unity(m, k) * r
+    x = variables(2)
+    factor = geometric_factor(2, 0, 1, a, d)
+    product = assert_matches_term_pairs(x[0] - x[1].scale(a), factor)
+    assert product == Polynomial(2, [((d - 1, 0), 1), ((0, d - 1), -(a ** (d - 1)))])
+
+
+def test_packed_product_edge_operands():
+    c = CyclotomicNumber(8, [1, 0, 2**70, -3], 5)
+    for nvars in (0, 1, 3):
+        one_term = Polynomial.monomial(nvars, (300,) * nvars, c)
+        assert (Polynomial.zero(nvars) * one_term).is_zero()
+        assert (one_term * Polynomial.zero(nvars)).is_zero()
+        assert_matches_term_pairs(one_term, one_term)
+        assert_matches_term_pairs(one_term, Polynomial.constant(nvars, Fraction(-1, 3)))
+    # a mixed-conductor cancellation: (1 + x)(1 - x) at conductors 1 and 8
+    one, x = Polynomial.constant(1, 1), Polynomial.variable(1, 0).scale(CyclotomicNumber.one(8))
+    product = assert_matches_term_pairs(one + x, one - x)
+    assert product.terms.keys() == {(0,), (2,)}
+    assert product.terms[(0,)].m == 1 and product.terms[(2,)].m == 8
+
+
+def test_product_of_linear_cycles_makes_no_field_arithmetic(monkeypatch):
+    # one conductor throughout: every term pair must go through the packed
+    # product, with no per-pair CyclotomicNumber product or sum
+    ctx = FermatContext(4, 4)
+    p = linear_cycle_poly((1, 3, 5), ctx)
+    q = linear_cycle_poly((7, 1, 3), ctx)
+    assert len(p.terms) == len(q.terms) == 27
+    assert {c.m for c in p.terms.values()} == {c.m for c in q.terms.values()} == {8}
+    expected, _, _ = term_pair_product(p, q)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = getattr(CyclotomicNumber, name)
+
+        def counted(self, other, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(CyclotomicNumber, name, counted)
+    product = p * q
+    monkeypatch.undo()
+    assert calls == []
+    assert product == Polynomial(ctx.nvars, expected)
