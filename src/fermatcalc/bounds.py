@@ -31,6 +31,7 @@ __all__ = [
     "linear_cycle_bound",
     "second_minimum_bound",
     "scan_divisor_minima",
+    "SCAN_MAX_VECTORS",
     "tangent_codim",
     "codim_report",
     "classify_lt_shape",
@@ -158,13 +159,21 @@ def _exchange_holds(alpha: tuple[int, ...], d: int, base: int) -> tuple[bool, in
     return True, checks
 
 
+# Most sorted vectors in 0..d-2 the divisor scan enumerates, C(n+d, n+2):
+# (8, 12) has 184,756 and takes about 19 s, (12, 12) has 1,961,256.
+SCAN_MAX_VECTORS = 200_000
+
+
 def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
     """Exhaustively verify the divisor-count minima over all degree-sigma
     exponent vectors bounded by d-2, one sorted representative per
     permutation orbit, each weighted by its orbit size.  Runs in well under
-    a second for n <= 6, d <= 7.
+    a second for n <= 6, d <= 7; refuses more than SCAN_MAX_VECTORS.
     """
     sigma = FermatContext(n, d).sigma
+    if (vectors := math.comb(n + d, n + 2)) > SCAN_MAX_VECTORS:
+        raise ValueError(f"(n, d) = ({n}, {d}) has {vectors} sorted exponent vectors, "
+                         f"above the scan limit of {SCAN_MAX_VECTORS}")
     half = n // 2 + 1
     linear_shape = (0,) * half + (d - 2,) * half
     # attainer multisets with their orbit sizes, keyed by count value, for

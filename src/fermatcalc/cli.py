@@ -350,8 +350,8 @@ def _run_scan_bounds(args, ctx):
 def _run_groebner(args, ctx):
     if args.gens:
         gens = ioformats.polynomials_from_json(_read_json(args.gens))
-        if not gens:
-            raise ValueError("empty generator file")
+        if len({g.nvars for g in gens}) != 1:
+            raise ValueError("generators must be one or more polynomials in the same variables")
     elif args.a:
         gens = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
         for j in range(1, ctx.nvars, 2):

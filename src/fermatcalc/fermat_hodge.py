@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fermatcalc import bounds
-from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
+from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, unit_circle_check, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
@@ -60,6 +60,7 @@ __all__ = [
     "rationality_certificate",
     "recover_product_structure",
     "rationality_scan",
+    "PROP11_MAX_WORK",
     "plane_in_fermat",
     "complete_intersection_ideal",
     "special_family",
@@ -342,12 +343,21 @@ class RationalityScanReport:
     cross_ratio_rational: bool
 
 
+# Most d^2 phi(L)^3 the rationality scan accepts, L = lcm(conductor of a, 2d):
+# it visits up to d^2 pairs, each with a field inverse of cost about phi(L)^3.
+# a = zeta_2d at d = 29 (1.8e7) takes about 3 s; d = 39 (2.1e7) is refused.
+PROP11_MAX_WORK = 20_000_000
+
+
 def rationality_scan(a, d: int) -> RationalityScanReport:
     if d < 3:
         raise ValueError("degree must be at least 3")
     if not isinstance(a, CyclotomicNumber):
         a = CyclotomicNumber.from_rational(a)
     m = math.lcm(a.m, 2 * d)
+    if (work := d * d * euler_phi(m) ** 3) > PROP11_MAX_WORK:
+        raise ValueError(f"d = {d} over Q(zeta_{m}) needs d^2 phi^3 = {work} steps, "
+                         f"above the prop11 limit of {PROP11_MAX_WORK}")
     av = a.promote(m)
     a_pow = av ** (d - 1)
     odd_powers = [(k, root_of_unity(2 * d, k).promote(m)) for k in range(1, 2 * d, 2)]

@@ -24,29 +24,20 @@ A rank is first taken modulo a prime p = 1 (mod L), L the conductor of P's
 coefficients, through the ring map Z_(p)[zeta_L] -> F_p.  A nonzero minor
 mod p is the image of a nonzero minor over Q(zeta_L), so a rank mod p that
 reaches the number of capped columns proves full rank exactly, and the
-reduced echelon form of the capped block is then the identity.
+reduced echelon form of the capped block is then the identity.  Other
+degrees are eliminated exactly, unless S/(J : P) is a complete intersection.
 
-A rank-deficient degree is proved by a sandwich.  Let G be the exact
-degree-1 slice of J : P, checked by reducing every g * P to 0 modulo J.
-Then G + J is contained in J : P, and reduction mod p is a ring map, so
-
-    rank_p(k) <= rank(k) <= dim (S/(G + J))_k.
-
-The right side is `ideal_hilbert_dims` of G and the x_i^(d-1), which solves
-G's linear forms out first and spans in the remaining variables.  When the
-ends meet, the rank is proved without exact rows.  When they do not meet,
-the rows are eliminated exactly.
-
-When G has n/2+1 forms, as for linear cycles (J : P = I_delta + J) and
-product classes, the upper bound is the rank and no mod-p row is built.
-Solving G leaves the n/2+1 free variables y_j, and S/(G + J) is a quotient
-of the complete intersection C = k[y]/(y_j^(d-1)), whose socle sits in
-degree (n/2+1)(d-2) = sigma.  S/(J : P) is a quotient of C that is nonzero
-in degree sigma.  Every nonzero ideal of the Gorenstein algebra C contains
-its socle (Iarrobino-Kanev), so the kernel is 0 and S/(J : P) = S/(G + J)
-= C.  The same argument bounds dim G by n/2+1: more forms would leave too
-few variables to reach degree sigma, so more is reported as an internal
-error.
+Let G be the exact degree-1 slice of J : P, checked by reducing every g * P
+to 0 modulo J, so that G + J lies in J : P.  When G has n/2+1 forms, as for
+linear cycles (J : P = I_delta + J) and product classes, solving G leaves
+n/2+1 free variables y_j, and S/(G + J) is a quotient of the complete
+intersection C = k[y]/(y_j^(d-1)), whose socle sits in degree
+(n/2+1)(d-2) = sigma.  S/(J : P) is a quotient of S/(G + J), hence of C,
+and is nonzero in degree sigma.  Every nonzero ideal of the Gorenstein
+algebra C contains its socle (Iarrobino-Kanev), so the kernel is 0 and
+S/(J : P) = C, whose Hilbert function is `count_capped_monomials(n/2+1, k,
+d-2)`: no row is built.  The same argument bounds dim G by n/2+1: more forms
+would leave too few variables to reach sigma, so more is an internal error.
 
 All exact linear algebra is elimination over Q(zeta_m) by the engine in
 `fermatcalc.echelon`; the mod-p pass runs the same insertion on ints
@@ -309,16 +300,11 @@ class ColonIdeal:
 
     Degree k is eliminated on the capped catalecticant only; `rank` reads a
     degree above sigma/2 at sigma-k, while `slice`, `quotient_monomials`,
-    `leading_monomials` and `lt_generators` use degree k itself.  A degree
-    whose rank mod p equals its number of capped columns is proved full rank
-    without exact elimination.  For 1 < k <= sigma/2, `rank` first tries the
-    sandwich rank_p(k) <= rank(k) <= dim (S/(G + J))_k, G the degree-1 slice:
-    G + J lies in J : P once every g * P reduces to 0 mod J, and reduction
-    mod p is a ring map.  When G has n/2+1 forms the right side is the rank
-    with no mod-p pass, since S/(J : P) is then the complete intersection
-    C = k[y]/(y_j^(d-1)) in the n/2+1 free variables: a nonzero kernel of
-    C -> S/(J : P) would contain C's socle, in degree sigma.  Only when the
-    ends differ are the rows eliminated exactly (see the module docstring).
+    `leading_monomials` and `lt_generators` use degree k itself.  `rank` has
+    two routes: when the checked degree-1 slice has n/2+1 forms, S/(J : P)
+    is a complete intersection and a degree 1 < k <= sigma/2 is counted;
+    every other degree takes `_kernel_data`, the identity when its rank mod p
+    equals its number of capped columns and else exact elimination.
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -334,7 +320,6 @@ class ColonIdeal:
         self.order = order or lex_order(ctx.nvars)
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
-        self._ranks: dict[int, int] = {}
         reduction = _Reduction.avoiding(reduced.terms.values())
         self._prime = reduction.p
         self._terms = [(gamma, c, reduction(c)) for gamma, c in reduced.terms.items()]
@@ -361,19 +346,12 @@ class ColonIdeal:
                     row[col] = v
         return [rows[tau] for tau in sorted(rows, reverse=True)]
 
-    def _reaches_mod_p(self, index: dict[Monomial, int], kept, target: int) -> bool:
-        """Whether the multiplication rows on the columns `index` and the
-        targets `kept` reach rank `target` mod p.  A nonzero minor mod p is
-        the image of a nonzero minor over Q(zeta), so True proves the exact
-        rank is at least `target`."""
-        rows = self._multiplication_rows(index, kept, exact=False)
-        return reaches_rank_mod_p(rows, self._prime, target)
-
     def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns
-        `index` and the targets `kept`: the identity when the rows mod p
-        reach rank len(index), and else the exact echelon form."""
-        if self._reaches_mod_p(index, kept, len(index)):
+        `index` and the targets `kept`: the identity when the rows reach rank
+        len(index) mod p (a nonzero minor mod p lifts), else exact elimination."""
+        rows = self._multiplication_rows(index, kept, exact=False)
+        if reaches_rank_mod_p(rows, self._prime, len(index)):
             one = CyclotomicNumber.one()
             return {col: {col: one} for col in index.values()}
         return echelon(self._multiplication_rows(index, kept, exact=True))
@@ -397,50 +375,28 @@ class ColonIdeal:
         return data
 
     @functools.cached_property
-    def _upper_bounds(self) -> list[int] | None:
-        """dim (S/(G + J))_k for k = 0..sigma//2, G the degree-1 slice, or
-        None unless every g * P reduces to 0 mod J, so that G + J lies in
-        J : P and bounds its quotient from above.  Entry 1 is n+2 - dim G.
-        G cannot have more than n/2+1 forms (module docstring); if it does,
-        a RuntimeError reports the broken check."""
-        ctx = self.ctx
-        forms = list(self.slice(1).basis)
-        if any(reduce_mod_jacobian(g * self.reduced, ctx) for g in forms):
-            return None
-        if len(forms) > ctx.n // 2 + 1:
-            raise RuntimeError(
-                f"the degree-one colon has {len(forms)} forms, above n/2+1 = {ctx.n // 2 + 1}"
-            )
-        powers = [
-            Polynomial.monomial(ctx.nvars, tuple((ctx.d - 1) * (j == i) for j in range(ctx.nvars)))
-            for i in range(ctx.nvars)
-        ]
-        return ideal_hilbert_dims(forms + powers, ctx.sigma // 2)
+    def _complete_intersection(self) -> bool:
+        """Whether the degree-1 slice G has n/2+1 forms, each g * P reducing
+        to 0 mod J, so that S/(J : P) is k[y]/(y_j^(d-1)).  More than n/2+1
+        checked forms is impossible (module docstring) and raises RuntimeError."""
+        ctx, forms = self.ctx, self.slice(1).basis
+        half = ctx.n // 2 + 1
+        if len(forms) < half or any(reduce_mod_jacobian(g * self.reduced, ctx) for g in forms):
+            return False
+        if len(forms) > half:
+            raise RuntimeError(f"the degree-one colon has {len(forms)} forms, above n/2+1 = {half}")
+        return True
 
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
         which equals the quotient dimension dim R_k.  The capped matrix at
         degree sigma-k is the transpose of the one at k, so a degree above
-        sigma/2 is read at sigma-k.  A degree 1 < k <= sigma/2 is read off
-        `_upper_bounds` with no exact rows when G has n/2+1 forms or when its
-        rank mod p meets the bound; any other degree takes `_kernel_data`."""
-        sigma = self.ctx.sigma
-        k = sigma - k if sigma < 2 * k <= 2 * sigma else k
-        if k in self._ranks:
-            return self._ranks[k]
-        if 1 < k <= sigma // 2 and k not in self._cache and self._upper_bounds is not None:
-            bound = self._upper_bounds[k]
-            # entry 1 is n+2 - dim G: n/2+1 forms leave the complete
-            # intersection C, which S/(J : P) equals (module docstring)
-            proved = self._upper_bounds[1] == self.ctx.n // 2 + 1
-            if not proved:
-                cap = self.ctx.d - 2
-                columns = sorted(monomials_of_degree(self.ctx.nvars, k, cap), key=self.order.key)
-                index = {m: i for i, m in enumerate(columns)}
-                proved = self._reaches_mod_p(index, lambda tau: max(tau) <= cap, bound)
-            if proved:
-                self._ranks[k] = bound
-                return bound
+        sigma/2 is read at sigma-k.  A degree 1 < k <= sigma/2 of a complete
+        intersection is counted, and any other degree takes `_kernel_data`."""
+        ctx = self.ctx
+        k = ctx.sigma - k if ctx.sigma < 2 * k <= 2 * ctx.sigma else k
+        if 1 < k <= ctx.sigma // 2 and k not in self._cache and self._complete_intersection:
+            return count_capped_monomials(ctx.n // 2 + 1, k, ctx.d - 2)
         return len(self._kernel_data(k)[2])
 
     def slice(self, k: int) -> DegreeSlice:

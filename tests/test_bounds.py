@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fermatcalc import bounds
 from fermatcalc.bounds import (
     _exchange_holds,
     bounded_compositions,
@@ -118,6 +119,16 @@ def test_bounds_refuse_exactly_what_the_fermat_context_refuses():
                     with pytest.raises(ValueError) as err:
                         bound(n, d)
                     assert str(err.value) == refusal
+
+
+def test_scan_refuses_exactly_above_its_budget(monkeypatch):
+    # the README's envelope and the largest measured points stay inside it
+    for n, d in [(10, 6), (6, 9), (4, 14), (10, 10), (8, 12)]:
+        assert math.comb(n + d, n + 2) <= bounds.SCAN_MAX_VECTORS
+    monkeypatch.setattr(bounds, "SCAN_MAX_VECTORS", math.comb(6, 4))  # (2, 4)
+    assert scan_divisor_minima(2, 4).sigma == 4
+    with pytest.raises(ValueError, match=r"\(n, d\) = \(2, 5\) has 35 sorted exponent vectors"):
+        scan_divisor_minima(2, 5)
 
 
 def test_linear_bound_never_exceeds_second_bound():

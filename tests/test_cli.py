@@ -449,6 +449,33 @@ def test_slice_degree_sigma_is_the_top_slice(capsys):
     assert payload["k"] == 6 and payload["dim"] == 83 == len(payload["basis"])
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["scan-bounds", "--n", "12", "--d", "12"],
+     "(n, d) = (12, 12) has 1961256 sorted exponent vectors, above the scan limit of 200000"),
+    # z^600 = -1 would send the scan through all 600^2 pairs of odd roots
+    (["prop11", "--d", "600", "--a", "z"],
+     "d = 600 over Q(zeta_1200) needs d^2 phi^3 = 11796480000000 steps, "
+     "above the prop11 limit of 20000000"),
+])
+def test_runaway_scans_are_refused_at_once(argv, err, capsys):
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_groebner_refuses_generators_in_different_variables(capsys, tmp_path):
+    # the default order is built for the first generator's variables
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(FUZZ_FILES["mixed_vars"]), encoding="utf-8")
+    code = main(["groebner", "--n", "2", "--d", "3", "--gens", str(path)])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: generators must be one or more polynomials in the same variables\n"
+    )
+
+
 def test_negative_degree_is_refused(capsys):
     code = main(["hilbert", "--n", "2", "--d", "5", "--alpha", "1,1", "--degree", "-1"])
     assert code == 1

@@ -369,6 +369,15 @@ def test_scan_validates_degree():
         rationality_scan(CyclotomicNumber.one(), 2)
 
 
+def test_scan_refuses_exactly_above_its_budget(monkeypatch):
+    from fermatcalc import fermat_hodge
+
+    monkeypatch.setattr(fermat_hodge, "PROP11_MAX_WORK", 5**2 * 4**3)  # d = 5 over Q(zeta_10)
+    assert rationality_scan(CyclotomicNumber.from_rational(2), 5).direct is False
+    with pytest.raises(ValueError, match=r"d = 5 over Q\(zeta_20\) needs d\^2 phi\^3 = 12800"):
+        rationality_scan(root_of_unity(4, 1), 5)
+
+
 def test_scan_soundness_for_degrees_five_and_seven():
     # wherever the scan passes with an irrational cross ratio, the direct
     # condition must hold; swept over all unit roots and a few rationals

@@ -798,7 +798,7 @@ def test_product_class_profiles_are_powers_of_a_truncated_geometric_series(n, d)
 
 
 # ---------------------------------------------------------------------------
-# The rank sandwich rank_p(k) <= rank(k) <= dim (S/(G + J))_k
+# Colon ranks against the target loop and the rational oracle
 # ---------------------------------------------------------------------------
 
 
@@ -816,7 +816,7 @@ def record_kernel_degrees(monkeypatch) -> list[int]:
     return degrees
 
 
-def sandwich_class(ctx, kind, entries, data):
+def class_of_kind(ctx, kind, entries, data):
     """A class of the given kind whose coefficients come from `entries`
     (linear cycles always carry powers of zeta_2d)."""
     from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
@@ -852,13 +852,15 @@ def test_sandwich_ranks_match_the_target_loop_and_the_rational_oracle(field, dat
         # takes about 90 s on a dense (4,4) class on a 2-core x86_64 host, so
         # those classes stay rational
         entries, _ = FIELDS["rational"]
-    p = sandwich_class(ctx, kind, entries, data)
-    ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
-    m = math.lcm(*(c.m for c in ref.reduced.terms.values()))
-    for k in range(ctx.sigma + 1):
-        assert ci.rank(k) == ref.rank(k) == ref.oracle_rank(k, m)
+    p = class_of_kind(ctx, kind, entries, data)
+    with pytest.MonkeyPatch.context() as mp:
+        degrees = record_mod_p_degrees(mp)
+        ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+        m = math.lcm(*(c.m for c in ref.reduced.terms.values()))
+        for k in range(ctx.sigma + 1):
+            assert ci.rank(k) == ref.rank(k) == ref.oracle_rank(k, m)
     if kind in ("linear", "product"):
-        assert sorted(ci._ranks) == list(range(2, ctx.sigma // 2 + 1))
+        assert max(degrees) <= 1  # degrees past one were counted, not ranked
 
 
 @pytest.mark.parametrize("n,d", [(4, 5), (2, 9), (6, 4)])
@@ -872,12 +874,14 @@ def test_linear_and_product_profiles_need_no_exact_elimination_past_degree_one(n
     alpha = tuple(rng.randrange(1, 2 * d, 2) for _ in range(n // 2 + 1))
     spec = ProductClassSpec(random_product_coefficients(ctx, rng), CyclotomicNumber.one())
     degrees = record_kernel_degrees(monkeypatch)
+    mod_p = record_mod_p_degrees(monkeypatch)
     for p in (linear_cycle_class(ctx, alpha), product_class_poly(spec, ctx)):
         degrees.clear()
+        mod_p.clear()
         ci = ColonIdeal(p, ctx)
         assert ci.hilbert_profile().dims == product_profile(ctx)
         assert sorted(degrees) == [0, 1]
-        assert sorted(ci._ranks) == list(range(2, ctx.sigma // 2 + 1))
+        assert sorted(mod_p) == [0, 1]
 
 
 def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch):
@@ -900,7 +904,7 @@ def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch
     degrees = record_kernel_degrees(monkeypatch)
     ci = ColonIdeal(p, ctx)
     assert ci.rank(4) == TargetLoopColon(p, ctx).rank(4) == 12
-    assert ci._upper_bounds is None and not ci._ranks
+    assert not ci._complete_intersection
     assert degrees == [4]
     assert ci.hilbert_profile().dims == product_profile(ctx)
     assert sorted(degrees) == [0, 1, 2, 3, 4]
@@ -924,15 +928,16 @@ def test_a_coefficient_divisible_by_the_prime_leaves_no_residue_entry():
 
 
 def record_mod_p_degrees(monkeypatch) -> list[int]:
-    """Column degree of every `_reaches_mod_p` call from now on."""
+    """Column degree of every mod-p row build from now on."""
     degrees = []
-    reaches = ColonIdeal._reaches_mod_p
+    rows = ColonIdeal._multiplication_rows
 
-    def recording(self, index, kept, target):
-        degrees.append(sum(next(iter(index))) if index else 0)
-        return reaches(self, index, kept, target)
+    def recording(self, index, kept, exact):
+        if not exact:
+            degrees.append(sum(next(iter(index))) if index else 0)
+        return rows(self, index, kept, exact)
 
-    monkeypatch.setattr(ColonIdeal, "_reaches_mod_p", recording)
+    monkeypatch.setattr(ColonIdeal, "_multiplication_rows", recording)
     return degrees
 
 
@@ -958,30 +963,61 @@ def ci_route_classes(ctx):
 def test_complete_intersection_ranks_need_no_mod_p_rows_past_degree_one(n, d, monkeypatch):
     ctx = FermatContext(n, d)
     degrees = record_mod_p_degrees(monkeypatch)
+    kernels = record_kernel_degrees(monkeypatch)
     for kind, p in ci_route_classes(ctx).items():
         degrees.clear()
+        kernels.clear()
         ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
         assert ci.hilbert_profile().dims == product_profile(ctx), kind
         assert ci.slice(1).dim == n // 2 + 1, kind
         assert max(degrees) <= 1, kind  # only degrees 0 and 1 ran mod p
-        assert sorted(ci._ranks) == list(range(2, ctx.sigma // 2 + 1)), kind
+        assert sorted(kernels) == [0, 1], kind
         for k in range(ctx.sigma // 2 + 1):
             assert ci.rank(k) == ref.rank(k), (kind, k)
 
 
-@pytest.mark.parametrize("n,d", [(2, 5), (4, 4)])
-def test_two_linear_cycles_differing_in_one_exponent_keep_the_sandwich(n, d, monkeypatch):
+def linear_cycle_sum(ctx, specs):
+    """The sum of the linear cycles over the given (alpha[, pairing]) specs."""
+    from fermatcalc.fermat_hodge import LinearCycleSpec
+
+    first, *rest = (linear_cycle_class(ctx, LinearCycleSpec(*spec)) for spec in specs)
+    return sum(rest, first)
+
+
+# Sums of linear cycles whose degree-one colon has n/2 forms, one short of the
+# complete intersection: two cycles whose exponents differ in the last pair,
+# three cycles at (2,7), and one exponent vector over two pairings.
+CYCLE_SUMS = [
+    pytest.param(2, 5, [((1, 3),), ((1, 5),)], id="2-5"),
+    pytest.param(4, 4, [((1, 3, 5),), ((1, 3, 7),)], id="4-4"),
+    pytest.param(2, 7, [((1, 3),), ((1, 5),), ((1, 7),)], id="2-7-three-cycles"),
+    pytest.param(2, 5, [((1, 3), ((0, 1), (2, 3))), ((1, 3), ((0, 2), (1, 3)))],
+                 id="2-5-two-pairings"),
+    pytest.param(4, 4, [((1, 3, 5), ((0, 1), (2, 3), (4, 5))),
+                        ((1, 3, 5), ((0, 2), (1, 3), (4, 5)))], id="4-4-two-pairings"),
+]
+
+
+@pytest.mark.parametrize("n,d,specs", CYCLE_SUMS)
+def test_two_linear_cycles_differing_in_one_exponent_keep_the_sandwich(n, d, specs, monkeypatch):
     ctx = FermatContext(n, d)
-    alpha = tuple(range(1, n + 2, 2))
-    beta = (*alpha[:-1], alpha[-1] + 2)
-    p = linear_cycle_class(ctx, alpha) + linear_cycle_class(ctx, beta)
+    p = linear_cycle_sum(ctx, specs)
     degrees = record_mod_p_degrees(monkeypatch)
     ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
     for k in range(ctx.sigma + 1):
         assert ci.rank(k) == ref.rank(k)
-    assert ci.slice(1).dim == n // 2  # the last pair's two roots share no form
-    assert ci._upper_bounds is not None and ci._upper_bounds[1] == n // 2 + 2
-    assert max(degrees) >= 2  # ranks past degree one took the sandwich or the exact route
+    assert ci.slice(1).dim == n // 2
+    assert not ci._complete_intersection
+    assert max(degrees) >= 2  # ranks past degree one took the exact route
+
+
+@pytest.mark.parametrize("n,d,specs", CYCLE_SUMS[:2])
+def test_a_rank_deficient_degree_is_ranked_mod_p_once(n, d, specs, monkeypatch):
+    ctx = FermatContext(n, d)
+    degrees = record_mod_p_degrees(monkeypatch)
+    ci = ColonIdeal(linear_cycle_sum(ctx, specs), ctx)
+    assert ci.hilbert_profile().dims != product_profile(ctx)
+    assert degrees == list(range(ctx.sigma // 2 + 1))
 
 
 def test_more_degree_one_forms_than_free_variables_is_an_internal_error(monkeypatch):
