@@ -311,6 +311,7 @@ def _standard_decomposition(args, ctx: FermatContext):
 
 
 def _run_special(args, ctx):
+    check_colon_size(ctx)  # the family's j1_dim takes a colon ideal
     coeffs = _parse_coeffs(args.a, ctx.m)
     result = fermat_hodge.special_family(args.d, coeffs, ctx)
     cert_payload, _ = _certificate_json(result.certificate)

@@ -29,7 +29,6 @@ from fermatcalc.idealcalc import (
     FermatContext,
     SquareMembership,
     ideal_hilbert_dims,
-    ideal_square_membership,
     reduce_mod_jacobian,
     solve_linear_forms,
 )
@@ -58,9 +57,11 @@ __all__ = [
     "hessian_coefficient",
     "pair_classes",
     "rationality_certificate",
+    "CERTIFICATE_MAX_WORK",
     "recover_product_structure",
     "rationality_scan",
     "PROP11_MAX_WORK",
+    "SOCLE_MAX_WORK",
     "plane_in_fermat",
     "complete_intersection_ideal",
     "special_family",
@@ -235,6 +236,27 @@ class RationalityCertificate:
         return self.verdict == "all rational"
 
 
+# Most rows * |P| * (d-1)^(n/2+1) term pairs a rationality certificate accepts,
+# rows = pairings * d^(n/2+1): each row multiplies P by a linear cycle of
+# (d-1)^(n/2+1) terms.  On a 2-core x86_64 host, `certify --alpha 1,1,1` at
+# (4, 7) (1.6e7) takes 9-11 s and at (4, 5) with all 15 pairings (7.7e6) 30 s;
+# (4, 9) (1.9e8) and (2, 20) (5.2e7) are refused.
+CERTIFICATE_MAX_WORK = 20_000_000
+
+
+def _check_certificate_size(ctx: FermatContext, terms: int, all_coordinate_pairings: bool) -> None:
+    """Refuse a certificate above CERTIFICATE_MAX_WORK for a class of `terms`
+    terms, counted before any linear cycle is built."""
+    half = ctx.n // 2 + 1
+    pairings = math.prod(range(1, ctx.n + 2, 2)) if all_coordinate_pairings else 1
+    work = pairings * ctx.d**half * terms * (ctx.d - 1) ** half
+    if work > CERTIFICATE_MAX_WORK:
+        raise ValueError(
+            f"(n, d) = ({ctx.n}, {ctx.d}) with {terms} class terms needs rows * |P| * "
+            f"(d-1)^(n/2+1) = {work} term pairs, above the certificate limit of {CERTIFICATE_MAX_WORK}"
+        )
+
+
 def _certificate_row(p, ctx, pairing, alpha) -> CertificateRow:
     delta = linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx)
     result = pair_classes(p, delta, ctx)
@@ -261,6 +283,7 @@ def rationality_certificate(
     """
     if p.homogeneous_degree() != ctx.sigma:
         raise ValueError(f"class must be homogeneous of degree {ctx.sigma}")
+    _check_certificate_size(ctx, len(p.terms), all_coordinate_pairings)
     pairings = all_pairings(ctx.n) if all_coordinate_pairings else [default_pairing(ctx.n)]
     odd = range(1, 2 * ctx.d, 2)
     rows = [
@@ -343,9 +366,10 @@ class RationalityScanReport:
     cross_ratio_rational: bool
 
 
-# Most d^2 phi(L)^3 the rationality scan accepts, L = lcm(conductor of a, 2d):
-# it visits up to d^2 pairs, each with a field inverse of cost about phi(L)^3.
-# a = zeta_2d at d = 29 (1.8e7) takes about 3 s; d = 39 (2.1e7) is refused.
+# Most d^2 phi(L)^3 the rationality scan accepts, L = lcm(conductor of a, 2d).
+# The scan takes 2d field inverses of cost about phi(L)^3 and up to d^2 field
+# products of cost about phi(L)^2, so the count overstates it about phi(L)-fold.
+# a = zeta_2d at d = 29 (1.8e7) passes; d = 39 (2.1e7) is refused.
 PROP11_MAX_WORK = 20_000_000
 
 
@@ -362,21 +386,18 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
     a_pow = av ** (d - 1)
     odd_powers = [(k, root_of_unity(2 * d, k).promote(m)) for k in range(1, 2 * d, 2)]
     direct = (av**d + 1).is_zero()
-    scan = True
+    # The pair value is u(x) t(y); a pair where either factor is undefined is skipped.
+    us = [(r, (a_pow + x) / (av * x - 1)) for r, x in odd_powers if not (av * x - 1).is_zero()]
+    ts = [(s, (av * y - 1) / (a_pow + y)) for s, y in odd_powers if not (a_pow + y).is_zero()]
     witness = None
-    for (r, x), (s, y) in itertools.product(odd_powers, repeat=2):
-        den = (a_pow + y) * (av * x - 1)
-        if den.is_zero():
-            continue
-        value = (a_pow + x) * (av * y - 1) / den
-        if value.as_rational() is None:
-            scan = False
+    for (r, u), (s, t) in itertools.product(us, ts):
+        if (value := u * t).as_rational() is None:
             witness = (r, s, value)
             break
     zd = zeta(d)
     cross_ratio = -1 - (zd + zd.inverse())
     cross_rational = cross_ratio.as_rational() is not None
-    if scan and not cross_rational and not direct:
+    if witness is None and not cross_rational and not direct:
         raise RuntimeError(
             "scan passed with an irrational cross ratio but a^d + 1 != 0; "
             "this contradicts the forcing argument"
@@ -385,7 +406,7 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
         d=d,
         a=a,
         direct=direct,
-        scan=scan,
+        scan=witness is None,
         witness=witness,
         cross_ratio=cross_ratio,
         cross_ratio_rational=cross_rational,
@@ -395,6 +416,29 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 # ---------------------------------------------------------------------------
 # Planes inside the Fermat hypersurface
 # ---------------------------------------------------------------------------
+
+
+# Most C(sigma+1+m, m) * (phi(L)+16)^2 that `plane_in_fermat` and
+# `complete_intersection_ideal` accept.  Their socle check eliminates the
+# slices of degree 0..sigma+1 in the m variables left after solving the
+# linear inputs, C(sigma+1+m, m) monomials, each a pivot at most, and one
+# pivot costs about (phi(L)+16)^2 steps, L the conductor of the inputs'
+# coefficients.  On a 2-core x86_64 host, `dan-ci --n 2 --type 1,1 --a z,z`
+# at d = 60 (1.6e7) takes 4-6 s; `plane --n 2 --a z,z` at d = 70 (3.9e7) and
+# `dan-ci --n 2 --type 1,2` at d = 30 (3.5e7) are refused.
+SOCLE_MAX_WORK = 20_000_000
+
+
+def _check_socle_size(inputs, ctx: FermatContext) -> None:
+    """Refuse a socle check above SOCLE_MAX_WORK, counted before any ideal is built."""
+    m = ctx.nvars - sum(v.homogeneous_degree() == 1 for v in inputs)
+    L = math.lcm(*(c.m for v in inputs for c in v.terms.values()))
+    work = math.comb(ctx.sigma + 1 + m, m) * (euler_phi(L) + 16) ** 2
+    if work > SOCLE_MAX_WORK:
+        raise ValueError(
+            f"(n, d) = ({ctx.n}, {ctx.d}) over Q(zeta_{L}) needs C(sigma+1+m, m) (phi+16)^2 = "
+            f"{work} steps with m = {m}, above the socle-check limit of {SOCLE_MAX_WORK}"
+        )
 
 
 def _socle_check(generators, ctx: FermatContext) -> tuple[tuple[int, ...], int | None, bool]:
@@ -433,6 +477,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     for L in forms:
         if L.nvars != ctx.nvars or L.homogeneous_degree() != 1:
             raise ValueError("inputs must be homogeneous linear forms")
+    _check_socle_size(forms, ctx)
     F = ctx.fermat_polynomial()
     width = ctx.nvars
     pivots, (restricted,) = solve_linear_forms(forms, [F], width)
@@ -497,10 +542,13 @@ class CompleteIntersectionReport:
 def complete_intersection_ideal(f, g, ctx: FermatContext) -> CompleteIntersectionReport:
     """The ideal generated by a complete-intersection decomposition
     F = sum f_i g_i, with its quotient dimensions (by degreewise echelon
-    spans), socle check, and membership of F in the ideal's square."""
+    spans), socle check, and membership of F in the ideal's square.  The
+    generators are (f_1, g_1, f_2, g_2, ...), so the checked identity
+    F = sum f_i g_i is itself the square witness: no elimination is run."""
     f, g = list(f), list(g)
     if len(f) != len(g) or len(f) != ctx.n // 2 + 1:
         raise ValueError(f"expected {ctx.n // 2 + 1} factor pairs")
+    _check_socle_size(f + g, ctx)
     total = Polynomial.zero(ctx.nvars)
     for fi, gi in zip(f, g):
         df, dg = fi.homogeneous_degree(), gi.homogeneous_degree()
@@ -511,7 +559,8 @@ def complete_intersection_ideal(f, g, ctx: FermatContext) -> CompleteIntersectio
         raise ValueError("not a decomposition of F")
     generators = tuple(v for pair in zip(f, g) for v in pair)
     dims, socle, socle_ok = _socle_check(generators, ctx)
-    square = ideal_square_membership(ctx.fermat_polynomial(), generators)
+    one, origin = CyclotomicNumber.one(), (0,) * ctx.nvars
+    square = SquareMembership(True, tuple((2 * i, 2 * i + 1, origin, one) for i in range(len(f))))
     tangent = bounds.codim_report(dims[ctx.d], ctx.n, ctx.d)
     return CompleteIntersectionReport(generators, dims, socle, socle_ok, square, tangent)
 
@@ -564,6 +613,7 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
     for j, coeff in enumerate(a):
         if not in_special_unit_group(coeff, d):
             raise ValueError(f"coefficient {j} is not in the degree-{d} unit family")
+    _check_certificate_size(ctx, (d - 1) ** (ctx.n // 2 + 1), False)
     unnormalized = _pairing_product(ctx, default_pairing(ctx.n), a, 1)
     normalization = None
     scale = None

@@ -465,6 +465,36 @@ def test_runaway_scans_are_refused_at_once(argv, err, capsys):
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv,work,err", [
+    # the family's colon ideal is refused before its class and certificate are built
+    (["special", "--n", "8", "--d", "4", "--a", "z,z,z,z,z"], "_pairing_product",
+     "(n, d) = (8, 4) has 1452 capped columns at degree 5, above the colon limit of 1000"),
+    # 4913 rows, each a product of two 4096-term classes
+    (["certify", "--n", "4", "--d", "17", "--alpha", "1,1,1"], "_certificate_row",
+     "(n, d) = (4, 17) with 4096 class terms needs rows * |P| * (d-1)^(n/2+1) = "
+     "82426462208 term pairs, above the certificate limit of 20000000"),
+    (["plane", "--n", "2", "--d", "100", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 100) over Q(zeta_200) needs C(sigma+1+m, m) (phi+16)^2 = "
+     "181564416 steps with m = 2, above the socle-check limit of 20000000"),
+    (["dan-ci", "--n", "2", "--d", "100", "--type", "1,1", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 100) over Q(zeta_200) needs C(sigma+1+m, m) (phi+16)^2 = "
+     "181564416 steps with m = 2, above the socle-check limit of 20000000"),
+])
+def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err, capsys,
+                                                                 monkeypatch):
+    from fermatcalc import fermat_hodge
+
+    def refuse(*args):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(fermat_hodge, work, refuse)
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_groebner_refuses_generators_in_different_variables(capsys, tmp_path):
     # the default order is built for the first generator's variables
     path = tmp_path / "gens.json"

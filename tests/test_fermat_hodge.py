@@ -1,10 +1,18 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, reduce_mod_jacobian
+from fermatcalc.idealcalc import (
+    ColonIdeal,
+    FermatContext,
+    ideal_slice,
+    ideal_square_membership,
+    reduce_mod_jacobian,
+)
 from fermatcalc.multipoly import Polynomial, divide, lex_order, monomials_of_degree
 from fermatcalc.fermat_hodge import (
     LinearCycleSpec,
@@ -261,6 +269,44 @@ def test_certificate_all_pairings(quintic_surface):
     assert cert.verdict == "all rational"
 
 
+def test_certificates_refuse_exactly_above_their_budget(quintic_surface, monkeypatch):
+    from fermatcalc import fermat_hodge
+
+    ctx = quintic_surface
+    p = linear_cycle_poly((1, 1), ctx)  # 16 terms; 25 rows, each against a 16-term cycle
+    monkeypatch.setattr(fermat_hodge, "CERTIFICATE_MAX_WORK", 25 * 16 * 16)
+    assert len(rationality_certificate(p, ctx).rows) == 25
+    with pytest.raises(ValueError, match=r"\(2, 5\) with 16 class terms .* = 19200 term pairs"):
+        rationality_certificate(p, ctx, all_coordinate_pairings=True)
+    # a (2, 4) family member has 9 terms and 16 rows against 9-term cycles
+    i = root_of_unity(4, 1)
+    a = (zeta(8) * ((3 + 4 * i) / 5).promote(8), zeta(8))
+    monkeypatch.setattr(fermat_hodge, "CERTIFICATE_MAX_WORK", 16 * 9 * 9)
+    assert special_family(4, a, FermatContext(2, 4)).certificate.all_rational
+    monkeypatch.setattr(fermat_hodge, "CERTIFICATE_MAX_WORK", 16 * 9 * 9 - 1)
+    with pytest.raises(ValueError, match="above the certificate limit of 1295"):
+        special_family(4, a, FermatContext(2, 4))
+
+
+@pytest.mark.parametrize("n,d,terms,all_coordinate_pairings,refused", [
+    (4, 5, 64, True, False),  # 15 pairings of 125 rows: 7.7e6
+    (4, 7, 216, False, False),  # 1.6e7
+    (4, 5, 40, True, False),  # a dense 40-term class
+    (4, 9, 512, False, True),  # 1.9e8
+    (2, 20, 361, False, True),  # 5.2e7
+    (22, 3, 4096, True, True),  # 23!! pairings, counted without listing them
+])
+def test_certificate_budget_envelope(n, d, terms, all_coordinate_pairings, refused):
+    from fermatcalc.fermat_hodge import _check_certificate_size
+
+    ctx = FermatContext(n, d)
+    if refused:
+        with pytest.raises(ValueError, match="above the certificate limit of 20000000"):
+            _check_certificate_size(ctx, terms, all_coordinate_pairings)
+    else:
+        _check_certificate_size(ctx, terms, all_coordinate_pairings)
+
+
 # ---------------------------------------------------------------------------
 # structure recovery
 # ---------------------------------------------------------------------------
@@ -376,6 +422,45 @@ def test_scan_refuses_exactly_above_its_budget(monkeypatch):
     assert rationality_scan(CyclotomicNumber.from_rational(2), 5).direct is False
     with pytest.raises(ValueError, match=r"d = 5 over Q\(zeta_20\) needs d\^2 phi\^3 = 12800"):
         rationality_scan(root_of_unity(4, 1), 5)
+
+
+def per_pair_scan(a, d):
+    """The scan as one division per pair of odd roots, the reference for
+    `rationality_scan`: its witness (or None), and which of the two factors
+    (a x - 1) and (a^(d-1) + y) of a skipped pair's denominator vanished."""
+    m = math.lcm(a.m, 2 * d)
+    av = a.promote(m)
+    a_pow = av ** (d - 1)
+    odd_powers = [(k, root_of_unity(2 * d, k).promote(m)) for k in range(1, 2 * d, 2)]
+    skipped = set()
+    for (r, x), (s, y) in itertools.product(odd_powers, repeat=2):
+        den = (a_pow + y) * (av * x - 1)
+        if den.is_zero():
+            skipped |= {"x"} if (av * x - 1).is_zero() else {"y"}
+            continue
+        value = (a_pow + x) * (av * y - 1) / den
+        if value.as_rational() is None:
+            return (r, s, value), skipped
+    return None, skipped
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_factored_scan_matches_the_per_pair_formula(d):
+    i = root_of_unity(4, 1)
+    z = root_of_unity(2 * d, 1)
+    literals = [z, z**3, i * z, CyclotomicNumber.from_rational(2),
+                CyclotomicNumber.from_rational(Fraction(-1, 3)), (3 + 4 * i) / 5,
+                i * ((8 + 5 * zeta(3)) / 7)]
+    for a in literals:
+        report = rationality_scan(a, d)
+        witness, skipped = per_pair_scan(a, d)
+        assert report.scan == (witness is None)
+        assert report.witness == witness
+        if witness is not None:  # the same representation, so the same output bytes
+            value = report.witness[2]
+            assert (value.m, value.nums, value.den) == (witness[2].m, witness[2].nums, witness[2].den)
+        if a is z:  # a = zeta_2d leaves each factor of the denominator undefined somewhere
+            assert skipped == {"x", "y"}
 
 
 def test_scan_soundness_for_degrees_five_and_seven():
@@ -499,6 +584,82 @@ def test_complete_intersection_rejects_non_decompositions(quintic_surface):
     g = [x[0] ** 4, x[2] ** 4]
     with pytest.raises(ValueError, match="not a decomposition"):
         complete_intersection_ideal(f, g, ctx)
+
+
+def standard_decomposition(ctx, ks, quadric):
+    """f_j = x_{2j} - zeta_{2d}^{k_j} x_{2j+1} for j < n/2+1, and with
+    `quadric` (type 1,...,1,2) one more such factor on the last pair,
+    multiplied into the last f; g_j is the cofactor of f_j in its pair sum
+    x_{2j}^d + x_{2j+1}^d."""
+    x = variables(ctx.nvars)
+    half = ctx.n // 2 + 1
+    pairs = zip([*range(half), half - 1], ks)
+    f = [x[2 * j] - x[2 * j + 1].scale(root_of_unity(ctx.m, k)) for j, k in pairs]
+    if quadric:
+        f[-2:] = [f[-2] * f[-1]]
+    return f, [pair_sum_cofactor(ctx, j, fi) for j, fi in enumerate(f)]
+
+
+DECOMPOSITIONS = [
+    (n, d, ks, quadric)
+    for n, d in ((2, 5), (2, 7), (4, 4), (4, 5))
+    for ks, quadric in (
+        ((1,) * (n // 2 + 1), False),
+        ((3, 2 * d - 1, 1)[: n // 2 + 1], False),
+        ((1,) * (n // 2) + (1, 3), True),
+        ((2 * d - 1,) * (n // 2) + (3, 2 * d - 1), True),
+    )
+] + [
+    (2, 5, (1, 1, 3), True),  # the README's dan-ci example, --type 1,2 --a z,z,z^3
+    (2, 5, (1, 3), False),  # the decomposition file of the CLI test
+]
+
+
+@pytest.mark.parametrize("n,d,ks,quadric", DECOMPOSITIONS,
+                         ids=[f"{n}-{d}-{'-'.join(map(str, ks))}" for n, d, ks, _ in DECOMPOSITIONS])
+def test_square_witness_is_the_elimination_witness(n, d, ks, quadric):
+    ctx = FermatContext(n, d)
+    f, g = standard_decomposition(ctx, ks, quadric)
+    report = complete_intersection_ideal(f, g, ctx)
+    assert report.square == ideal_square_membership(ctx.fermat_polynomial(), report.generators)
+    total = Polynomial.zero(ctx.nvars)
+    for i, j, gamma, coeff in report.square.witness:
+        total = total + (report.generators[i] * report.generators[j]
+                         * Polynomial.monomial(ctx.nvars, gamma)).scale(coeff)
+    assert total == ctx.fermat_polynomial()
+
+
+def test_socle_checks_refuse_exactly_above_their_budget(quintic_surface, monkeypatch):
+    from fermatcalc import fermat_hodge
+
+    # over Q(zeta_10), phi = 4: C(6+1+2, 2) (4+16)^2 = 36 * 400 with two free variables
+    ctx = quintic_surface
+    forms, cofactors = standard_decomposition(ctx, (1, 3), False)
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 400)
+    assert plane_in_fermat(forms, ctx).contained
+    assert complete_intersection_ideal(forms, cofactors, ctx).socle_ok
+    # type 1,2 leaves three free variables: C(10, 3) * 400 = 48000
+    f, g = standard_decomposition(ctx, (1, 1, 3), True)
+    with pytest.raises(ValueError, match=r"\(phi\+16\)\^2 = 48000 steps with m = 3"):
+        complete_intersection_ideal(f, g, ctx)
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 400 - 1)
+    with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_10\) needs .* = 14400 steps"):
+        plane_in_fermat(forms, ctx)
+
+
+def test_complete_intersection_runs_no_square_elimination(quintic_surface, monkeypatch):
+    from fermatcalc import fermat_hodge, idealcalc
+
+    def refuse(*args):
+        raise AssertionError("the square elimination ran")
+
+    monkeypatch.setattr(idealcalc, "ideal_square_membership", refuse)
+    monkeypatch.setattr(fermat_hodge, "ideal_square_membership", refuse, raising=False)
+    f, g = standard_decomposition(quintic_surface, (1, 1, 3), True)
+    report = complete_intersection_ideal(f, g, quintic_surface)
+    one = CyclotomicNumber.one()
+    assert report.square.member
+    assert report.square.witness == ((0, 1, (0, 0, 0, 0), one), (2, 3, (0, 0, 0, 0), one))
 
 
 # ---------------------------------------------------------------------------
