@@ -242,6 +242,8 @@ def _run_prop11(args, ctx):
 
 
 def _run_plane(args, ctx):
+    # before parsing builds the field; n/2+1 linear forms leave m = n/2+1 variables
+    fermat_hodge.check_socle_size(ctx, ctx.n // 2 + 1)
     if args.forms:
         forms = ioformats.polynomials_from_json(_read_json(args.forms))
     elif args.a:
@@ -262,6 +264,8 @@ def _run_plane(args, ctx):
 
 
 def _run_dan_ci(args, ctx):
+    # before parsing builds the field; one linear form per f_i, g_i pair at most, so m >= n/2+1
+    fermat_hodge.check_socle_size(ctx, ctx.n // 2 + 1)
     if args.decomp:
         f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
     else:

@@ -312,6 +312,11 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.m == 1 or other.m == 1:
+            # a rational factor scales the other's coordinates: the promoted
+            # product's convolution, with nothing to reduce
+            r, x = (self, other) if self.m == 1 else (other, self)
+            return CyclotomicNumber(x.m, [r.nums[0] * v for v in x.nums], r.den * x.den)
         x, y = self._common(other)
         fld = _field(x.m)
         phi = fld.phi

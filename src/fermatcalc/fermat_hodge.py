@@ -5,7 +5,8 @@ sigma = (d-2)(n/2+1).  Linear cycles (linear subvarieties cut out by
 binomials x_p - zeta_{2d}^alpha x_q) and, more generally, product classes
 built from geometric factors over a coordinate pairing are constructed
 explicitly.  Intersection pairings are read off the socle coefficient of the
-reduced product and normalized by the Hessian coefficient of the Fermat
+product mod J (`jacobian_product`, which multiplies only the term pairs whose
+monomial is capped) and normalized by the Hessian coefficient of the Fermat
 polynomial; every value is exact, so rationality checks are coordinate
 checks in a cyclotomic field.
 
@@ -29,7 +30,7 @@ from fermatcalc.idealcalc import (
     FermatContext,
     SquareMembership,
     ideal_hilbert_dims,
-    reduce_mod_jacobian,
+    jacobian_product,
     solve_linear_forms,
 )
 from fermatcalc.multipoly import (
@@ -62,6 +63,7 @@ __all__ = [
     "rationality_scan",
     "PROP11_MAX_WORK",
     "SOCLE_MAX_WORK",
+    "check_socle_size",
     "plane_in_fermat",
     "complete_intersection_ideal",
     "special_family",
@@ -191,14 +193,14 @@ class PairingResult:
 
 
 def pair_classes(p: Polynomial, q: Polynomial, ctx: FermatContext) -> PairingResult:
-    """p*q has degree 2 sigma, the socle degree of the Jacobian ring, so it
-    reduces to a multiple of the socle monomial alone."""
+    """p*q has degree 2 sigma, the socle degree of the Jacobian ring, so its
+    product mod J is a multiple of the socle monomial alone."""
     if p.nvars != ctx.nvars or q.nvars != ctx.nvars:
         raise ValueError(f"variable count mismatch: {p.nvars} and {q.nvars}, expected {ctx.nvars}")
     if p.homogeneous_degree() != ctx.sigma or q.homogeneous_degree() != ctx.sigma:
         raise ValueError(f"both classes must be homogeneous of degree {ctx.sigma}")
     socle = (ctx.d - 2,) * ctx.nvars
-    socle_coeff = reduce_mod_jacobian(p * q, ctx).coeff(socle)
+    socle_coeff = jacobian_product(p, q, ctx).coeff(socle)
     c = socle_coeff / hessian_coefficient(ctx)
     half = ctx.n // 2
     factor = Fraction(-(ctx.d - 1) ** ctx.nvars * ctx.d, math.factorial(half) ** 2)
@@ -237,10 +239,11 @@ class RationalityCertificate:
 
 
 # Most rows * |P| * (d-1)^(n/2+1) term pairs a rationality certificate accepts,
-# rows = pairings * d^(n/2+1): each row multiplies P by a linear cycle of
-# (d-1)^(n/2+1) terms.  On a 2-core x86_64 host, `certify --alpha 1,1,1` at
-# (4, 7) (1.6e7) takes 9-11 s and at (4, 5) with all 15 pairings (7.7e6) 30 s;
-# (4, 9) (1.9e8) and (2, 20) (5.2e7) are refused.
+# rows = pairings * d^(n/2+1): each row reads P times a linear cycle of
+# (d-1)^(n/2+1) terms mod J, checking every term pair against the cap.  On a
+# 2-core x86_64 host, `certify --alpha 1,1,1` at (4, 7) (1.6e7) takes 5-7 s
+# and at (4, 5) with all 15 pairings (7.7e6) 3-4 s; (4, 9) (1.9e8) and
+# (2, 20) (5.2e7) are refused.
 CERTIFICATE_MAX_WORK = 20_000_000
 
 
@@ -429,16 +432,24 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 SOCLE_MAX_WORK = 20_000_000
 
 
-def _check_socle_size(inputs, ctx: FermatContext) -> None:
-    """Refuse a socle check above SOCLE_MAX_WORK, counted before any ideal is built."""
-    m = ctx.nvars - sum(v.homogeneous_degree() == 1 for v in inputs)
-    L = math.lcm(*(c.m for v in inputs for c in v.terms.values()))
-    work = math.comb(ctx.sigma + 1 + m, m) * (euler_phi(L) + 16) ** 2
+def check_socle_size(ctx: FermatContext, m: int, L: int | None = None) -> None:
+    """Refuse a socle check in m variables over Q(zeta_L) above SOCLE_MAX_WORK.
+    Without L the count takes phi(L) = 1, its least value, so that the command
+    line can refuse before it parses a coefficient (which builds the field)."""
+    phi = 1 if L is None else euler_phi(L)
+    work = math.comb(ctx.sigma + 1 + m, m) * (phi + 16) ** 2
     if work > SOCLE_MAX_WORK:
+        field, bound = ("", "at least ") if L is None else (f" over Q(zeta_{L})", "")
         raise ValueError(
-            f"(n, d) = ({ctx.n}, {ctx.d}) over Q(zeta_{L}) needs C(sigma+1+m, m) (phi+16)^2 = "
+            f"(n, d) = ({ctx.n}, {ctx.d}){field} needs {bound}C(sigma+1+m, m) (phi+16)^2 = "
             f"{work} steps with m = {m}, above the socle-check limit of {SOCLE_MAX_WORK}"
         )
+
+
+def _check_socle_size(inputs, ctx: FermatContext) -> None:
+    """`check_socle_size` for the ideal of `inputs`, before it is built."""
+    m = ctx.nvars - sum(v.homogeneous_degree() == 1 for v in inputs)
+    check_socle_size(ctx, m, math.lcm(*(c.m for v in inputs for c in v.terms.values())))
 
 
 def _socle_check(generators, ctx: FermatContext) -> tuple[tuple[int, ...], int | None, bool]:

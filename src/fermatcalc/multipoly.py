@@ -8,51 +8,16 @@ that need it rather than enforced on the type.
 The only monomial orders provided are lexicographic orders induced by a
 priority listing of the variables (greatest variable first), which is all
 the degree-slice machinery in this package requires.
-
-`Polynomial.__mul__` multiplies by Kronecker substitution, so that a term
-pair costs one big-integer multiply-add instead of a `CyclotomicNumber`
-product and sum:
-
-- Monomials.  With s = bit_length(max exponent of A + max exponent of B)
-  + 1, the monomial e packs as sum_i e_i 2^(s i).  No field can carry, so
-  the product monomial is the integer sum ka + kb; each output key is
-  decoded once.
-- Coefficients.  Term pairs are summed separately for each pair conductor
-  L = lcm(m_a, m_b).  Each coefficient is promoted to L and written over its
-  operand's common denominator D_A (or D_B) as an integer power-basis
-  vector u, packed as x = sum_i u_i 2^(k i).  A pair adds x * y at key
-  ka + kb; the sum is the coefficient convolution evaluated at 2^k.  It is
-  reduced modulo N = Phi_L(2^k), the image of the cyclotomic polynomial,
-  and the residue in (-N/2, N/2) has the reduced coordinates as its phi(L)
-  signed k-bit digits.  `CyclotomicNumber(L, digits, D_A * D_B)` then
-  normalises.
-- The bound.  An output key is reached by at most min(|A|, |B|) pairs, each
-  adding at most phi(L) products u_i v_j to a convolution slot, so every
-  slot is at most C = min(|A|, |B|) * phi(L) * max|u_i| * max|v_j| in
-  absolute value.  Reducing slot e by row e of `_field(L).powers` gives
-  coordinates of absolute value at most C * rho, with
-  rho = max_t sum_e |powers[e][t]| over e < 2 phi(L) - 1.  The slot width is
-  k = bit_length(C * rho) + 3, so every coordinate lies below 2^(k-3), its
-  packed value below 2^(k phi - 2), and, as the lower coefficients of Phi_L
-  are below rho, N exceeds 3 * 2^(k phi - 2): that packed value is the
-  residue, and its digits decode exactly.
-- Conductors.  A coefficient keeps the conductor the term-by-term product
-  gives it: the lcm of the pair conductors of the terms that reach its
-  monomial.  A monomial reached from several L adds their sums, zero sums
-  included, with `CyclotomicNumber` addition.  (Summing term by term in
-  loop order would restart that lcm whenever a partial sum cancelled to
-  zero; the packed product keeps the lcm over all the pairs instead.)
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import defaultdict
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator
 
-from fermatcalc.exactnum import CyclotomicNumber, _field, cyclotomic_polynomial
+from fermatcalc.exactnum import CyclotomicNumber
 
 Monomial = tuple[int, ...]
 
@@ -286,7 +251,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        return self._raw(self.nvars, _packed_product(self.terms, other.terms, self.nvars))
+        # Zero partial sums stay until the end, so every coefficient keeps
+        # the lcm of the conductors of all the term pairs reaching it.
+        data: dict[Monomial, CyclotomicNumber] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(add, e1, e2))
+                c = c1 * c2
+                cur = data.get(key)
+                data[key] = c if cur is None else cur + c
+        return self._raw(self.nvars, {e: c for e, c in data.items() if c})
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)
@@ -374,93 +348,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {str(self)!r})"
-
-
-def _packed_product(a: dict, b: dict, nvars: int) -> dict:
-    """The term map of the product of the term maps a and b, at one integer
-    multiply-add per term pair; the module docstring describes the packing
-    and proves that decoding is exact."""
-    if not a or not b:
-        return {}
-    top = max(max(e, default=0) for e in a) + max(max(e, default=0) for e in b)
-    s = top.bit_length() + 1
-    shifts = range(0, s * nvars, s)
-    groups_a = _conductor_groups(a, shifts)
-    groups_b = _conductor_groups(b, shifts)
-    den_a = math.lcm(*(c.den for c in a.values()))
-    den_b = math.lcm(*(c.den for c in b.values()))
-    by_conductor: dict[int, list[tuple[int, int]]] = {}
-    for ma in groups_a:
-        for mb in groups_b:
-            by_conductor.setdefault(math.lcm(ma, mb), []).append((ma, mb))
-    bound = min(len(a), len(b))
-    mixed = len(by_conductor) > 1
-    out: dict[int, CyclotomicNumber] = {}
-    for L, pairs in by_conductor.items():
-        fld = _field(L)
-        phi = fld.phi
-        vecs_a = {ma: _scaled_vectors(groups_a[ma], L, den_a) for ma in {ma for ma, _ in pairs}}
-        vecs_b = {mb: _scaled_vectors(groups_b[mb], L, den_b) for mb in {mb for _, mb in pairs}}
-        top_a = max(max(map(abs, vec)) for group in vecs_a.values() for _, vec in group)
-        top_b = max(max(map(abs, vec)) for group in vecs_b.values() for _, vec in group)
-        rho = max(sum(abs(row[t]) for row in fld.powers[: 2 * phi - 1]) for t in range(phi))
-        k = (bound * phi * top_a * top_b * rho).bit_length() + 3
-        packed_a = {ma: [(key, _pack(v, k)) for key, v in group] for ma, group in vecs_a.items()}
-        packed_b = {mb: [(key, _pack(v, k)) for key, v in group] for mb, group in vecs_b.items()}
-        acc: dict[int, int] = defaultdict(int)
-        for ma, mb in pairs:
-            terms_b = packed_b[mb]
-            for ka, x in packed_a[ma]:
-                for kb, y in terms_b:
-                    acc[ka + kb] += x * y
-        modulus = _pack(cyclotomic_polynomial(L), k)
-        half_modulus = modulus >> 1
-        half = 1 << (k - 1)
-        mask = (1 << k) - 1
-        digit_shifts = range(0, k * phi, k)
-        bias = sum(half << sh for sh in digit_shifts)
-        den = den_a * den_b
-        for key, total in acc.items():
-            r = total % modulus
-            if r > half_modulus:
-                r -= modulus
-            if not r and not mixed:
-                continue
-            r += bias
-            value = CyclotomicNumber(L, [((r >> sh) & mask) - half for sh in digit_shifts], den)
-            cur = out.get(key)  # None unless another L reached the key
-            out[key] = value if cur is None else cur + value
-    if mixed:
-        out = {key: value for key, value in out.items() if value}
-    smask = (1 << s) - 1
-    return {tuple([(key >> sh) & smask for sh in shifts]): value for key, value in out.items()}
-
-
-def _conductor_groups(terms: dict, shifts) -> dict[int, list]:
-    """The terms as (packed monomial, coefficient), grouped by conductor."""
-    groups: dict[int, list] = {}
-    for exps, c in terms.items():
-        groups.setdefault(c.m, []).append((sum(map(operator.lshift, exps, shifts)), c))
-    return groups
-
-
-def _scaled_vectors(group, L: int, den: int) -> list[tuple]:
-    """Each coefficient's integer power-basis vector at conductor L over the
-    common denominator den, keyed as in the group."""
-    out = []
-    for key, c in group:
-        c = c.promote(L)
-        f = den // c.den
-        out.append((key, c.nums if f == 1 else [v * f for v in c.nums]))
-    return out
-
-
-def _pack(vec, k: int) -> int:
-    """sum_i vec[i] * 2^(k i), with signed entries."""
-    x = 0
-    for v in reversed(vec):
-        x = (x << k) + v
-    return x
 
 
 def geometric_factor(nvars: int, i: int, j: int, a, d: int) -> Polynomial:

@@ -479,6 +479,17 @@ def test_runaway_scans_are_refused_at_once(argv, err, capsys):
     (["dan-ci", "--n", "2", "--d", "100", "--type", "1,1", "--a", "z,z"], "_socle_check",
      "(n, d) = (2, 100) over Q(zeta_200) needs C(sigma+1+m, m) (phi+16)^2 = "
      "181564416 steps with m = 2, above the socle-check limit of 20000000"),
+    # refused at phi = 1, before parsing --a builds Q(zeta_6000)
+    (["plane", "--n", "2", "--d", "3000", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 3000) needs at least C(sigma+1+m, m) (phi+16)^2 = "
+     "5199399289 steps with m = 2, above the socle-check limit of 20000000"),
+    (["dan-ci", "--n", "2", "--d", "3000", "--type", "1,2", "--a", "z,z,z"], "_socle_check",
+     "(n, d) = (2, 3000) needs at least C(sigma+1+m, m) (phi+16)^2 = "
+     "5199399289 steps with m = 2, above the socle-check limit of 20000000"),
+    # and before reading a --forms file, which here does not exist
+    (["plane", "--n", "2", "--d", "3000", "--forms", "unread.json"], "_socle_check",
+     "(n, d) = (2, 3000) needs at least C(sigma+1+m, m) (phi+16)^2 = "
+     "5199399289 steps with m = 2, above the socle-check limit of 20000000"),
 ])
 def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err, capsys,
                                                                  monkeypatch):

@@ -118,6 +118,13 @@ def test_conductor_promotion_is_an_embedding():
     assert (x * y).promote(12) == x.promote(12) * y.promote(12)
     with pytest.raises(ValueError):
         x.promote(9)  # 6 does not divide 9
+    # a rational factor, in either order, gives the promoted product's stored data
+    for q in (0, Fraction(-3, 4), Fraction(7, 6)):
+        r = CyclotomicNumber.from_rational(q)
+        for c in (x, y, (zeta(10) - 3) / 5, CyclotomicNumber.zero(12)):
+            p = CyclotomicNumber.from_rational(q, c.m) * c
+            for product in (r * c, c * r, q * c, c * q):
+                assert (product.m, product.nums, product.den) == (p.m, p.nums, p.den)
 
 
 def test_promote_then_demote_is_identity():

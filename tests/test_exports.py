@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +20,18 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name_of_another(name):
+    # a name with a leading underscore stays private to the module defining it
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fermatcalc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -269,6 +269,32 @@ def test_certificate_all_pairings(quintic_surface):
     assert cert.verdict == "all rational"
 
 
+@pytest.mark.parametrize("n,d", [(2, 5), (4, 4)])
+def test_certificate_rows_match_the_full_product(n, d, monkeypatch):
+    # `certify --all-pairings` rows against the reduced full product p * delta
+    from fermatcalc import fermat_hodge
+
+    def rows(p):
+        cert = rationality_certificate(p, ctx, all_coordinate_pairings=True)
+        return [(r.pairing, r.alpha, r.flag, r.c.m, r.c.nums, r.c.den) for r in cert.rows]
+
+    ctx = FermatContext(n, d)
+    socle = (d - 2,) * ctx.nvars
+    delta = linear_cycle_poly((1,) * (n // 2 + 1), ctx)
+    (g1, c1), (g2, c2) = list(delta.terms.items())[:2]
+    # c2 x^(socle-g1) - c1 x^(socle-g2): its first row, against delta, cancels to zero
+    cancelling = Polynomial(ctx.nvars, [(tuple(s - e for s, e in zip(socle, g1)), c2),
+                                        (tuple(s - e for s, e in zip(socle, g2)), -c1)])
+    for p in (cancelling, random_reduced_class(ctx, random.Random(0), 6)):
+        fast = rows(p)
+        with monkeypatch.context() as mp:
+            mp.setattr(fermat_hodge, "jacobian_product",
+                       lambda p, q, ctx: reduce_mod_jacobian(p * q, ctx))
+            assert rows(p) == fast
+        assert all(m == 1 for _, _, flag, m, _, _ in fast if flag == "zero")
+        assert (fast[0][2] == "zero") == (p is cancelling)
+
+
 def test_certificates_refuse_exactly_above_their_budget(quintic_surface, monkeypatch):
     from fermatcalc import fermat_hodge
 
@@ -645,6 +671,11 @@ def test_socle_checks_refuse_exactly_above_their_budget(quintic_surface, monkeyp
     monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 400 - 1)
     with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_10\) needs .* = 14400 steps"):
         plane_in_fermat(forms, ctx)
+    # the bound at phi = 1, 36 * 17^2, which the command line checks before parsing
+    fermat_hodge.check_socle_size(ctx, 2)
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 289 - 1)
+    with pytest.raises(ValueError, match=r"\(2, 5\) needs at least .* = 10404 steps with m = 2"):
+        fermat_hodge.check_socle_size(ctx, 2)
 
 
 def test_complete_intersection_runs_no_square_elimination(quintic_surface, monkeypatch):

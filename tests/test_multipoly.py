@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.fermat_hodge import linear_cycle_poly
-from fermatcalc.idealcalc import FermatContext
+from fermatcalc.fermat_hodge import ProductClassSpec, linear_cycle_poly, product_class_poly
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, jacobian_product, reduce_mod_jacobian
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -20,7 +20,7 @@ from fermatcalc.multipoly import (
     pair_leader_order,
 )
 
-from conftest import coefficient_pool
+from conftest import coefficient_pool, random_product_coefficients, random_reduced_class
 
 
 def variables(nvars):
@@ -259,16 +259,17 @@ def test_capped_count_matches_the_enumeration(nvars, cap):
 
 
 # ---------------------------------------------------------------------------
-# The packed product against the term-pair loop it replaced
+# The product against the term-pair loop that drops cancelled sums
 # ---------------------------------------------------------------------------
 
 
 def term_pair_product(p, q):
-    """The term-pair loop `Polynomial.__mul__` ran before the packed
-    product: one `CyclotomicNumber` product and one sum per term pair, in
+    """The term-pair loop that deletes a monomial whenever its running sum
+    cancels: one `CyclotomicNumber` product and one sum per term pair, in
     loop order.  Returns the terms, the lcm of the pair conductors reaching
     each monomial, and the monomials whose running sum cancelled to zero on
-    the way (where the loop restarted its conductor lcm)."""
+    the way (where this loop restarts its conductor lcm, and
+    `Polynomial.__mul__`, which keeps zero sums to the end, does not)."""
     data, reached, cancelled = {}, {}, set()
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
@@ -327,7 +328,7 @@ conductor_sets = st.lists(st.sampled_from(PRODUCT_CONDUCTORS), min_size=1, max_s
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_packed_product_matches_the_term_pair_loop(data):
+def test_product_matches_the_term_pair_loop(data):
     nvars = data.draw(st.integers(0, 3))
     conductors = data.draw(conductor_sets)
     max_exponent = data.draw(st.sampled_from([1, 2, 300]))
@@ -338,7 +339,7 @@ def test_packed_product_matches_the_term_pair_loop(data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_packed_product_cancels_cross_terms_exactly(data):
+def test_product_cancels_cross_terms_exactly(data):
     # (D x0 + D x1)(C x0 - C x1): every cross term D_i C_j x0 x1 cancels
     # against its mirror, within one conductor and across several
     conductors = data.draw(conductor_sets)
@@ -362,7 +363,7 @@ def test_packed_product_cancels_cross_terms_exactly(data):
 @given(
     st.sampled_from(PRODUCT_CONDUCTORS), st.integers(0, 17), st.integers(2, 9), st.integers(1, 3)
 )
-def test_packed_product_telescopes_like_the_loop(m, k, d, r):
+def test_product_telescopes_like_the_loop(m, k, d, r):
     # (x0 - a x1) * sum_q x0^(d-2-q) (a x1)^q: the factor's first
     # coefficient is the conductor-1 one, the others lie at m
     a = root_of_unity(m, k) * r
@@ -372,7 +373,7 @@ def test_packed_product_telescopes_like_the_loop(m, k, d, r):
     assert product == Polynomial(2, [((d - 1, 0), 1), ((0, d - 1), -(a ** (d - 1)))])
 
 
-def test_packed_product_edge_operands():
+def test_product_edge_operands():
     c = CyclotomicNumber(8, [1, 0, 2**70, -3], 5)
     for nvars in (0, 1, 3):
         one_term = Polynomial.monomial(nvars, (300,) * nvars, c)
@@ -387,25 +388,56 @@ def test_packed_product_edge_operands():
     assert product.terms[(0,)].m == 1 and product.terms[(2,)].m == 8
 
 
-def test_product_of_linear_cycles_makes_no_field_arithmetic(monkeypatch):
-    # one conductor throughout: every term pair must go through the packed
-    # product, with no per-pair CyclotomicNumber product or sum
-    ctx = FermatContext(4, 4)
-    p = linear_cycle_poly((1, 3, 5), ctx)
-    q = linear_cycle_poly((7, 1, 3), ctx)
-    assert len(p.terms) == len(q.terms) == 27
-    assert {c.m for c in p.terms.values()} == {c.m for c in q.terms.values()} == {8}
-    expected, _, _ = term_pair_product(p, q)
-    calls = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        original = getattr(CyclotomicNumber, name)
+# ---------------------------------------------------------------------------
+# The product read mod J against the reduced full product
+# ---------------------------------------------------------------------------
 
-        def counted(self, other, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self, other)
 
-        monkeypatch.setattr(CyclotomicNumber, name, counted)
-    product = p * q
-    monkeypatch.undo()
-    assert calls == []
-    assert product == Polynomial(ctx.nvars, expected)
+def assert_same_coefficients(got, expected):
+    assert got.terms.keys() == expected.terms.keys()
+    for e, c in expected.terms.items():
+        g = got.terms[e]
+        assert (g.m, g.nums, g.den) == (c.m, c.nums, c.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_jacobian_product_matches_the_reduced_product(data):
+    ctx = FermatContext(2, data.draw(st.integers(3, 6)))
+    conductors = data.draw(conductor_sets)
+    p = data.draw(polynomials(ctx.nvars, conductors, ctx.d - 1, max_terms=8))
+    q = data.draw(polynomials(ctx.nvars, conductors, ctx.d - 1, max_terms=8))
+    if data.draw(st.booleans()):
+        # p (x0 + x1) times q (x0 - x1): every cross term cancels against its mirror
+        x = variables(ctx.nvars)
+        p, q = p * (x[0] + x[1]), q * (x[0] - x[1])
+    assert_same_coefficients(jacobian_product(p, q, ctx), reduce_mod_jacobian(p * q, ctx))
+
+
+def test_jacobian_product_keeps_the_conductor_of_a_cancelled_sum():
+    # at x0 x1, z x0 * x1 and z x1 * (-x0) cancel at conductor 8 before the
+    # conductor-1 pair x0 x1 * 1 arrives
+    ctx, x, z = FermatContext(2, 4), variables(4), zeta(8)
+    p, q = x[0].scale(z) + x[1].scale(z) + x[0] * x[1], x[1] - x[0] + Polynomial.constant(4, 1)
+    product = jacobian_product(p, q, ctx)
+    assert_same_coefficients(product, reduce_mod_jacobian(p * q, ctx))
+    assert product.terms[(1, 1, 0, 0)] == 1 and product.terms[(1, 1, 0, 0)].m == 8
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
+def test_jacobian_product_of_classes_matches_the_reduced_product(n, d):
+    ctx = FermatContext(n, d)
+    rng = random.Random(10 * n + d)
+    alpha = tuple(rng.randrange(1, 2 * d, 2) for _ in range(n // 2 + 1))
+    spec = ProductClassSpec(random_product_coefficients(ctx, rng), CyclotomicNumber.one())
+    classes = [
+        linear_cycle_poly(alpha, ctx),
+        product_class_poly(spec, ctx),
+        random_reduced_class(ctx, rng, 40),
+    ]
+    x = variables(ctx.nvars)
+    for p in classes:
+        # the g * P check: the colon's degree-1 forms, and one form outside it
+        forms = [*ColonIdeal(p, ctx).slice(1).basis, x[0] - x[1].scale(zeta(2 * d))]
+        for q in classes + forms:
+            assert_same_coefficients(jacobian_product(q, p, ctx), reduce_mod_jacobian(q * p, ctx))
