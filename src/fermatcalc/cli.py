@@ -219,6 +219,8 @@ def _run_recover(args, ctx):
 
 def _run_prop11(args, ctx):
     conductor = 2 * args.d
+    if args.d >= 3:  # the scan refuses d < 3 first; else count before parsing builds the field
+        fermat_hodge.check_prop11_size(args.d, conductor)
     a = ioformats.parse_cyclotomic_expr(args.a, conductor)
     report = fermat_hodge.rationality_scan(a, args.d)
     payload = {

@@ -10,6 +10,16 @@ monomial is capped) and normalized by the Hessian coefficient of the Fermat
 polynomial; every value is exact, so rationality checks are coordinate
 checks in a cyclotomic field.
 
+The ideal of a decomposition F = sum_i f_i g_i (a plane's L_i, Q_i or a
+complete-intersection type's f_i, g_i) needs no elimination.  A common zero
+of its n+2 generators would be a zero of F and of every dF/dx_k =
+sum_i (df_i/dx_k g_i + f_i dg_i/dx_k), a singular point of the smooth Fermat
+hypersurface.  So the n+2 forms have no common zero in P^(n+1) and are a
+regular sequence in the n+2 variables, and the quotient has Hilbert series
+prod_i (1 + t + ... + t^(e_i - 1)) over their degrees e_i (Stanley, Hilbert
+functions of graded algebras, Adv. Math. 28 (1978)).  A constant generator
+gives the unit ideal, and its factor is the empty sum: every dimension is 0.
+
 The rational scale of a class polynomial is not pinned down by the geometry;
 this module fixes the convention that linear-cycle polynomials carry scale 1.
 All rationality verdicts are invariant under rational rescaling, so the
@@ -29,7 +39,6 @@ from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     SquareMembership,
-    ideal_hilbert_dims,
     jacobian_product,
     solve_linear_forms,
 )
@@ -62,6 +71,7 @@ __all__ = [
     "recover_product_structure",
     "rationality_scan",
     "PROP11_MAX_WORK",
+    "check_prop11_size",
     "SOCLE_MAX_WORK",
     "check_socle_size",
     "plane_in_fermat",
@@ -376,15 +386,21 @@ class RationalityScanReport:
 PROP11_MAX_WORK = 20_000_000
 
 
+def check_prop11_size(d: int, m: int) -> None:
+    """Refuse a rationality scan at degree d over Q(zeta_m) above PROP11_MAX_WORK.
+    2d divides the scan's conductor, so m = 2d is a lower bound, checkable before a is parsed."""
+    if (work := d * d * euler_phi(m) ** 3) > PROP11_MAX_WORK:
+        raise ValueError(f"d = {d} over Q(zeta_{m}) needs d^2 phi^3 = {work} steps, "
+                         f"above the prop11 limit of {PROP11_MAX_WORK}")
+
+
 def rationality_scan(a, d: int) -> RationalityScanReport:
     if d < 3:
         raise ValueError("degree must be at least 3")
     if not isinstance(a, CyclotomicNumber):
         a = CyclotomicNumber.from_rational(a)
     m = math.lcm(a.m, 2 * d)
-    if (work := d * d * euler_phi(m) ** 3) > PROP11_MAX_WORK:
-        raise ValueError(f"d = {d} over Q(zeta_{m}) needs d^2 phi^3 = {work} steps, "
-                         f"above the prop11 limit of {PROP11_MAX_WORK}")
+    check_prop11_size(d, m)
     av = a.promote(m)
     a_pow = av ** (d - 1)
     odd_powers = [(k, root_of_unity(2 * d, k).promote(m)) for k in range(1, 2 * d, 2)]
@@ -422,13 +438,14 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 
 
 # Most C(sigma+1+m, m) * (phi(L)+16)^2 that `plane_in_fermat` and
-# `complete_intersection_ideal` accept.  Their socle check eliminates the
-# slices of degree 0..sigma+1 in the m variables left after solving the
-# linear inputs, C(sigma+1+m, m) monomials, each a pivot at most, and one
-# pivot costs about (phi(L)+16)^2 steps, L the conductor of the inputs'
-# coefficients.  On a 2-core x86_64 host, `dan-ci --n 2 --type 1,1 --a z,z`
-# at d = 60 (1.6e7) takes 4-6 s; `plane --n 2 --a z,z` at d = 70 (3.9e7) and
-# `dan-ci --n 2 --type 1,2` at d = 30 (3.5e7) are refused.
+# `complete_intersection_ideal` accept, m the variables left after solving the
+# linear inputs and L the conductor of their coefficients: the cost of
+# eliminating degrees 0..sigma+1, which the socle check no longer does (it
+# reads its dimensions off the generator degrees).  The count overstates the
+# work, but the limit is kept and refuses the same inputs: `plane --n 2 --a z,z`
+# at d = 70 (3.9e7) and `dan-ci --n 2 --type 1,2` at d = 30 (3.5e7).  With it
+# lifted, on a 2-core x86_64 host, that plane takes 0.05 s at d = 70, 0.4 s at
+# d = 300 and 5-6 s at d = 1000.
 SOCLE_MAX_WORK = 20_000_000
 
 
@@ -452,10 +469,23 @@ def _check_socle_size(inputs, ctx: FermatContext) -> None:
     check_socle_size(ctx, m, math.lcm(*(c.m for v in inputs for c in v.terms.values())))
 
 
+def _degree_product(degrees, up_to: int) -> list[int]:
+    """Coefficients of t^0..t^up_to in prod_e (1 + t + ... + t^(e-1)): the
+    quotient dimensions of a regular sequence of forms of degrees e.
+
+    >>> _degree_product((1, 4, 1, 4), 7)
+    [1, 2, 3, 4, 3, 2, 1, 0]
+    """
+    dims = [1] + [0] * up_to
+    for e in degrees:
+        dims = [sum(dims[max(k - e + 1, 0):k + 1]) for k in range(up_to + 1)]
+    return dims
+
+
 def _socle_check(generators, ctx: FermatContext) -> tuple[tuple[int, ...], int | None, bool]:
-    """Quotient dimensions in degrees 0..sigma+1, the top nonzero degree, and
-    whether the quotient is one-dimensional in degree sigma and zero above."""
-    dims = tuple(ideal_hilbert_dims(generators, ctx.sigma + 1))
+    """Quotient dimensions in degrees 0..sigma+1 (module docstring), the top nonzero
+    degree, and whether the quotient is one-dimensional in degree sigma and zero above."""
+    dims = tuple(_degree_product((g.homogeneous_degree() for g in generators), ctx.sigma + 1))
     socle = max((k for k, v in enumerate(dims) if v), default=None)
     return dims, socle, dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
 
@@ -479,7 +509,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     restriction vanishes identically.  On containment the cofactors Q_i with
     F = sum L_i Q_i are produced by dividing F by the echelon forms and
     transforming back, and the ideal <L_i, Q_i> is returned together with a
-    socle check (quotient dimension 1 in degree sigma, 0 above).
+    socle check (dimension 1 in degree sigma, 0 above; module docstring).
     """
     forms = list(forms)
     half = ctx.n // 2 + 1
@@ -552,10 +582,10 @@ class CompleteIntersectionReport:
 
 def complete_intersection_ideal(f, g, ctx: FermatContext) -> CompleteIntersectionReport:
     """The ideal generated by a complete-intersection decomposition
-    F = sum f_i g_i, with its quotient dimensions (by degreewise echelon
-    spans), socle check, and membership of F in the ideal's square.  The
-    generators are (f_1, g_1, f_2, g_2, ...), so the checked identity
-    F = sum f_i g_i is itself the square witness: no elimination is run."""
+    F = sum f_i g_i, with its quotient dimensions (off the generator degrees,
+    module docstring), socle check, and membership of F in the ideal's
+    square.  The generators are (f_1, g_1, f_2, g_2, ...), so the checked
+    identity F = sum f_i g_i is itself the square witness: no elimination."""
     f, g = list(f), list(g)
     if len(f) != len(g) or len(f) != ctx.n // 2 + 1:
         raise ValueError(f"expected {ctx.n // 2 + 1} factor pairs")

@@ -63,7 +63,6 @@ from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
     count_capped_monomials,
-    count_monomials,
     divide,
     leading_term,
     lex_order,
@@ -96,7 +95,6 @@ __all__ = [
     "pairing_rank",
     "ideal_square_membership",
     "ideal_slice",
-    "ideal_hilbert_dims",
     "solve_linear_forms",
     "standard_monomials",
 ]
@@ -557,37 +555,6 @@ def solve_linear_forms(
             p = p.substitute_linear(pv, replacement)
         restricted.append(p)
     return pivots, restricted
-
-
-def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
-    """Quotient dimensions [dim (S/I)_k for k = 0..up_to] by echelon spans.
-
-    The linear generators span a space L of linear forms.  Solving L for its
-    pivot variables leaves the ring S' in the m remaining variables, to which
-    the other generators G restrict as G'.  S/(L + G) and S'/G' are
-    isomorphic as graded rings, so the spans are computed in S', whose
-    degree-k slice has C(m-1+k, k) monomials instead of C(N-1+k, k) for the
-    N variables of S.
-    """
-    nvars = gens[0].nvars
-    degrees = [g.homogeneous_degree() for g in gens]
-    if None in degrees:
-        raise ValueError("generators must be homogeneous and nonzero")
-    pivots, restricted = solve_linear_forms(
-        [g for g, dg in zip(gens, degrees) if dg == 1],
-        [g for g, dg in zip(gens, degrees) if dg != 1],
-        nvars,
-    )
-    free = [v for v in range(nvars) if v not in pivots]
-    reduced = [
-        Polynomial(len(free), {tuple(e[v] for v in free): c for e, c in g.terms.items()})
-        for g in restricted
-        if g
-    ]
-    return [
-        count_monomials(len(free), k) - (ideal_slice(reduced, k).dim if reduced else 0)
-        for k in range(up_to + 1)
-    ]
 
 
 def standard_monomials(lts: Iterable[Monomial], k: int, nvars: int) -> list[Monomial]:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.idealcalc import FermatContext
-from fermatcalc.multipoly import Polynomial, monomials_of_degree
+from fermatcalc.idealcalc import FermatContext, ideal_slice, solve_linear_forms
+from fermatcalc.multipoly import Polynomial, count_monomials, monomials_of_degree
 
 
 @pytest.fixture
@@ -48,6 +49,43 @@ def random_reduced_class(ctx: FermatContext, rng: random.Random, terms: int = 10
 def random_product_coefficients(ctx: FermatContext, rng: random.Random):
     pool = coefficient_pool(ctx.m)
     return tuple(rng.choice(pool) for _ in range(ctx.n // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# Quotient dimensions of a generated ideal by elimination: the reference the
+# degree product of `fermat_hodge._socle_check` is checked against.
+# ---------------------------------------------------------------------------
+
+
+def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
+    """Quotient dimensions [dim (S/I)_k for k = 0..up_to] by echelon spans.
+
+    The linear generators span a space L of linear forms.  Solving L for its
+    pivot variables leaves the ring S' in the m remaining variables, to which
+    the other generators G restrict as G'.  S/(L + G) and S'/G' are
+    isomorphic as graded rings, so the spans are computed in S', whose
+    degree-k slice has C(m-1+k, k) monomials instead of C(N-1+k, k) for the
+    N variables of S.
+    """
+    nvars = gens[0].nvars
+    degrees = [g.homogeneous_degree() for g in gens]
+    if None in degrees:
+        raise ValueError("generators must be homogeneous and nonzero")
+    pivots, restricted = solve_linear_forms(
+        [g for g, dg in zip(gens, degrees) if dg == 1],
+        [g for g, dg in zip(gens, degrees) if dg != 1],
+        nvars,
+    )
+    free = [v for v in range(nvars) if v not in pivots]
+    reduced = [
+        Polynomial(len(free), {tuple(e[v] for v in free): c for e, c in g.terms.items()})
+        for g in restricted
+        if g
+    ]
+    return [
+        count_monomials(len(free), k) - (ideal_slice(reduced, k).dim if reduced else 0)
+        for k in range(up_to + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

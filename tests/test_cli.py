@@ -456,13 +456,31 @@ def test_slice_degree_sigma_is_the_top_slice(capsys):
     (["prop11", "--d", "600", "--a", "z"],
      "d = 600 over Q(zeta_1200) needs d^2 phi^3 = 11796480000000 steps, "
      "above the prop11 limit of 20000000"),
+    # refused at conductor 2d, before parsing --a builds Q(zeta_6000)
+    (["prop11", "--d", "3000", "--a", "z"],
+     "d = 3000 over Q(zeta_6000) needs d^2 phi^3 = 36864000000000000 steps, "
+     "above the prop11 limit of 20000000"),
 ])
-def test_runaway_scans_are_refused_at_once(argv, err, capsys):
+def test_runaway_scans_are_refused_at_once(argv, err, capsys, monkeypatch):
+    from fermatcalc import ioformats
+
+    def refuse(*args):
+        raise AssertionError("the literal was parsed")
+
+    monkeypatch.setattr(ioformats, "parse_cyclotomic_expr", refuse)
     t0 = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_prop11_still_counts_the_conductor_of_its_literal(capsys):
+    # i at odd d passes the count at 2d = 58 and is refused at L = lcm(4, 58)
+    code = main(["prop11", "--d", "29", "--a", "i"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: d = 29 over Q(zeta_116) needs d^2 phi^3 = "
+                                       "147693056 steps, above the prop11 limit of 20000000\n")
 
 
 @pytest.mark.parametrize("argv,work,err", [

@@ -32,7 +32,7 @@ from fermatcalc.fermat_hodge import (
     special_family,
 )
 
-from conftest import coefficient_pool, random_reduced_class
+from conftest import coefficient_pool, ideal_hilbert_dims, random_reduced_class
 
 
 def geometric_sum(a, b, d):
@@ -448,6 +448,10 @@ def test_scan_refuses_exactly_above_its_budget(monkeypatch):
     assert rationality_scan(CyclotomicNumber.from_rational(2), 5).direct is False
     with pytest.raises(ValueError, match=r"d = 5 over Q\(zeta_20\) needs d\^2 phi\^3 = 12800"):
         rationality_scan(root_of_unity(4, 1), 5)
+    # the count at 2d, which the command line takes before parsing a
+    fermat_hodge.check_prop11_size(5, 10)
+    with pytest.raises(ValueError, match=r"d = 5 over Q\(zeta_20\) needs d\^2 phi\^3 = 12800"):
+        fermat_hodge.check_prop11_size(5, 20)
 
 
 def per_pair_scan(a, d):
@@ -691,6 +695,98 @@ def test_complete_intersection_runs_no_square_elimination(quintic_surface, monke
     one = CyclotomicNumber.one()
     assert report.square.member
     assert report.square.witness == ((0, 1, (0, 0, 0, 0), one), (2, 3, (0, 0, 0, 0), one))
+
+
+def eliminated_socle_check(generators, ctx):
+    """The socle check with its dimensions by elimination, the reference for
+    the degree product of `fermat_hodge._socle_check`."""
+    dims = tuple(ideal_hilbert_dims(generators, ctx.sigma + 1))
+    socle = max((k for k, v in enumerate(dims) if v), default=None)
+    return dims, socle, dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
+
+
+def assert_matches_elimination(monkeypatch, build):
+    """build() gives the same whole report with the socle check eliminated."""
+    from fermatcalc import fermat_hodge
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fermat_hodge, "_socle_check", eliminated_socle_check)
+        reference = build()
+    report = build()
+    assert report == reference
+    return report
+
+
+CROSS_CHECKED = [
+    (n, d, (1,) * (n // 2 + 1) + (3,) * quadric, quadric)
+    for n, d in ((2, 5), (2, 7), (4, 4), (4, 5), (6, 4))
+    for quadric in (False, True)
+]
+
+
+@pytest.mark.parametrize("n,d,ks,quadric", CROSS_CHECKED,
+                         ids=[f"{n}-{d}-{'-'.join(map(str, ks))}" for n, d, ks, _ in CROSS_CHECKED])
+def test_decomposition_dims_match_elimination(n, d, ks, quadric, monkeypatch):
+    ctx = FermatContext(n, d)
+    f, g = standard_decomposition(ctx, ks, quadric)
+    report = assert_matches_elimination(monkeypatch, lambda: complete_intersection_ideal(f, g, ctx))
+    assert report.socle == ctx.sigma and report.socle_ok
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (4, 4)])
+def test_plane_socle_checks_match_elimination_over_every_pairing(n, d, monkeypatch):
+    ctx = FermatContext(n, d)
+    x = variables(ctx.nvars)
+    for pairing in all_pairings(n):
+        forms = [x[p] - x[q].scale(root_of_unity(ctx.m, 2 * j + 1))
+                 for j, (p, q) in enumerate(pairing)]
+        report = assert_matches_elimination(monkeypatch, lambda: plane_in_fermat(forms, ctx))
+        assert report.contained and report.socle == ctx.sigma and report.socle_ok
+
+
+@pytest.mark.parametrize("n,d,quadric", [(2, 5, False), (4, 4, True)])
+def test_koszul_twisted_decomposition_matches_elimination(n, d, quadric, monkeypatch):
+    # f_1 (g_1 + h f_2) + f_2 (g_2 - h f_1) = f_1 g_1 + f_2 g_2
+    ctx = FermatContext(n, d)
+    f, g = standard_decomposition(ctx, (1,) * (n // 2 + 1) + (3,) * quadric, quadric)
+    x = variables(ctx.nvars)
+    degree = d - f[0].homogeneous_degree() - f[1].homogeneous_degree()
+    h = x[0] ** degree - (x[2] * x[ctx.nvars - 1] ** (degree - 1)).scale(zeta(ctx.m))
+    g[0], g[1] = g[0] + h * f[1], g[1] - h * f[0]
+    report = assert_matches_elimination(monkeypatch, lambda: complete_intersection_ideal(f, g, ctx))
+    assert report.socle == ctx.sigma and report.socle_ok
+
+
+def test_constant_factor_gives_the_unit_ideal(quintic_surface, monkeypatch):
+    ctx = quintic_surface
+    f, g = standard_decomposition(ctx, (1, 3), False)
+    two = Polynomial.constant(ctx.nvars, 2)
+    f[0], g[0] = two, (f[0] * g[0]).scale(Fraction(1, 2))
+    report = assert_matches_elimination(monkeypatch, lambda: complete_intersection_ideal(f, g, ctx))
+    assert report.dims == (0,) * (ctx.sigma + 2)
+    assert report.socle is None and report.socle_ok is False
+    assert report.tangent.value == 0
+
+
+def test_plane_and_dan_ci_run_no_elimination(quintic_surface, monkeypatch, capsys):
+    import json
+
+    from fermatcalc import idealcalc
+    from fermatcalc.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ideal slice was eliminated")
+
+    monkeypatch.setattr(idealcalc, "ideal_slice", refuse)
+    ctx = quintic_surface
+    forms, cofactors = standard_decomposition(ctx, (1, 3), False)
+    assert plane_in_fermat(forms, ctx).socle_ok
+    f, g = standard_decomposition(ctx, (1, 1, 3), True)
+    assert complete_intersection_ideal(f, g, ctx).socle_ok
+    assert main(["plane", "--n", "2", "--d", "5", "--a", "z,z^3"]) == 0
+    assert json.loads(capsys.readouterr().out)["socle_ok"] is True
+    assert main(["dan-ci", "--n", "2", "--d", "5", "--type", "1,2", "--a", "z,z,z^3"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 3, 5, 6, 5, 3, 1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fermatcalc.idealcalc import (
     buchberger,
     colon_slice,
     hilbert_profile,
-    ideal_hilbert_dims,
     ideal_slice,
     ideal_square_membership,
     lt_slice,
@@ -35,6 +34,7 @@ from fermatcalc.multipoly import (
 
 from conftest import (
     coefficient_pool,
+    ideal_hilbert_dims,
     random_reduced_class,
     regular_representation_kernel_dim,
 )
