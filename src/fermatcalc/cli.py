@@ -50,7 +50,10 @@ def _parse_coeffs(text: str, conductor: int) -> tuple[CyclotomicNumber, ...]:
 def _parse_order(text: str | None, nvars: int) -> MonomialOrder | None:
     if text is None:
         return None
-    priority = tuple(int(v) for v in text.split(","))
+    try:
+        priority = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad variable order {text!r}")
     if len(priority) != nvars:
         raise ValueError(f"order must list all {nvars} variables")
     return MonomialOrder(priority)

@@ -31,6 +31,7 @@ Rational = Fraction
 
 __all__ = [
     "CyclotomicNumber",
+    "FIELD_MAX_ENTRIES",
     "Rational",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -130,8 +131,19 @@ class _Field:
         self.traces = tuple(sum(powers[j * k % m][0] for k in units) for j in range(phi))
 
 
+# Most power-table entries, (max(2 phi - 2, m) + 1) * phi, a field may build.
+# The table grows like m^2: `groebner --n 2 --d 30000` (9.6e8 entries) would
+# exhaust memory, while Q(zeta_6000) (9.6e6) takes under a second.
+FIELD_MAX_ENTRIES = 20_000_000
+
+
 @lru_cache(maxsize=None)
 def _field(m: int) -> _Field:
+    phi = euler_phi(m)
+    entries = (max(2 * phi - 2, m) + 1) * phi
+    if entries > FIELD_MAX_ENTRIES:
+        raise ValueError(f"conductor {m} needs (max(2 phi - 2, m) + 1) phi = {entries} power-table "
+                         f"entries, above the field limit of {FIELD_MAX_ENTRIES}")
     return _Field(m)
 
 
@@ -207,6 +219,10 @@ class CyclotomicNumber:
     def from_coords(cls, m: int, coords) -> "CyclotomicNumber":
         """Build from a full phi(m)-vector of rationals (or strings)."""
         fracs = [Fraction(c) for c in coords]
+        if len(fracs) != euler_phi(m):  # counted before `_field(m)` builds a table
+            raise ValueError(
+                f"expected {euler_phi(m)} coordinates for conductor {m}, got {len(fracs)}"
+            )
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         return cls(m, [f.numerator * (den // f.denominator) for f in fracs], den)
 

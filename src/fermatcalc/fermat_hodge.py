@@ -5,10 +5,10 @@ sigma = (d-2)(n/2+1).  Linear cycles (linear subvarieties cut out by
 binomials x_p - zeta_{2d}^alpha x_q) and, more generally, product classes
 built from geometric factors over a coordinate pairing are constructed
 explicitly.  Intersection pairings are read off the socle coefficient of the
-product mod J (`jacobian_product`, which multiplies only the term pairs whose
-monomial is capped) and normalized by the Hessian coefficient of the Fermat
-polynomial; every value is exact, so rationality checks are coordinate
-checks in a cyclotomic field.
+product mod J, the dot product sum_e p_e q_(socle-e) over the terms of one
+class, and normalized by the Hessian coefficient of the Fermat polynomial;
+every value is exact, so rationality checks are coordinate checks in a
+cyclotomic field.
 
 The ideal of a decomposition F = sum_i f_i g_i (a plane's L_i, Q_i or a
 complete-intersection type's f_i, g_i) needs no elimination.  A common zero
@@ -39,7 +39,6 @@ from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     SquareMembership,
-    jacobian_product,
     solve_linear_forms,
 )
 from fermatcalc.multipoly import (
@@ -48,6 +47,7 @@ from fermatcalc.multipoly import (
     divide,
     geometric_factor,
     leading_term,
+    monomial_div,
 )
 
 __all__ = [
@@ -203,15 +203,18 @@ class PairingResult:
 
 
 def pair_classes(p: Polynomial, q: Polynomial, ctx: FermatContext) -> PairingResult:
-    """p*q has degree 2 sigma, the socle degree of the Jacobian ring, so its
-    product mod J is a multiple of the socle monomial alone."""
+    """p*q has degree 2 sigma, the socle degree of the Jacobian ring, so mod J
+    it is the socle monomial times the dot product sum_e p_e q_(socle-e).  As
+    in `Polynomial.__mul__`, a cancelled partial sum keeps its conductor, and
+    a zero sum is the conductor-1 zero."""
     if p.nvars != ctx.nvars or q.nvars != ctx.nvars:
         raise ValueError(f"variable count mismatch: {p.nvars} and {q.nvars}, expected {ctx.nvars}")
     if p.homogeneous_degree() != ctx.sigma or q.homogeneous_degree() != ctx.sigma:
         raise ValueError(f"both classes must be homogeneous of degree {ctx.sigma}")
     socle = (ctx.d - 2,) * ctx.nvars
-    socle_coeff = jacobian_product(p, q, ctx).coeff(socle)
-    c = socle_coeff / hessian_coefficient(ctx)
+    lookups = ((a, q.terms.get(monomial_div(socle, e))) for e, a in p.terms.items())
+    dot = sum((a * b for a, b in lookups if b is not None), CyclotomicNumber.zero())
+    c = (dot or CyclotomicNumber.zero()) / hessian_coefficient(ctx)
     half = ctx.n // 2
     factor = Fraction(-(ctx.d - 1) ** ctx.nvars * ctx.d, math.factorial(half) ** 2)
     intersection = c * factor
@@ -249,11 +252,12 @@ class RationalityCertificate:
 
 
 # Most rows * |P| * (d-1)^(n/2+1) term pairs a rationality certificate accepts,
-# rows = pairings * d^(n/2+1): each row reads P times a linear cycle of
-# (d-1)^(n/2+1) terms mod J, checking every term pair against the cap.  On a
-# 2-core x86_64 host, `certify --alpha 1,1,1` at (4, 7) (1.6e7) takes 5-7 s
-# and at (4, 5) with all 15 pairings (7.7e6) 3-4 s; (4, 9) (1.9e8) and
-# (2, 20) (5.2e7) are refused.
+# rows = pairings * d^(n/2+1).  The count overstates the work: each row builds
+# one linear cycle of (d-1)^(n/2+1) terms and does |P| lookups into it.  It is
+# kept so that the same inputs are refused.  On a 2-core x86_64 host,
+# `certify --alpha 1,1,1` at (4, 7) (1.6e7) takes 1.3-1.8 s and at (4, 5) with
+# all 15 pairings (7.7e6) 1.5-1.8 s; (4, 9) (1.9e8) and (2, 20) (5.2e7) are
+# refused.
 CERTIFICATE_MAX_WORK = 20_000_000
 
 

@@ -27,9 +27,9 @@ reaches the number of capped columns proves full rank exactly, and the
 reduced echelon form of the capped block is then the identity.  Other
 degrees are eliminated exactly, unless S/(J : P) is a complete intersection.
 
-Let G be the exact degree-1 slice of J : P, checked by `jacobian_product`
-reading every g * P as 0 modulo J, so that G + J lies in J : P.  When G has
-n/2+1 forms, as for linear cycles (J : P = I_delta + J) and product classes,
+Let G be the exact degree-1 slice of J : P, checked by reducing every
+product g * P to 0 modulo J, so that G + J lies in J : P.  When G has n/2+1
+forms, as for linear cycles (J : P = I_delta + J) and product classes,
 solving G leaves n/2+1 free variables y_j, and S/(G + J) is a quotient of the
 complete intersection C = k[y]/(y_j^(d-1)), whose socle sits in degree
 (n/2+1)(d-2) = sigma.  S/(J : P) is a quotient of S/(G + J), hence of C,
@@ -53,7 +53,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, le
+from operator import add
 from typing import Iterable, Sequence
 
 from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p, reduce_row
@@ -86,7 +86,6 @@ __all__ = [
     "GroebnerResult",
     "SquareMembership",
     "reduce_mod_jacobian",
-    "jacobian_product",
     "colon_slice",
     "hilbert_profile",
     "lt_slice",
@@ -146,29 +145,6 @@ def reduce_mod_jacobian(p: Polynomial, ctx: FermatContext) -> Polynomial:
     if len(kept) == len(p.terms):
         return p
     return Polynomial(p.nvars, kept)
-
-
-def jacobian_product(p: Polynomial, q: Polynomial, ctx: FermatContext) -> Polynomial:
-    """`reduce_mod_jacobian(p * q, ctx)`, multiplying only the term pairs
-    whose monomial is capped: a pair reaching an uncapped monomial lies in J.
-    As in `Polynomial.__mul__`, zero partial sums stay until the end, so
-    every coefficient keeps the lcm of the conductors of its pairs."""
-    if p.nvars != q.nvars:
-        raise ValueError(f"variable count mismatch: {p.nvars} vs {q.nvars}")
-    cap = ctx.d - 2
-    right = [(e, c) for e, c in q.terms.items() if max(e) <= cap]
-    data: dict[Monomial, CyclotomicNumber] = {}
-    for e1, c1 in p.terms.items():
-        room = [cap - v for v in e1]
-        if min(room) < 0:
-            continue
-        for e2, c2 in right:
-            if all(map(le, e2, room)):
-                key = tuple(map(add, e1, e2))
-                c = c1 * c2
-                cur = data.get(key)
-                data[key] = c if cur is None else cur + c
-    return Polynomial(p.nvars, {e: c for e, c in data.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +379,7 @@ class ColonIdeal:
         checked forms is impossible (module docstring) and raises RuntimeError."""
         ctx, forms = self.ctx, self.slice(1).basis
         half = ctx.n // 2 + 1
-        if len(forms) < half or any(jacobian_product(g, self.reduced, ctx) for g in forms):
+        if len(forms) < half or any(reduce_mod_jacobian(g * self.reduced, ctx) for g in forms):
             return False
         if len(forms) > half:
             raise RuntimeError(f"the degree-one colon has {len(forms)} forms, above n/2+1 = {half}")

@@ -524,6 +524,45 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    # Q(zeta_60000) would need 9.6e8 power-table entries
+    (["groebner", "--n", "2", "--d", "30000", "--a", "z,z"],
+     "conductor 60000 needs (max(2 phi - 2, m) + 1) phi = 960016000 power-table entries, "
+     "above the field limit of 20000000"),
+    # a short file naming a large conductor is refused on its coordinate count
+    (["hilbert", "--n", "2", "--d", "5", "--poly", "m3001.json"],
+     "expected 3000 coordinates for conductor 3001, got 1"),
+    (["hilbert", "--n", "2", "--d", "5", "--poly", "m1000003.json"],
+     "expected 1000002 coordinates for conductor 1000003, got 1"),
+])
+def test_runaway_fields_are_refused_at_once(argv, err, capsys, monkeypatch, tmp_path):
+    from fermatcalc import exactnum
+
+    build = exactnum._Field
+
+    def refuse(m):
+        if m > 1000:
+            raise AssertionError(f"Q(zeta_{m}) was built")
+        return build(m)
+
+    monkeypatch.setattr(exactnum, "_Field", refuse)
+    monkeypatch.chdir(tmp_path)
+    for m in (3001, 1000003):
+        poly = {"vars": 4, "m": m, "terms": [{"exp": [3, 3, 0, 0], "coeff": ["1"]}]}
+        Path(f"m{m}.json").write_text(json.dumps(poly), encoding="utf-8")
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_bad_variable_order_is_refused(capsys):
+    code = main(["hilbert", "--n", "2", "--d", "5", "--alpha", "1,1", "--order", "a,b"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: bad variable order 'a,b'\n")
+
+
 def test_groebner_refuses_generators_in_different_variables(capsys, tmp_path):
     # the default order is built for the first generator's variables
     path = tmp_path / "gens.json"

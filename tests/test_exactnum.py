@@ -155,9 +155,28 @@ def test_canonical_form_is_unique():
     assert CyclotomicNumber(10, (1, 0, 0, 0), -2).den == 2  # sign normalized
 
 
-def test_wrong_coordinate_count_rejected():
+def test_wrong_coordinate_count_rejected(monkeypatch):
+    from fermatcalc import exactnum
+
     with pytest.raises(ValueError):
         CyclotomicNumber(10, (1, 2, 3))
+    # counted before the field of the conductor is built
+    monkeypatch.setattr(exactnum, "_Field", lambda m: pytest.fail(f"Q(zeta_{m}) was built"))
+    with pytest.raises(ValueError, match="expected 1000002 coordinates for conductor 1000003, got 1"):
+        CyclotomicNumber.from_coords(1000003, ["1"])
+
+
+def test_field_tables_refuse_exactly_above_their_limit(monkeypatch):
+    from fermatcalc import exactnum
+
+    build = exactnum._field.__wrapped__  # uncached: Q(zeta_7) may be cached already
+    # Q(zeta_7): phi = 6 and (max(2 phi - 2, m) + 1) phi = 66 entries
+    monkeypatch.setattr(exactnum, "FIELD_MAX_ENTRIES", 66)
+    assert build(7).phi == 6
+    monkeypatch.setattr(exactnum, "FIELD_MAX_ENTRIES", 65)
+    with pytest.raises(ValueError, match=r"conductor 7 needs .* = 66 power-table entries, "
+                                         r"above the field limit of 65"):
+        build(7)
 
 
 def test_pickle_round_trip():

@@ -35,3 +35,17 @@ def test_no_module_imports_a_private_name_of_another(name):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("name", ["fermatcalc", *MODULES])
+def test_every_imported_name_is_used_or_exported(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []

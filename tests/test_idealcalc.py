@@ -1033,6 +1033,6 @@ def test_more_degree_one_forms_than_free_variables_is_an_internal_error(monkeypa
     monkeypatch.setattr(ColonIdeal, "slice", lambda self, k: (
         DegreeSlice(1, (*honest, extra)) if k == 1 else slice_(self, k)))
     # let every form pass the g * P check, so that only the count can catch it
-    monkeypatch.setattr(idealcalc, "jacobian_product", lambda p, q, ctx: Polynomial(p.nvars, {}))
+    monkeypatch.setattr(idealcalc, "reduce_mod_jacobian", lambda p, ctx: Polynomial(p.nvars, {}))
     with pytest.raises(RuntimeError, match=r"3 forms, above n/2\+1 = 2"):
         ci.rank(2)

@@ -3,11 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.fermat_hodge import ProductClassSpec, linear_cycle_poly, product_class_poly
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, jacobian_product, reduce_mod_jacobian
+from fermatcalc.fermat_hodge import (
+    ProductClassSpec,
+    hessian_coefficient,
+    linear_cycle_poly,
+    pair_classes,
+    product_class_poly,
+)
+from fermatcalc.idealcalc import FermatContext, reduce_mod_jacobian
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -389,43 +395,64 @@ def test_product_edge_operands():
 
 
 # ---------------------------------------------------------------------------
-# The product read mod J against the reduced full product
+# The pairing's dot product against the reduced full product
 # ---------------------------------------------------------------------------
 
 
-def assert_same_coefficients(got, expected):
-    assert got.terms.keys() == expected.terms.keys()
-    for e, c in expected.terms.items():
-        g = got.terms[e]
-        assert (g.m, g.nums, g.den) == (c.m, c.nums, c.den)
+def reference_pairing(p, q, ctx):
+    """The socle coefficient of the reduced full product p * q over the
+    Hessian coefficient."""
+    socle = (ctx.d - 2,) * ctx.nvars
+    return reduce_mod_jacobian(p * q, ctx).coeff(socle) / hessian_coefficient(ctx)
+
+
+def assert_pairs_like_the_full_product(p, q, ctx):
+    got, expected = pair_classes(p, q, ctx).c, reference_pairing(p, q, ctx)
+    assert (got.m, got.nums, got.den) == (expected.m, expected.nums, expected.den)
+    return got
+
+
+@st.composite
+def socle_classes(draw, ctx, conductors, max_terms=8):
+    # exponents up to d-1, so that some terms have no capped complement
+    monos = list(monomials_of_degree(ctx.nvars, ctx.sigma, cap=ctx.d - 1))
+    terms = st.lists(st.tuples(st.sampled_from(monos), cyclotomic_values(conductors)),
+                     min_size=1, max_size=max_terms)
+    p = Polynomial(ctx.nvars, draw(terms))
+    assume(p.terms)
+    return p
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_jacobian_product_matches_the_reduced_product(data):
-    ctx = FermatContext(2, data.draw(st.integers(3, 6)))
+def test_pairing_matches_the_reduced_product(data):
+    n, d = data.draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (2, 6), (4, 3), (4, 4)]))
+    ctx = FermatContext(n, d)
     conductors = data.draw(conductor_sets)
-    p = data.draw(polynomials(ctx.nvars, conductors, ctx.d - 1, max_terms=8))
-    q = data.draw(polynomials(ctx.nvars, conductors, ctx.d - 1, max_terms=8))
+    p = data.draw(socle_classes(ctx, conductors))
+    q = data.draw(socle_classes(ctx, conductors))
     if data.draw(st.booleans()):
-        # p (x0 + x1) times q (x0 - x1): every cross term cancels against its mirror
-        x = variables(ctx.nvars)
-        p, q = p * (x[0] + x[1]), q * (x[0] - x[1])
-    assert_same_coefficients(jacobian_product(p, q, ctx), reduce_mod_jacobian(p * q, ctx))
+        # f <g, q> - g <f, q> pairs with q to a zero sum of nonzero parts
+        f, g = p, data.draw(socle_classes(ctx, conductors))
+        p = f.scale(reference_pairing(g, q, ctx)) - g.scale(reference_pairing(f, q, ctx))
+        assume(p.terms)
+        assert not assert_pairs_like_the_full_product(p, q, ctx)
+    assert_pairs_like_the_full_product(p, q, ctx)
+    assert_pairs_like_the_full_product(q, p, ctx)
 
 
-def test_jacobian_product_keeps_the_conductor_of_a_cancelled_sum():
-    # at x0 x1, z x0 * x1 and z x1 * (-x0) cancel at conductor 8 before the
-    # conductor-1 pair x0 x1 * 1 arrives
-    ctx, x, z = FermatContext(2, 4), variables(4), zeta(8)
-    p, q = x[0].scale(z) + x[1].scale(z) + x[0] * x[1], x[1] - x[0] + Polynomial.constant(4, 1)
-    product = jacobian_product(p, q, ctx)
-    assert_same_coefficients(product, reduce_mod_jacobian(p * q, ctx))
-    assert product.terms[(1, 1, 0, 0)] == 1 and product.terms[(1, 1, 0, 0)].m == 8
+def test_pairing_keeps_the_conductor_of_a_cancelled_sum():
+    # the socle terms give z - z + 1: the partial sum cancels at conductor 8
+    # before the conductor-1 product arrives
+    ctx, z = FermatContext(2, 4), zeta(8)
+    p = Polynomial(4, [((2, 2, 0, 0), z), ((2, 0, 2, 0), z), ((0, 2, 2, 0), 1)])
+    q = Polynomial(4, [((0, 0, 2, 2), 1), ((0, 2, 0, 2), -1), ((2, 0, 0, 2), 1)])
+    got = assert_pairs_like_the_full_product(p, q, ctx)
+    assert got * hessian_coefficient(ctx) == 1 and got.m == 8
 
 
 @pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
-def test_jacobian_product_of_classes_matches_the_reduced_product(n, d):
+def test_pairing_of_classes_matches_the_reduced_product(n, d):
     ctx = FermatContext(n, d)
     rng = random.Random(10 * n + d)
     alpha = tuple(rng.randrange(1, 2 * d, 2) for _ in range(n // 2 + 1))
@@ -435,9 +462,27 @@ def test_jacobian_product_of_classes_matches_the_reduced_product(n, d):
         product_class_poly(spec, ctx),
         random_reduced_class(ctx, rng, 40),
     ]
-    x = variables(ctx.nvars)
     for p in classes:
-        # the g * P check: the colon's degree-1 forms, and one form outside it
-        forms = [*ColonIdeal(p, ctx).slice(1).basis, x[0] - x[1].scale(zeta(2 * d))]
-        for q in classes + forms:
-            assert_same_coefficients(jacobian_product(q, p, ctx), reduce_mod_jacobian(q * p, ctx))
+        for q in classes:
+            assert_pairs_like_the_full_product(q, p, ctx)
+
+
+def test_pairing_builds_no_polynomial(monkeypatch):
+    ctx = FermatContext(4, 5)
+    p, q = linear_cycle_poly((1, 1, 1), ctx), linear_cycle_poly((1, 3, 5), ctx)
+    assert len(p.terms) == len(q.terms) == 64
+    calls = {"polynomial": 0, "field": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    # no product polynomial, and one field product per matching pair of terms
+    monkeypatch.setattr(Polynomial, "__init__", counted("polynomial", Polynomial.__init__))
+    monkeypatch.setattr(Polynomial, "_raw", classmethod(counted("polynomial", Polynomial._raw.__func__)))
+    monkeypatch.setattr(Polynomial, "__mul__", counted("polynomial", Polynomial.__mul__))
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted("field", CyclotomicNumber.__mul__))
+    pair_classes(p, q, ctx)
+    assert calls["polynomial"] == 0 and calls["field"] <= len(p.terms) + 8
