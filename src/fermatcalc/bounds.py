@@ -11,7 +11,11 @@ degree-d divisors, and verifies that the minima and their attainers are
 exactly the predicted relabeling classes, together with the monotone
 exchange inequality that drives the argument.  Both the count and the
 exchange moves are invariant under permuting coordinates, so the scan
-visits one sorted representative per orbit and weights it by the orbit size.
+visits one sorted representative per orbit and weights it by the orbit size,
+and counts the divisors of each sorted vector once per scan: a moved vector,
+sorted, is mostly one the scan has counted or will count as a representative.
+A count is the coefficient of t^k in prod_i (1 + t + ... + t^alpha_i), each
+factor applied as a running window sum in O(k) steps.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, lt_slice
 from fermatcalc.multipoly import Monomial, MonomialOrder, Polynomial, minimal_generators
@@ -28,10 +32,11 @@ __all__ = [
     "BoundReport",
     "DivisorScanReport",
     "count_divisors",
+    "divisor_counts",
     "linear_cycle_bound",
     "second_minimum_bound",
     "scan_divisor_minima",
-    "SCAN_MAX_VECTORS",
+    "SCAN_MAX_WORK",
     "tangent_codim",
     "codim_report",
     "classify_lt_shape",
@@ -40,23 +45,40 @@ __all__ = [
 ]
 
 
+def divisor_counts(alpha: Sequence[int], up_to: int) -> list[int]:
+    """Coefficients of t^0..t^up_to in prod_i (1 + t + ... + t^alpha_i): entry
+    k is the number of degree-k monomials dividing x^alpha.  Each factor is
+    applied as a running window sum, out[k] = poly[k - alpha_i] + ... + poly[k],
+    in up_to + 1 steps.  An exponent of -1 gives the empty sum, 0.
+
+    >>> divisor_counts((0, 3, 0, 3), 7)
+    [1, 2, 3, 4, 3, 2, 1, 0]
+    """
+    poly = [1] + [0] * up_to
+    for cap in alpha:
+        window = 0
+        out = []
+        for k, c in enumerate(poly):
+            window += c
+            if k > cap:
+                window -= poly[k - cap - 1]
+            out.append(window)
+        poly = out
+    return poly
+
+
 def count_divisors(alpha: Sequence[int], k: int) -> int:
-    """Number of monomials of degree k dividing x^alpha, by convolution of
-    the truncated geometric series (1 + t + ... + t^alpha_i)."""
+    """Number of monomials of degree k dividing x^alpha, entry k of
+    divisor_counts.
+
+    >>> count_divisors((0, 1, 2, 3), 5), count_divisors((), 0), count_divisors((2, 2), 5)
+    (3, 1, 0)
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    poly = [1]
-    for cap in alpha:
-        if cap < 0:
-            raise ValueError("negative exponent")
-        limit = min(len(poly) + cap, k + 1)
-        out = [0] * limit
-        for i, c in enumerate(poly):
-            if c:
-                for j in range(min(cap + 1, limit - i)):
-                    out[i + j] += c
-        poly = out
-    return poly[k] if k < len(poly) else 0
+    if any(cap < 0 for cap in alpha):
+        raise ValueError("negative exponent")
+    return divisor_counts(alpha, k)[k]
 
 
 def linear_cycle_bound(n: int, d: int) -> int:
@@ -140,9 +162,13 @@ class DivisorScanReport:
         return all(a is None or a for a in self.assertions)
 
 
-def _exchange_holds(alpha: tuple[int, ...], d: int, base: int) -> tuple[bool, int]:
-    """Check every unbalancing move alpha -> alpha' on one vector."""
+def _exchange_holds(
+    alpha: tuple[int, ...], d: int, base: int, count: Callable[[list[int]], int]
+) -> tuple[bool, int]:
+    """Check every unbalancing move alpha -> alpha' on one vector, with
+    count(alpha') its number of degree-d divisors."""
     checks = 0
+    total = sum(alpha)
     for i in range(len(alpha)):
         for j in range(len(alpha)):
             if i == j or alpha[i] == 0 or alpha[i] > alpha[j]:
@@ -150,30 +176,35 @@ def _exchange_holds(alpha: tuple[int, ...], d: int, base: int) -> tuple[bool, in
             moved = list(alpha)
             moved[i] -= 1
             moved[j] += 1
-            value = count_divisors(moved, d)
+            value = count(moved)
             checks += 1
             if value > base:
                 return False, checks
-            if alpha[j] <= d <= sum(alpha) - alpha[i] and value >= base:
+            if alpha[j] <= d <= total - alpha[i] and value >= base:
                 return False, checks
     return True, checks
 
 
-# Most sorted vectors in 0..d-2 the divisor scan enumerates, C(n+d, n+2):
-# (8, 12) has 184,756 and takes about 19 s, (12, 12) has 1,961,256.
-SCAN_MAX_VECTORS = 200_000
+# Most C(n+d, n+2) (n+2)^2 steps the divisor scan accepts: it enumerates the
+# C(n+d, n+2) sorted vectors in 0..d-2, and each representative of degree sigma
+# tests up to (n+2)^2 moves of n+2 entries.  On a 2-core x86_64 host the scan
+# takes at most 3e-8 s per counted step from n = 2 to n = 660: (8, 12) (1.8e7
+# steps) takes 0.5 s, and (2, 145), (4, 41), (40, 6) and (150, 4), near the
+# limit, 6.5-8.5 s.  A count of vectors alone would let n grow at small d:
+# (200, 4) has 20,706 vectors and takes 20 s.  (12, 12) has 3.8e8 steps.
+SCAN_MAX_WORK = 300_000_000
 
 
 def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
     """Exhaustively verify the divisor-count minima over all degree-sigma
     exponent vectors bounded by d-2, one sorted representative per
     permutation orbit, each weighted by its orbit size.  Runs in well under
-    a second for n <= 6, d <= 7; refuses more than SCAN_MAX_VECTORS.
+    a second for n <= 8, d <= 12; refuses more than SCAN_MAX_WORK steps.
     """
     sigma = FermatContext(n, d).sigma
-    if (vectors := math.comb(n + d, n + 2)) > SCAN_MAX_VECTORS:
-        raise ValueError(f"(n, d) = ({n}, {d}) has {vectors} sorted exponent vectors, "
-                         f"above the scan limit of {SCAN_MAX_VECTORS}")
+    if (work := math.comb(n + d, n + 2) * (n + 2) ** 2) > SCAN_MAX_WORK:
+        raise ValueError(f"(n, d) = ({n}, {d}) needs C(n+d, n+2) (n+2)^2 = {work} steps, "
+                         f"above the scan limit of {SCAN_MAX_WORK}")
     half = n // 2 + 1
     linear_shape = (0,) * half + (d - 2,) * half
     # attainer multisets with their orbit sizes, keyed by count value, for
@@ -182,15 +213,26 @@ def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
     rest: dict[int, dict[tuple[int, ...], int]] = {}
     exchange_ok = True
     exchange_checks = 0
+    # the divisor count of each sorted vector, computed once per scan: the
+    # representatives and their moved vectors are mostly the same vectors
+    counts: dict[tuple[int, ...], int] = {}
+
+    def count(vector: Sequence[int]) -> int:
+        key = tuple(sorted(vector))
+        value = counts.get(key)
+        if value is None:
+            value = counts[key] = count_divisors(key, d)
+        return value
+
     for alpha in itertools.combinations_with_replacement(range(d - 1), n + 2):
         if sum(alpha) != sigma:
             continue
-        s = count_divisors(alpha, d)
+        s = count(alpha)
         weight = _orbit_size(alpha, n + 2)
         full.setdefault(s, {})[alpha] = weight
         if alpha != linear_shape:
             rest.setdefault(s, {})[alpha] = weight
-        ok, checks = _exchange_holds(alpha, d, s)
+        ok, checks = _exchange_holds(alpha, d, s, count)
         exchange_checks += checks * weight
         if not ok:
             exchange_ok = False

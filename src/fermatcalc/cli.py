@@ -247,8 +247,8 @@ def _run_prop11(args, ctx):
 
 
 def _run_plane(args, ctx):
-    # before parsing builds the field; n/2+1 linear forms leave m = n/2+1 variables
-    fermat_hodge.check_socle_size(ctx, ctx.n // 2 + 1)
+    # before parsing builds the field: the count of binomial forms at phi = 1
+    fermat_hodge.check_socle_size(ctx, fermat_hodge.plane_term_pairs(ctx))
     if args.forms:
         forms = ioformats.polynomials_from_json(_read_json(args.forms))
     elif args.a:
@@ -269,8 +269,8 @@ def _run_plane(args, ctx):
 
 
 def _run_dan_ci(args, ctx):
-    # before parsing builds the field; one linear form per f_i, g_i pair at most, so m >= n/2+1
-    fermat_hodge.check_socle_size(ctx, ctx.n // 2 + 1)
+    # before parsing builds the field: a binomial f_i times its d-term g_i, at phi = 1
+    fermat_hodge.check_socle_size(ctx, (ctx.n // 2 + 1) * 2 * ctx.d)
     if args.decomp:
         f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
     else:

@@ -39,6 +39,7 @@ from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     SquareMembership,
+    restrict_to_forms,
     solve_linear_forms,
 )
 from fermatcalc.multipoly import (
@@ -74,6 +75,7 @@ __all__ = [
     "check_prop11_size",
     "SOCLE_MAX_WORK",
     "check_socle_size",
+    "plane_term_pairs",
     "plane_in_fermat",
     "complete_intersection_ideal",
     "special_family",
@@ -441,55 +443,56 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 # ---------------------------------------------------------------------------
 
 
-# Most C(sigma+1+m, m) * (phi(L)+16)^2 that `plane_in_fermat` and
-# `complete_intersection_ideal` accept, m the variables left after solving the
-# linear inputs and L the conductor of their coefficients: the cost of
-# eliminating degrees 0..sigma+1, which the socle check no longer does (it
-# reads its dimensions off the generator degrees).  The count overstates the
-# work, but the limit is kept and refuses the same inputs: `plane --n 2 --a z,z`
-# at d = 70 (3.9e7) and `dan-ci --n 2 --type 1,2` at d = 30 (3.5e7).  With it
-# lifted, on a 2-core x86_64 host, that plane takes 0.05 s at d = 70, 0.4 s at
-# d = 300 and 5-6 s at d = 1000.
-SOCLE_MAX_WORK = 20_000_000
+# Most steps that `plane_in_fermat` and `complete_intersection_ideal` accept:
+# their coefficient products over Q(zeta_L), each (phi(L)+128)^2 steps, the
+# schoolbook product of phi coordinates plus a fixed cost that rational
+# coefficients measure at about 128^2 coordinate products.  The socle check
+# itself reads its dimensions off the generator degrees in O(sigma) per
+# generator.  On a 2-core x86_64 host `plane --n 2 --a z,z` takes 0.04 s at
+# d = 70 and 1.3 s at d = 600 (9.6e8 steps); the slowest accepted requests,
+# `dan-ci --type 1,...,1,2` over conductors with many prime factors (dense
+# products), take about 5 s.
+SOCLE_MAX_WORK = 1_000_000_000
 
 
-def check_socle_size(ctx: FermatContext, m: int, L: int | None = None) -> None:
-    """Refuse a socle check in m variables over Q(zeta_L) above SOCLE_MAX_WORK.
-    Without L the count takes phi(L) = 1, its least value, so that the command
-    line can refuse before it parses a coefficient (which builds the field)."""
+def check_socle_size(ctx: FermatContext, pairs: int, L: int | None = None) -> None:
+    """Refuse a plane or decomposition of F whose `pairs` coefficient products
+    over Q(zeta_L) take more than SOCLE_MAX_WORK steps.  Without L the count
+    takes phi(L) = 1, its least value, so that the command line can refuse
+    before it parses a coefficient (which builds the field)."""
     phi = 1 if L is None else euler_phi(L)
-    work = math.comb(ctx.sigma + 1 + m, m) * (phi + 16) ** 2
+    work = pairs * (phi + 128) ** 2
     if work > SOCLE_MAX_WORK:
         field, bound = ("", "at least ") if L is None else (f" over Q(zeta_{L})", "")
         raise ValueError(
-            f"(n, d) = ({ctx.n}, {ctx.d}){field} needs {bound}C(sigma+1+m, m) (phi+16)^2 = "
-            f"{work} steps with m = {m}, above the socle-check limit of {SOCLE_MAX_WORK}"
+            f"(n, d) = ({ctx.n}, {ctx.d}){field} needs {bound}{pairs} term pairs (phi+128)^2 = "
+            f"{work} steps, above the socle-check limit of {SOCLE_MAX_WORK}"
         )
 
 
-def _check_socle_size(inputs, ctx: FermatContext) -> None:
-    """`check_socle_size` for the ideal of `inputs`, before it is built."""
-    m = ctx.nvars - sum(v.homogeneous_degree() == 1 for v in inputs)
-    check_socle_size(ctx, m, math.lcm(*(c.m for v in inputs for c in v.terms.values())))
+def plane_term_pairs(ctx: FermatContext, r: int = 1) -> int:
+    """Coefficient products of `plane_in_fermat` for echelon rows with at most
+    r free variables (r = 1 for binomials): (n/2+1)^2 (r+1) C(d-1+r, r).
+
+    Dividing F by the n/2+1 rows gives quotients of at most C(d-1+r, r) terms
+    (x_p^(d-1-s) times a monomial of degree s in r variables), each term one
+    product with the r+1 row terms; restricting F to the plane takes the same
+    products for the powers of each row.  Each cofactor combines up to n/2+1
+    quotients, and the check sum_i L_i Q_i multiplies it by its form."""
+    half = ctx.n // 2 + 1
+    return half * half * (r + 1) * math.comb(ctx.d - 1 + r, r)
 
 
-def _degree_product(degrees, up_to: int) -> list[int]:
-    """Coefficients of t^0..t^up_to in prod_e (1 + t + ... + t^(e-1)): the
-    quotient dimensions of a regular sequence of forms of degrees e.
-
-    >>> _degree_product((1, 4, 1, 4), 7)
-    [1, 2, 3, 4, 3, 2, 1, 0]
-    """
-    dims = [1] + [0] * up_to
-    for e in degrees:
-        dims = [sum(dims[max(k - e + 1, 0):k + 1]) for k in range(up_to + 1)]
-    return dims
+def _conductor(inputs) -> int:
+    return math.lcm(*(c.m for v in inputs for c in v.terms.values()))
 
 
 def _socle_check(generators, ctx: FermatContext) -> tuple[tuple[int, ...], int | None, bool]:
     """Quotient dimensions in degrees 0..sigma+1 (module docstring), the top nonzero
     degree, and whether the quotient is one-dimensional in degree sigma and zero above."""
-    dims = tuple(_degree_product((g.homogeneous_degree() for g in generators), ctx.sigma + 1))
+    # prod (1 + t + ... + t^(e-1)) over the generator degrees e
+    dims = tuple(bounds.divisor_counts([g.homogeneous_degree() - 1 for g in generators],
+                                       ctx.sigma + 1))
     socle = max((k for k, v in enumerate(dims) if v), default=None)
     return dims, socle, dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
 
@@ -522,12 +525,17 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     for L in forms:
         if L.nvars != ctx.nvars or L.homogeneous_degree() != 1:
             raise ValueError("inputs must be homogeneous linear forms")
-    _check_socle_size(forms, ctx)
+    # the binomial count first, before the echelon divides by pivot coefficients
+    conductor = _conductor(forms)
+    check_socle_size(ctx, plane_term_pairs(ctx), conductor)
     F = ctx.fermat_polynomial()
     width = ctx.nvars
-    pivots, (restricted,) = solve_linear_forms(forms, [F], width)
+    pivots, _ = solve_linear_forms(forms, (), width)
     if len(pivots) != half:
         raise ValueError("linear forms are dependent")
+    r = max(sum(c != pv and c < width for c in row) for pv, row in pivots.items())
+    check_socle_size(ctx, plane_term_pairs(ctx, r), conductor)
+    (restricted,) = restrict_to_forms(pivots, [F], width)
     pivot_vars = sorted(pivots)
     if not restricted.is_zero():
         return PlaneContainment(False, restricted, None, None, None, None)
@@ -593,7 +601,8 @@ def complete_intersection_ideal(f, g, ctx: FermatContext) -> CompleteIntersectio
     f, g = list(f), list(g)
     if len(f) != len(g) or len(f) != ctx.n // 2 + 1:
         raise ValueError(f"expected {ctx.n // 2 + 1} factor pairs")
-    _check_socle_size(f + g, ctx)
+    check_socle_size(ctx, sum(len(fi.terms) * len(gi.terms) for fi, gi in zip(f, g)),
+                     _conductor(f + g))
     total = Polynomial.zero(ctx.nvars)
     for fi, gi in zip(f, g):
         df, dg = fi.homogeneous_degree(), gi.homogeneous_degree()

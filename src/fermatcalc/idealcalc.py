@@ -95,6 +95,7 @@ __all__ = [
     "ideal_square_membership",
     "ideal_slice",
     "solve_linear_forms",
+    "restrict_to_forms",
     "standard_monomials",
 ]
 
@@ -518,6 +519,15 @@ def solve_linear_forms(
     for i, L in enumerate(forms):
         row = {e.index(1): c for e, c in L.terms.items()}
         echelon_insert(pivots, {**row, nvars + i: CyclotomicNumber.one()}, nvars)
+    return pivots, restrict_to_forms(pivots, polys, nvars)
+
+
+def restrict_to_forms(
+    pivots: dict[int, dict], polys: Iterable[Polynomial], nvars: int
+) -> list[Polynomial]:
+    """`polys` restricted to the common zero set of linear forms given by
+    their reduced echelon rows `pivots`, as `solve_linear_forms` returns them:
+    each pivot variable is replaced by minus the rest of its row."""
     replacements = [
         (pv, Polynomial(nvars, [
             (tuple(int(t == c) for t in range(nvars)), -v)
@@ -530,7 +540,7 @@ def solve_linear_forms(
         for pv, replacement in replacements:
             p = p.substitute_linear(pv, replacement)
         restricted.append(p)
-    return pivots, restricted
+    return restricted
 
 
 def standard_monomials(lts: Iterable[Monomial], k: int, nvars: int) -> list[Monomial]:

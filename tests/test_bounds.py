@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fermatcalc import bounds
 from fermatcalc.bounds import (
+    DivisorScanReport,
     _exchange_holds,
     bounded_compositions,
     classify_lt_shape,
@@ -61,6 +63,16 @@ def test_count_divisors_against_brute_force():
         alpha = tuple(rng.randint(0, 4) for _ in range(rng.randint(2, 5)))
         for k in range(sum(alpha) + 2):
             assert count_divisors(alpha, k) == brute_count(alpha, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.lists(st.integers(0, 6), max_size=6), negative=st.integers(max_value=-1))
+@example(alpha=[], negative=-1)
+def test_count_divisors_matches_brute_force_for_every_degree(alpha, negative):
+    for k in range(sum(alpha) + 3):
+        assert count_divisors(alpha, k) == brute_count(alpha, k)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        count_divisors(alpha, negative)
 
 
 def test_count_divisors_complement_symmetry():
@@ -122,12 +134,17 @@ def test_bounds_refuse_exactly_what_the_fermat_context_refuses():
 
 
 def test_scan_refuses_exactly_above_its_budget(monkeypatch):
-    # the README's envelope and the largest measured points stay inside it
-    for n, d in [(10, 6), (6, 9), (4, 14), (10, 10), (8, 12)]:
-        assert math.comb(n + d, n + 2) <= bounds.SCAN_MAX_VECTORS
-    monkeypatch.setattr(bounds, "SCAN_MAX_VECTORS", math.comb(6, 4))  # (2, 4)
+    # the README's envelope and the slowest measured points stay inside it
+    for n, d in [(10, 6), (6, 9), (4, 14), (10, 10), (8, 12), (2, 145), (4, 41), (40, 6),
+                 (150, 4)]:
+        assert math.comb(n + d, n + 2) * (n + 2) ** 2 <= bounds.SCAN_MAX_WORK
+    # a vector count alone would take (200, 4), 20,706 vectors, for 20 s
+    for n, d in [(12, 12), (16, 10), (18, 9), (200, 4)]:
+        assert math.comb(n + d, n + 2) * (n + 2) ** 2 > bounds.SCAN_MAX_WORK
+    monkeypatch.setattr(bounds, "SCAN_MAX_WORK", math.comb(6, 4) * 4 ** 2)  # (2, 4)
     assert scan_divisor_minima(2, 4).sigma == 4
-    with pytest.raises(ValueError, match=r"\(n, d\) = \(2, 5\) has 35 sorted exponent vectors"):
+    with pytest.raises(ValueError, match=r"\(n, d\) = \(2, 5\) needs C\(n\+d, n\+2\) \(n\+2\)\^2 = "
+                                         r"560 steps, above the scan limit of 240"):
         scan_divisor_minima(2, 5)
 
 
@@ -193,6 +210,57 @@ def test_scan_skips_second_assertions_for_degree_three():
     assert report.assertions[0]
 
 
+def _report(n, d, sigma, minimum, second, exchange_checks):
+    """The passing report whose attainers are the two predicted orbits, each
+    given as (value, shape, orbit size)."""
+    (min_value, min_shape, min_count), (second_min, second_shape, second_count) = minimum, second
+    return DivisorScanReport(
+        n=n, d=d, sigma=sigma, min_value=min_value, min_count=min_count,
+        second_min=second_min, second_count=second_count, assertions=(True, True, True, True),
+        min_attainers=((min_shape, min_count),), second_attainers=((second_shape, second_count),),
+        exchange_checks=exchange_checks,
+    )
+
+
+# whole reports as the scan gave them when it counted every moved vector afresh
+PINNED_SCANS = [
+    _report(6, 5, 12, (40, (0, 0, 0, 0, 3, 3, 3, 3), 70),
+            (62, (0, 0, 0, 1, 2, 3, 3, 3), 1120), 168560),
+    _report(4, 7, 15, (27, (0, 0, 0, 5, 5, 5), 20), (47, (0, 0, 1, 4, 5, 5), 180), 54450),
+    _report(8, 8, 30, (470, (0, 0, 0, 0, 0, 6, 6, 6, 6, 6), 252),
+            (781, (0, 0, 0, 0, 1, 5, 6, 6, 6, 6), 6300), 679521150),
+    _report(8, 12, 50, (1795, (0, 0, 0, 0, 0, 10, 10, 10, 10, 10), 252),
+            (3141, (0, 0, 0, 0, 1, 9, 10, 10, 10, 10), 6300), 41897561040),
+]
+
+
+@pytest.mark.parametrize("expected", PINNED_SCANS, ids=lambda r: f"{r.n}-{r.d}")
+def test_scan_reports_are_pinned_beyond_the_exhaustive_range(expected):
+    assert scan_divisor_minima(expected.n, expected.d) == expected
+
+
+@pytest.mark.parametrize("n,d", [(4, 5), (6, 4)])
+def test_scan_counts_each_sorted_vector_once(n, d, monkeypatch):
+    calls = []
+    count = bounds.count_divisors
+
+    def counted(alpha, k):
+        calls.append((tuple(alpha), k))
+        return count(alpha, k)
+
+    monkeypatch.setattr(bounds, "count_divisors", counted)
+    expected = scan_divisor_minima(n, d)
+    sigma = (d - 2) * (n // 2 + 1)
+    # a move keeps the degree and raises an entry to at most d-1
+    sorted_vectors = sum(
+        1 for v in itertools.combinations_with_replacement(range(d), n + 2) if sum(v) == sigma
+    )
+    assert len(calls) == len(set(calls)) <= sorted_vectors
+    assert all(list(alpha) == sorted(alpha) and k == d for alpha, k in calls)
+    monkeypatch.undo()
+    assert scan_divisor_minima(n, d) == expected
+
+
 def _exhaustive_scan(n, d):
     """Reference scan over every exponent vector, one entry per vector."""
     sigma = (d - 2) * (n // 2 + 1)
@@ -203,7 +271,7 @@ def _exhaustive_scan(n, d):
         s = count_divisors(alpha, d)
         counts.append(s)
         shapes.append(tuple(sorted(alpha)))
-        ok, checks = _exchange_holds(alpha, d, s)
+        ok, checks = _exchange_holds(alpha, d, s, lambda moved: count_divisors(moved, d))
         exchange_ok = exchange_ok and ok
         exchange_checks += checks
 

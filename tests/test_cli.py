@@ -451,7 +451,8 @@ def test_slice_degree_sigma_is_the_top_slice(capsys):
 
 @pytest.mark.parametrize("argv,err", [
     (["scan-bounds", "--n", "12", "--d", "12"],
-     "(n, d) = (12, 12) has 1961256 sorted exponent vectors, above the scan limit of 200000"),
+     "(n, d) = (12, 12) needs C(n+d, n+2) (n+2)^2 = 384406176 steps, "
+     "above the scan limit of 300000000"),
     # z^600 = -1 would send the scan through all 600^2 pairs of odd roots
     (["prop11", "--d", "600", "--a", "z"],
      "d = 600 over Q(zeta_1200) needs d^2 phi^3 = 11796480000000 steps, "
@@ -460,6 +461,10 @@ def test_slice_degree_sigma_is_the_top_slice(capsys):
     (["prop11", "--d", "3000", "--a", "z"],
      "d = 3000 over Q(zeta_6000) needs d^2 phi^3 = 36864000000000000 steps, "
      "above the prop11 limit of 20000000"),
+    # 20,706 sorted vectors, but each of its 102 orbits of degree sigma tests 202^2 moves
+    (["scan-bounds", "--n", "200", "--d", "4"],
+     "(n, d) = (200, 4) needs C(n+d, n+2) (n+2)^2 = 844887624 steps, "
+     "above the scan limit of 300000000"),
 ])
 def test_runaway_scans_are_refused_at_once(argv, err, capsys, monkeypatch):
     from fermatcalc import ioformats
@@ -491,23 +496,23 @@ def test_prop11_still_counts_the_conductor_of_its_literal(capsys):
     (["certify", "--n", "4", "--d", "17", "--alpha", "1,1,1"], "_certificate_row",
      "(n, d) = (4, 17) with 4096 class terms needs rows * |P| * (d-1)^(n/2+1) = "
      "82426462208 term pairs, above the certificate limit of 20000000"),
-    (["plane", "--n", "2", "--d", "100", "--a", "z,z"], "_socle_check",
-     "(n, d) = (2, 100) over Q(zeta_200) needs C(sigma+1+m, m) (phi+16)^2 = "
-     "181564416 steps with m = 2, above the socle-check limit of 20000000"),
-    (["dan-ci", "--n", "2", "--d", "100", "--type", "1,1", "--a", "z,z"], "_socle_check",
-     "(n, d) = (2, 100) over Q(zeta_200) needs C(sigma+1+m, m) (phi+16)^2 = "
-     "181564416 steps with m = 2, above the socle-check limit of 20000000"),
-    # refused at phi = 1, before parsing --a builds Q(zeta_6000)
-    (["plane", "--n", "2", "--d", "3000", "--a", "z,z"], "_socle_check",
-     "(n, d) = (2, 3000) needs at least C(sigma+1+m, m) (phi+16)^2 = "
-     "5199399289 steps with m = 2, above the socle-check limit of 20000000"),
-    (["dan-ci", "--n", "2", "--d", "3000", "--type", "1,2", "--a", "z,z,z"], "_socle_check",
-     "(n, d) = (2, 3000) needs at least C(sigma+1+m, m) (phi+16)^2 = "
-     "5199399289 steps with m = 2, above the socle-check limit of 20000000"),
+    (["plane", "--n", "2", "--d", "1000", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 1000) over Q(zeta_2000) needs 8000 term pairs (phi+128)^2 = "
+     "6889472000 steps, above the socle-check limit of 1000000000"),
+    (["dan-ci", "--n", "2", "--d", "700", "--type", "1,1", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 700) over Q(zeta_1400) needs 2800 term pairs (phi+128)^2 = "
+     "1035059200 steps, above the socle-check limit of 1000000000"),
+    # refused at phi = 1, before parsing --a builds Q(zeta_40000)
+    (["plane", "--n", "2", "--d", "20000", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 20000) needs at least 160000 term pairs (phi+128)^2 = "
+     "2662560000 steps, above the socle-check limit of 1000000000"),
+    (["dan-ci", "--n", "2", "--d", "20000", "--type", "1,2", "--a", "z,z,z"], "_socle_check",
+     "(n, d) = (2, 20000) needs at least 80000 term pairs (phi+128)^2 = "
+     "1331280000 steps, above the socle-check limit of 1000000000"),
     # and before reading a --forms file, which here does not exist
-    (["plane", "--n", "2", "--d", "3000", "--forms", "unread.json"], "_socle_check",
-     "(n, d) = (2, 3000) needs at least C(sigma+1+m, m) (phi+16)^2 = "
-     "5199399289 steps with m = 2, above the socle-check limit of 20000000"),
+    (["plane", "--n", "2", "--d", "20000", "--forms", "unread.json"], "_socle_check",
+     "(n, d) = (2, 20000) needs at least 160000 term pairs (phi+128)^2 = "
+     "2662560000 steps, above the socle-check limit of 1000000000"),
 ])
 def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err, capsys,
                                                                  monkeypatch):

@@ -660,24 +660,55 @@ def test_square_witness_is_the_elimination_witness(n, d, ks, quadric):
 def test_socle_checks_refuse_exactly_above_their_budget(quintic_surface, monkeypatch):
     from fermatcalc import fermat_hodge
 
-    # over Q(zeta_10), phi = 4: C(6+1+2, 2) (4+16)^2 = 36 * 400 with two free variables
+    # over Q(zeta_10), phi = 4: each coefficient product counts (4 + 128)^2 steps
     ctx = quintic_surface
+    step = 132 ** 2
     forms, cofactors = standard_decomposition(ctx, (1, 3), False)
-    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 400)
+    # two binomial rows: 2^2 (1+1) C(5, 1) = 40 products
+    assert fermat_hodge.plane_term_pairs(ctx) == 40
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 40 * step)
     assert plane_in_fermat(forms, ctx).contained
+    # type 1,1: each binomial times its 5-term cofactor, 2 * 10 products
     assert complete_intersection_ideal(forms, cofactors, ctx).socle_ok
-    # type 1,2 leaves three free variables: C(10, 3) * 400 = 48000
+    # type 1,2: 2 * 5 + 3 * 4 products, the quadric's cofactor a 4-term cubic
     f, g = standard_decomposition(ctx, (1, 1, 3), True)
-    with pytest.raises(ValueError, match=r"\(phi\+16\)\^2 = 48000 steps with m = 3"):
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 22 * step)
+    assert complete_intersection_ideal(f, g, ctx).socle_ok
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 22 * step - 1)
+    with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_10\) needs 22 term pairs "
+                                         r"\(phi\+128\)\^2 = 383328 steps, above .* of 383327$"):
         complete_intersection_ideal(f, g, ctx)
-    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 400 - 1)
-    with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_10\) needs .* = 14400 steps"):
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 40 * step - 1)
+    with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_10\) needs 40 term pairs "
+                                         r"\(phi\+128\)\^2 = 696960 steps"):
         plane_in_fermat(forms, ctx)
-    # the bound at phi = 1, 36 * 17^2, which the command line checks before parsing
-    fermat_hodge.check_socle_size(ctx, 2)
-    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 36 * 289 - 1)
-    with pytest.raises(ValueError, match=r"\(2, 5\) needs at least .* = 10404 steps with m = 2"):
-        fermat_hodge.check_socle_size(ctx, 2)
+    # the bound at phi = 1, 40 * 129^2, which the command line checks before parsing
+    fermat_hodge.check_socle_size(ctx, 40)
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 40 * 129 ** 2 - 1)
+    with pytest.raises(ValueError, match=r"\(2, 5\) needs at least 40 term pairs "
+                                         r"\(phi\+128\)\^2 = 665640 steps"):
+        fermat_hodge.check_socle_size(ctx, 40)
+
+
+def test_plane_counts_its_echelon_rows_before_restricting(quintic_surface, monkeypatch):
+    from fermatcalc import fermat_hodge
+
+    # rows x_0 + x_2 + x_3 and x_1 + x_2 - x_3 have r = 2 free variables each:
+    # 2^2 (2+1) C(6, 2) = 180 rational products, each 129^2 steps
+    ctx = quintic_surface
+    x = variables(4)
+    forms = [x[0] + x[2] + x[3], x[1] + x[2] - x[3]]
+    assert fermat_hodge.plane_term_pairs(ctx, 2) == 180
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 180 * 129 ** 2)
+    assert not plane_in_fermat(forms, ctx).contained
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 180 * 129 ** 2 - 1)
+
+    def refuse(*args):
+        raise AssertionError("the restriction ran")
+
+    monkeypatch.setattr(fermat_hodge, "restrict_to_forms", refuse)
+    with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_1\) needs 180 term pairs"):
+        plane_in_fermat(forms, ctx)
 
 
 def test_complete_intersection_runs_no_square_elimination(quintic_surface, monkeypatch):
