@@ -15,7 +15,8 @@ visits one sorted representative per orbit and weights it by the orbit size,
 and counts the divisors of each sorted vector once per scan: a moved vector,
 sorted, is mostly one the scan has counted or will count as a representative.
 A count is the coefficient of t^k in prod_i (1 + t + ... + t^alpha_i), each
-factor applied as a running window sum in O(k) steps.
+factor applied as a running window sum in O(k) steps.  Of the attainers it
+keeps only those of the least count, in all and away from the linear shape.
 """
 
 from __future__ import annotations
@@ -192,7 +193,18 @@ def _exchange_holds(
 # steps) takes 0.5 s, and (2, 145), (4, 41), (40, 6) and (150, 4), near the
 # limit, 6.5-8.5 s.  A count of vectors alone would let n grow at small d:
 # (200, 4) has 20,706 vectors and takes 20 s.  (12, 12) has 3.8e8 steps.
+# Memory is the count of each sorted vector met: peak RSS 37 MB at (4, 41),
+# 29 MB at (2, 145) and 19 MB at (8, 12), with only the least pools kept.
 SCAN_MAX_WORK = 300_000_000
+
+
+def _keep_least(pool: dict[int, dict], s: int, alpha: tuple[int, ...], weight: int) -> None:
+    """Add alpha to the pool of its count s, keeping only the least count's pool."""
+    least = next(iter(pool), s)
+    if s < least:
+        pool.clear()
+    if s <= least:
+        pool.setdefault(s, {})[alpha] = weight
 
 
 def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
@@ -207,8 +219,9 @@ def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
                          f"above the scan limit of {SCAN_MAX_WORK}")
     half = n // 2 + 1
     linear_shape = (0,) * half + (d - 2,) * half
-    # attainer multisets with their orbit sizes, keyed by count value, for
-    # the full pool and for the pool of vectors away from the linear shape
+    # attainer multisets of the least count so far with their orbit sizes,
+    # keyed by that count, for the full pool and for the pool of vectors away
+    # from the linear shape
     full: dict[int, dict[tuple[int, ...], int]] = {}
     rest: dict[int, dict[tuple[int, ...], int]] = {}
     exchange_ok = True
@@ -229,9 +242,9 @@ def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
             continue
         s = count(alpha)
         weight = _orbit_size(alpha, n + 2)
-        full.setdefault(s, {})[alpha] = weight
+        _keep_least(full, s, alpha, weight)
         if alpha != linear_shape:
-            rest.setdefault(s, {})[alpha] = weight
+            _keep_least(rest, s, alpha, weight)
         ok, checks = _exchange_holds(alpha, d, s, count)
         exchange_checks += checks * weight
         if not ok:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
@@ -45,6 +46,29 @@ def _parse_coeffs(text: str, conductor: int) -> tuple[CyclotomicNumber, ...]:
     return tuple(
         ioformats.parse_cyclotomic_expr(part, conductor) for part in text.split(",")
     )
+
+
+def _literal_conductor(text: str, conductor: int) -> int:
+    """The conductor `_parse_coeffs(text, conductor)` builds its field at:
+    z is zeta_conductor and i is zeta_4."""
+    return math.lcm(conductor if "z" in text else 1, 4 if "i" in text else 1)
+
+
+def _declared_fields(polys) -> list[tuple[int, int]]:
+    """(m, number of terms) of each entry of a JSON polynomial list that has the
+    shape `ioformats.polynomial_from_json` reads; it parses the terms over Q(zeta_m)."""
+    if not isinstance(polys, list):
+        return []
+    return [(p["m"], len(p["terms"])) for p in polys
+            if isinstance(p, dict) and isinstance(p.get("m"), int) and p["m"] > 0
+            and isinstance(p.get("terms"), list)]
+
+
+def _check_socle_fields(ctx: FermatContext, pairs: int, conductors) -> None:
+    """Count `pairs` products over each field the coefficients are about to be
+    parsed over, before parsing builds it; their common field contains each."""
+    for m in sorted(conductors):
+        fermat_hodge.check_socle_size(ctx, pairs, m)
 
 
 def _parse_order(text: str | None, nvars: int) -> MonomialOrder | None:
@@ -247,11 +271,16 @@ def _run_prop11(args, ctx):
 
 
 def _run_plane(args, ctx):
-    # before parsing builds the field: the count of binomial forms at phi = 1
-    fermat_hodge.check_socle_size(ctx, fermat_hodge.plane_term_pairs(ctx))
+    # the count of binomial forms at phi = 1 before a file is read, then over the
+    # fields the coefficients name, before parsing builds them
+    pairs = fermat_hodge.plane_term_pairs(ctx)
+    fermat_hodge.check_socle_size(ctx, pairs)
     if args.forms:
-        forms = ioformats.polynomials_from_json(_read_json(args.forms))
+        obj = _read_json(args.forms)
+        _check_socle_fields(ctx, pairs, {m for m, k in _declared_fields(obj) if k})
+        forms = ioformats.polynomials_from_json(obj)
     elif args.a:
+        _check_socle_fields(ctx, pairs, {_literal_conductor(args.a, ctx.m)})
         forms = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
     else:
         raise ValueError("specify the plane via --a or --forms FILE")
@@ -269,11 +298,20 @@ def _run_plane(args, ctx):
 
 
 def _run_dan_ci(args, ctx):
-    # before parsing builds the field: a binomial f_i times its d-term g_i, at phi = 1
-    fermat_hodge.check_socle_size(ctx, (ctx.n // 2 + 1) * 2 * ctx.d)
+    # a binomial f_i times its d-term g_i at phi = 1 before a file is read, then the
+    # products over the fields the coefficients name, before parsing builds them
+    pairs = (ctx.n // 2 + 1) * 2 * ctx.d
+    fermat_hodge.check_socle_size(ctx, pairs)
     if args.decomp:
-        f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
+        obj = _read_json(args.decomp)
+        f, g = (_declared_fields(obj.get(key) if isinstance(obj, dict) else None)
+                for key in ("f", "g"))
+        _check_socle_fields(ctx, sum(kf * kg for (_, kf), (_, kg) in zip(f, g)),
+                            {m for m, k in f + g if k})
+        f, g = ioformats.decomposition_from_json(obj)
     else:
+        if args.a:
+            _check_socle_fields(ctx, pairs, {_literal_conductor(args.a, ctx.m)})
         f, g = _standard_decomposition(args, ctx)
     report = fermat_hodge.complete_intersection_ideal(f, g, ctx)
     payload = {

@@ -530,7 +530,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     check_socle_size(ctx, plane_term_pairs(ctx), conductor)
     F = ctx.fermat_polynomial()
     width = ctx.nvars
-    pivots, _ = solve_linear_forms(forms, (), width)
+    pivots = solve_linear_forms(forms, width)
     if len(pivots) != half:
         raise ValueError("linear forms are dependent")
     r = max(sum(c != pv and c < width for c in row) for pv, row in pivots.items())

@@ -505,21 +505,17 @@ def _shifted_rows(gens: Sequence[Polynomial], k: int, index: dict[Monomial, int]
             yield i, gamma, {index[monomial_mul(e, gamma)]: c for e, c in g.terms.items()}
 
 
-def solve_linear_forms(
-    forms: Sequence[Polynomial], polys: Iterable[Polynomial], nvars: int
-) -> tuple[dict[int, dict], list[Polynomial]]:
-    """Solve linear forms for their pivot variables and restrict `polys` to
-    the forms' common zero set.
+def solve_linear_forms(forms: Sequence[Polynomial], nvars: int) -> dict[int, dict]:
+    """Solve linear forms for their pivot variables.
 
     Returns the reduced echelon rows {pivot variable: row} of the forms, in
     which form i carries the tag column nvars + i that tracks the row
-    transformation, and the polynomials with each pivot variable replaced by
-    minus the rest of its row.  Dependent forms leave no row."""
+    transformation.  Dependent forms leave no row."""
     pivots: dict[int, dict] = {}
     for i, L in enumerate(forms):
         row = {e.index(1): c for e, c in L.terms.items()}
         echelon_insert(pivots, {**row, nvars + i: CyclotomicNumber.one()}, nvars)
-    return pivots, restrict_to_forms(pivots, polys, nvars)
+    return pivots
 
 
 def restrict_to_forms(

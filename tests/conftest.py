@@ -9,7 +9,12 @@ from typing import Sequence
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.idealcalc import FermatContext, ideal_slice, solve_linear_forms
+from fermatcalc.idealcalc import (
+    FermatContext,
+    ideal_slice,
+    restrict_to_forms,
+    solve_linear_forms,
+)
 from fermatcalc.multipoly import Polynomial, count_monomials, monomials_of_degree
 
 
@@ -71,11 +76,8 @@ def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
     degrees = [g.homogeneous_degree() for g in gens]
     if None in degrees:
         raise ValueError("generators must be homogeneous and nonzero")
-    pivots, restricted = solve_linear_forms(
-        [g for g, dg in zip(gens, degrees) if dg == 1],
-        [g for g, dg in zip(gens, degrees) if dg != 1],
-        nvars,
-    )
+    pivots = solve_linear_forms([g for g, dg in zip(gens, degrees) if dg == 1], nvars)
+    restricted = restrict_to_forms(pivots, [g for g, dg in zip(gens, degrees) if dg != 1], nvars)
     free = [v for v in range(nvars) if v not in pivots]
     reduced = [
         Polynomial(len(free), {tuple(e[v] for v in free): c for e, c in g.terms.items()})

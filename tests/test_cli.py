@@ -502,26 +502,56 @@ def test_prop11_still_counts_the_conductor_of_its_literal(capsys):
     (["dan-ci", "--n", "2", "--d", "700", "--type", "1,1", "--a", "z,z"], "_socle_check",
      "(n, d) = (2, 700) over Q(zeta_1400) needs 2800 term pairs (phi+128)^2 = "
      "1035059200 steps, above the socle-check limit of 1000000000"),
-    # refused at phi = 1, before parsing --a builds Q(zeta_40000)
-    (["plane", "--n", "2", "--d", "20000", "--a", "z,z"], "_socle_check",
-     "(n, d) = (2, 20000) needs at least 160000 term pairs (phi+128)^2 = "
-     "2662560000 steps, above the socle-check limit of 1000000000"),
-    (["dan-ci", "--n", "2", "--d", "20000", "--type", "1,2", "--a", "z,z,z"], "_socle_check",
-     "(n, d) = (2, 20000) needs at least 80000 term pairs (phi+128)^2 = "
-     "1331280000 steps, above the socle-check limit of 1000000000"),
-    # and before reading a --forms file, which here does not exist
+    # refused over Q(zeta_6000), which a literal naming z is parsed over, before parsing builds it
+    (["plane", "--n", "2", "--d", "3000", "--a", "z,z"], "_socle_check",
+     "(n, d) = (2, 3000) over Q(zeta_6000) needs 24000 term pairs (phi+128)^2 = "
+     "71663616000 steps, above the socle-check limit of 1000000000"),
+    (["dan-ci", "--n", "2", "--d", "3000", "--type", "1,2", "--a", "z,z,z"], "_socle_check",
+     "(n, d) = (2, 3000) over Q(zeta_6000) needs 12000 term pairs (phi+128)^2 = "
+     "35831808000 steps, above the socle-check limit of 1000000000"),
+    # and over the conductor a --forms file declares, before its coefficients are parsed
+    (["plane", "--n", "2", "--d", "3000", "--forms", "forms6000.json"], "_socle_check",
+     "(n, d) = (2, 3000) over Q(zeta_6000) needs 24000 term pairs (phi+128)^2 = "
+     "71663616000 steps, above the socle-check limit of 1000000000"),
+    # a --decomp file's term counts: (2 x 85) + (2 x 85) products
+    (["dan-ci", "--n", "2", "--d", "3000", "--decomp", "decomp6000.json"], "_socle_check",
+     "(n, d) = (2, 3000) over Q(zeta_6000) needs 340 term pairs (phi+128)^2 = "
+     "1015234560 steps, above the socle-check limit of 1000000000"),
+    # at phi = 1, before reading a --forms file, which here does not exist
     (["plane", "--n", "2", "--d", "20000", "--forms", "unread.json"], "_socle_check",
      "(n, d) = (2, 20000) needs at least 160000 term pairs (phi+128)^2 = "
      "2662560000 steps, above the socle-check limit of 1000000000"),
 ])
 def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err, capsys,
-                                                                 monkeypatch):
-    from fermatcalc import fermat_hodge
+                                                                 monkeypatch, tmp_path):
+    from fermatcalc import exactnum, fermat_hodge
 
     def refuse(*args):
         raise AssertionError(f"{work} ran")
 
+    build = exactnum._Field
+
+    def refuse_field(m):
+        if m > 1000:
+            raise AssertionError(f"Q(zeta_{m}) was built")
+        return build(m)
+
     monkeypatch.setattr(fermat_hodge, work, refuse)
+    monkeypatch.setattr(exactnum, "_Field", refuse_field)
+    monkeypatch.chdir(tmp_path)
+    one, minus_zeta = [1] + [0] * 1599, [0, -1] + [0] * 1598  # in Q(zeta_6000)
+
+    def binomial(j):
+        exps = [[int(v == 2 * j) for v in range(4)], [int(v == 2 * j + 1) for v in range(4)]]
+        return {"vars": 4, "m": 6000,
+                "terms": [{"exp": exps[0], "coeff": one}, {"exp": exps[1], "coeff": minus_zeta}]}
+
+    cofactor = {"vars": 4, "m": 6000,
+                "terms": [{"exp": [2999 - k, k, 0, 0], "coeff": one} for k in range(85)]}
+    forms = [binomial(0), binomial(1)]
+    Path("forms6000.json").write_text(json.dumps(forms), encoding="utf-8")
+    decomp = {"f": forms, "g": [cofactor, cofactor]}
+    Path("decomp6000.json").write_text(json.dumps(decomp), encoding="utf-8")
     t0 = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - t0 < 1.0
