@@ -14,11 +14,10 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
-from fermatcalc.exactnum import CyclotomicNumber
+from fermatcalc.exactnum import CyclotomicNumber, check_conductor
 from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
@@ -48,26 +47,11 @@ def _parse_coeffs(text: str, conductor: int) -> tuple[CyclotomicNumber, ...]:
     )
 
 
-def _literal_conductor(text: str, conductor: int) -> int:
-    """The conductor `_parse_coeffs(text, conductor)` builds its field at:
-    z is zeta_conductor and i is zeta_4."""
-    return math.lcm(conductor if "z" in text else 1, 4 if "i" in text else 1)
-
-
-def _declared_fields(polys) -> list[tuple[int, int]]:
-    """(m, number of terms) of each entry of a JSON polynomial list that has the
-    shape `ioformats.polynomial_from_json` reads; it parses the terms over Q(zeta_m)."""
-    if not isinstance(polys, list):
-        return []
-    return [(p["m"], len(p["terms"])) for p in polys
-            if isinstance(p, dict) and isinstance(p.get("m"), int) and p["m"] > 0
-            and isinstance(p.get("terms"), list)]
-
-
 def _check_socle_fields(ctx: FermatContext, pairs: int, conductors) -> None:
     """Count `pairs` products over each field the coefficients are about to be
     parsed over, before parsing builds it; their common field contains each."""
     for m in sorted(conductors):
+        check_conductor(m)
         fermat_hodge.check_socle_size(ctx, pairs, m)
 
 
@@ -85,7 +69,10 @@ def _parse_order(text: str | None, nvars: int) -> MonomialOrder | None:
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # a RuntimeError, which would exit 3
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _class_poly(args, ctx: FermatContext, suffix: str = "") -> Polynomial:
@@ -277,10 +264,10 @@ def _run_plane(args, ctx):
     fermat_hodge.check_socle_size(ctx, pairs)
     if args.forms:
         obj = _read_json(args.forms)
-        _check_socle_fields(ctx, pairs, {m for m, k in _declared_fields(obj) if k})
+        _check_socle_fields(ctx, pairs, {m for m, k in ioformats.declared_fields(obj) if k})
         forms = ioformats.polynomials_from_json(obj)
     elif args.a:
-        _check_socle_fields(ctx, pairs, {_literal_conductor(args.a, ctx.m)})
+        _check_socle_fields(ctx, pairs, {ioformats.literal_conductor(args.a, ctx.m)})
         forms = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
     else:
         raise ValueError("specify the plane via --a or --forms FILE")
@@ -304,14 +291,14 @@ def _run_dan_ci(args, ctx):
     fermat_hodge.check_socle_size(ctx, pairs)
     if args.decomp:
         obj = _read_json(args.decomp)
-        f, g = (_declared_fields(obj.get(key) if isinstance(obj, dict) else None)
+        f, g = (ioformats.declared_fields(obj.get(key) if isinstance(obj, dict) else None)
                 for key in ("f", "g"))
         _check_socle_fields(ctx, sum(kf * kg for (_, kf), (_, kg) in zip(f, g)),
                             {m for m, k in f + g if k})
         f, g = ioformats.decomposition_from_json(obj)
     else:
         if args.a:
-            _check_socle_fields(ctx, pairs, {_literal_conductor(args.a, ctx.m)})
+            _check_socle_fields(ctx, pairs, {ioformats.literal_conductor(args.a, ctx.m)})
         f, g = _standard_decomposition(args, ctx)
     report = fermat_hodge.complete_intersection_ideal(f, g, ctx)
     payload = {

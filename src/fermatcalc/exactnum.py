@@ -32,6 +32,7 @@ Rational = Fraction
 __all__ = [
     "CyclotomicNumber",
     "FIELD_MAX_ENTRIES",
+    "check_conductor",
     "Rational",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -137,8 +138,17 @@ class _Field:
 FIELD_MAX_ENTRIES = 20_000_000
 
 
+def check_conductor(m: int) -> None:
+    """Refuse a conductor whose power table, of at least m + 1 entries, `_field`
+    would refuse, before euler_phi's O(sqrt(m)) trial division runs."""
+    if m > FIELD_MAX_ENTRIES:
+        raise ValueError(f"conductor {m} needs at least m + 1 = {m + 1} power-table entries, "
+                         f"above the field limit of {FIELD_MAX_ENTRIES}")
+
+
 @lru_cache(maxsize=None)
 def _field(m: int) -> _Field:
+    check_conductor(m)
     phi = euler_phi(m)
     entries = (max(2 * phi - 2, m) + 1) * phi
     if entries > FIELD_MAX_ENTRIES:
@@ -218,6 +228,7 @@ class CyclotomicNumber:
     @classmethod
     def from_coords(cls, m: int, coords) -> "CyclotomicNumber":
         """Build from a full phi(m)-vector of rationals (or strings)."""
+        check_conductor(m)
         fracs = [Fraction(c) for c in coords]
         if len(fracs) != euler_phi(m):  # counted before `_field(m)` builds a table
             raise ValueError(
@@ -401,7 +412,7 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta_m -> zeta_m^(-1)."""
-        return _power_sum(self.m, ((-j, v) for j, v in enumerate(self.nums)), self.den)
+        return self._galois(-1)
 
     def _galois(self, k: int) -> "CyclotomicNumber":
         """The automorphism sigma_k: zeta_m -> zeta_m^k, for k prime to m."""

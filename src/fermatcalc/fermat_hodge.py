@@ -34,22 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fermatcalc import bounds
-from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, unit_circle_check, zeta
+from fermatcalc.exactnum import (CyclotomicNumber, check_conductor, euler_phi, root_of_unity,
+                                 unit_circle_check, zeta)
 from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     SquareMembership,
-    restrict_to_forms,
     solve_linear_forms,
 )
-from fermatcalc.multipoly import (
-    MonomialOrder,
-    Polynomial,
-    divide,
-    geometric_factor,
-    leading_term,
-    monomial_div,
-)
+from fermatcalc.multipoly import Polynomial, geometric_factor, leading_term, monomial_div
 
 __all__ = [
     "LinearCycleSpec",
@@ -395,6 +388,7 @@ PROP11_MAX_WORK = 20_000_000
 def check_prop11_size(d: int, m: int) -> None:
     """Refuse a rationality scan at degree d over Q(zeta_m) above PROP11_MAX_WORK.
     2d divides the scan's conductor, so m = 2d is a lower bound, checkable before a is parsed."""
+    check_conductor(m)
     if (work := d * d * euler_phi(m) ** 3) > PROP11_MAX_WORK:
         raise ValueError(f"d = {d} over Q(zeta_{m}) needs d^2 phi^3 = {work} steps, "
                          f"above the prop11 limit of {PROP11_MAX_WORK}")
@@ -448,8 +442,8 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 # schoolbook product of phi coordinates plus a fixed cost that rational
 # coefficients measure at about 128^2 coordinate products.  The socle check
 # itself reads its dimensions off the generator degrees in O(sigma) per
-# generator.  On a 2-core x86_64 host `plane --n 2 --a z,z` takes 0.04 s at
-# d = 70 and 1.3 s at d = 600 (9.6e8 steps); the slowest accepted requests,
+# generator.  On a 2-core x86_64 host `plane --n 2 --a z,z` takes 0.03 s at
+# d = 70 and 1.1 s at d = 600 (9.6e8 steps); the slowest accepted requests,
 # `dan-ci --type 1,...,1,2` over conductors with many prime factors (dense
 # products), take about 5 s.
 SOCLE_MAX_WORK = 1_000_000_000
@@ -474,11 +468,11 @@ def plane_term_pairs(ctx: FermatContext, r: int = 1) -> int:
     """Coefficient products of `plane_in_fermat` for echelon rows with at most
     r free variables (r = 1 for binomials): (n/2+1)^2 (r+1) C(d-1+r, r).
 
-    Dividing F by the n/2+1 rows gives quotients of at most C(d-1+r, r) terms
-    (x_p^(d-1-s) times a monomial of degree s in r variables), each term one
-    product with the r+1 row terms; restricting F to the plane takes the same
-    products for the powers of each row.  Each cofactor combines up to n/2+1
-    quotients, and the check sum_i L_i Q_i multiplies it by its form."""
+    The n/2+1 rows x_p - r_p take the powers r_p^s for s <= d, each of at
+    most C(s-1+r, r-1) terms and r products per term of the last; the
+    quotient sum_{s<d} x_p^(d-1-s) r_p^s of a row has at most C(d-1+r, r)
+    terms.  Each cofactor combines up to n/2+1 quotients, one product per
+    term, and the check sum_i L_i Q_i multiplies it by its form."""
     half = ctx.n // 2 + 1
     return half * half * (r + 1) * math.comb(ctx.d - 1 + r, r)
 
@@ -511,13 +505,13 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
     """Decide whether the linear subspace {L_1 = ... = L_{n/2+1} = 0} lies in
     the Fermat hypersurface.
 
-    The plane is parametrized by solving the echelonized forms for their
-    pivot variables and substituting into F; containment means the
-    restriction vanishes identically.  On containment the cofactors Q_i with
-    F = sum L_i Q_i are produced by dividing F by the echelon forms and
-    transforming back, and the ideal <L_i, Q_i> is returned together with a
-    socle check (dimension 1 in degree sigma, 0 above; module docstring).
-    """
+    The forms' echelon rows read x_p - r_p, r_p in the free variables.  By
+    x_p^d - r_p^d = (x_p - r_p) sum_{s<d} x_p^(d-1-s) r_p^s, the powers r_p^s
+    give F on the plane (its free part plus sum_p r_p^d), which vanishes on
+    containment, and each row's quotient.  Mapped back through the tag columns
+    the quotients are the cofactors Q_i of F = sum L_i Q_i, and the ideal
+    <L_i, Q_i> is returned with a socle check (dimension 1 in degree sigma, 0
+    above; module docstring)."""
     forms = list(forms)
     half = ctx.n // 2 + 1
     if len(forms) != half:
@@ -535,30 +529,24 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
         raise ValueError("linear forms are dependent")
     r = max(sum(c != pv and c < width for c in row) for pv, row in pivots.items())
     check_socle_size(ctx, plane_term_pairs(ctx, r), conductor)
-    (restricted,) = restrict_to_forms(pivots, [F], width)
+    # Powers start at the pivot entry, 1 at the conductor the echelon left it,
+    # which each quotient coefficient then carries as a division by the row would.
     pivot_vars = sorted(pivots)
+    restricted = Polynomial(width, [(e, c) for e, c in F.terms.items()
+                                    if e.index(ctx.d) not in pivots])
+    hat_quotients = []
+    for pv in pivot_vars:
+        r_p = Polynomial(width, [(tuple(int(t == c) for t in range(width)), -v)
+                                 for c, v in pivots[pv].items() if c != pv and c < width])
+        power, terms = Polynomial.constant(width, pivots[pv][pv]), {}
+        for s in range(ctx.d):
+            terms.update((e[:pv] + (ctx.d - 1 - s,) + e[pv + 1:], c)
+                         for e, c in power.terms.items())
+            power = power * r_p
+        hat_quotients.append(Polynomial(width, terms))
+        restricted = restricted + power
     if not restricted.is_zero():
         return PlaneContainment(False, restricted, None, None, None, None)
-    # Divide F by the echelon forms under a pivot-first order, then transform
-    # the quotients back to the original forms.
-    priority = tuple(pivot_vars) + tuple(
-        v for v in range(ctx.nvars) if v not in pivots
-    )
-    order = MonomialOrder(priority)
-    echelon_forms = [
-        Polynomial(
-            ctx.nvars,
-            [
-                (tuple(1 if t == c else 0 for t in range(ctx.nvars)), v)
-                for c, v in pivots[pv].items()
-                if c < width
-            ],
-        )
-        for pv in pivot_vars
-    ]
-    hat_quotients, remainder = divide(F, echelon_forms, order)
-    if not remainder.is_zero():
-        raise RuntimeError("division remainder should vanish on a contained plane")
     quotients = []
     for j in range(half):
         q = Polynomial.zero(ctx.nvars)

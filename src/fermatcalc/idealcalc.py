@@ -95,7 +95,6 @@ __all__ = [
     "ideal_square_membership",
     "ideal_slice",
     "solve_linear_forms",
-    "restrict_to_forms",
     "standard_monomials",
 ]
 
@@ -508,35 +507,15 @@ def _shifted_rows(gens: Sequence[Polynomial], k: int, index: dict[Monomial, int]
 def solve_linear_forms(forms: Sequence[Polynomial], nvars: int) -> dict[int, dict]:
     """Solve linear forms for their pivot variables.
 
-    Returns the reduced echelon rows {pivot variable: row} of the forms, in
-    which form i carries the tag column nvars + i that tracks the row
-    transformation.  Dependent forms leave no row."""
+    Returns the reduced echelon rows {pivot variable: row} of the forms: row
+    p reads x_p - r_p with r_p in the free variables, and its tag column
+    nvars + i holds the coefficient of form i in it, which maps a quotient by
+    the rows back to the forms.  Dependent forms leave no row."""
     pivots: dict[int, dict] = {}
     for i, L in enumerate(forms):
         row = {e.index(1): c for e, c in L.terms.items()}
         echelon_insert(pivots, {**row, nvars + i: CyclotomicNumber.one()}, nvars)
     return pivots
-
-
-def restrict_to_forms(
-    pivots: dict[int, dict], polys: Iterable[Polynomial], nvars: int
-) -> list[Polynomial]:
-    """`polys` restricted to the common zero set of linear forms given by
-    their reduced echelon rows `pivots`, as `solve_linear_forms` returns them:
-    each pivot variable is replaced by minus the rest of its row."""
-    replacements = [
-        (pv, Polynomial(nvars, [
-            (tuple(int(t == c) for t in range(nvars)), -v)
-            for c, v in row.items() if c != pv and c < nvars
-        ]))
-        for pv, row in sorted(pivots.items())
-    ]
-    restricted = []
-    for p in polys:
-        for pv, replacement in replacements:
-            p = p.substitute_linear(pv, replacement)
-        restricted.append(p)
-    return restricted
 
 
 def standard_monomials(lts: Iterable[Monomial], k: int, nvars: int) -> list[Monomial]:

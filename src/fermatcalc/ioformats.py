@@ -27,10 +27,12 @@ __all__ = [
     "polynomial_to_json",
     "polynomial_from_json",
     "polynomials_from_json",
+    "declared_fields",
     "decomposition_from_json",
     "slice_to_json",
     "profile_to_json",
     "parse_cyclotomic_expr",
+    "literal_conductor",
 ]
 
 
@@ -73,6 +75,16 @@ def polynomial_from_json(obj) -> Polynomial:
             raise ValueError(f"malformed polynomial term {t!r}")
         terms.append((tuple(t["exp"]), CyclotomicNumber.from_coords(obj["m"], t["coeff"])))
     return Polynomial(obj["vars"], terms)
+
+
+def declared_fields(polys) -> list[tuple[int, int]]:
+    """(m, number of terms) of each entry of a JSON polynomial list that has the
+    shape `polynomial_from_json` reads; it parses the terms over Q(zeta_m)."""
+    if not isinstance(polys, list):
+        return []
+    return [(p["m"], len(p["terms"])) for p in polys
+            if isinstance(p, dict) and isinstance(p.get("m"), int) and p["m"] > 0
+            and isinstance(p.get("terms"), list)]
 
 
 def polynomials_from_json(obj) -> list[Polynomial]:
@@ -200,6 +212,12 @@ class _Parser:
             self.pos += 1
             return value
         self.error(f"unexpected character {ch!r}")
+
+
+def literal_conductor(text: str, conductor: int) -> int:
+    """The conductor `parse_cyclotomic_expr(text, conductor)` builds its field
+    at: z is zeta_conductor and i is zeta_4."""
+    return math.lcm(conductor if "z" in text else 1, 4 if "i" in text else 1)
 
 
 def parse_cyclotomic_expr(text: str, conductor: int) -> CyclotomicNumber:

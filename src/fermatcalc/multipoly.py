@@ -295,20 +295,6 @@ class Polynomial:
         object.__setattr__(poly, "terms", data)
         return poly
 
-    def substitute_linear(self, index: int, replacement: "Polynomial") -> "Polynomial":
-        """Substitute the polynomial `replacement` for the variable x_index."""
-        self._check_compatible(replacement)
-        powers = [Polynomial.constant(self.nvars, 1)]
-        for _ in range(max((e[index] for e in self.terms), default=0)):
-            powers.append(powers[-1] * replacement)
-        result = Polynomial.zero(self.nvars)
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            rest = list(exps)
-            rest[index] = 0
-            result = result + powers[e] * Polynomial.monomial(self.nvars, tuple(rest), coeff)
-        return result
-
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other):

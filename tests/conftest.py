@@ -9,13 +9,14 @@ from typing import Sequence
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.idealcalc import (
-    FermatContext,
-    ideal_slice,
-    restrict_to_forms,
-    solve_linear_forms,
+from fermatcalc.idealcalc import FermatContext, ideal_slice, solve_linear_forms
+from fermatcalc.multipoly import (
+    MonomialOrder,
+    Polynomial,
+    count_monomials,
+    divide,
+    monomials_of_degree,
 )
-from fermatcalc.multipoly import Polynomial, count_monomials, monomials_of_degree
 
 
 @pytest.fixture
@@ -62,6 +63,22 @@ def random_product_coefficients(ctx: FermatContext, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 
+def divide_by_echelon_rows(p: Polynomial, pivots: dict[int, dict]):
+    """(quotients, remainder) of p divided by the rows x_v - r_v of
+    `solve_linear_forms`, in increasing pivot order, under the lex order that
+    ranks the pivot variables first.  No remainder term holds a pivot
+    variable, so the remainder is p restricted to the rows' zero set."""
+    nvars = p.nvars
+    pivot_vars = sorted(pivots)
+    order = MonomialOrder(tuple(pivot_vars) + tuple(v for v in range(nvars) if v not in pivots))
+    rows = [
+        Polynomial(nvars, [(tuple(int(t == c) for t in range(nvars)), v)
+                           for c, v in pivots[pv].items() if c < nvars])
+        for pv in pivot_vars
+    ]
+    return divide(p, rows, order)
+
+
 def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
     """Quotient dimensions [dim (S/I)_k for k = 0..up_to] by echelon spans.
 
@@ -77,7 +94,7 @@ def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
     if None in degrees:
         raise ValueError("generators must be homogeneous and nonzero")
     pivots = solve_linear_forms([g for g, dg in zip(gens, degrees) if dg == 1], nvars)
-    restricted = restrict_to_forms(pivots, [g for g, dg in zip(gens, degrees) if dg != 1], nvars)
+    restricted = [divide_by_echelon_rows(g, pivots)[1] for g, dg in zip(gens, degrees) if dg != 1]
     free = [v for v in range(nvars) if v not in pivots]
     reduced = [
         Polynomial(len(free), {tuple(e[v] for v in free): c for e, c in g.terms.items()})

@@ -569,6 +569,23 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
      "expected 3000 coordinates for conductor 3001, got 1"),
     (["hilbert", "--n", "2", "--d", "5", "--poly", "m1000003.json"],
      "expected 1000002 coordinates for conductor 1000003, got 1"),
+    # a conductor above the field limit is refused before euler_phi's trial division,
+    # which takes 31 s at m = 10^16 + 61 and grows as sqrt(m)
+    (["hilbert", "--n", "2", "--d", "5", "--poly", "m10000000000000061.json"],
+     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 power-table "
+     "entries, above the field limit of 20000000"),
+    (["plane", "--n", "2", "--d", "5", "--forms", "list10000000000000061.json"],
+     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 power-table "
+     "entries, above the field limit of 20000000"),
+    (["dan-ci", "--n", "2", "--d", "5", "--decomp", "decomp10000000000000061.json"],
+     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 power-table "
+     "entries, above the field limit of 20000000"),
+    (["prop11", "--d", "50000000000053", "--a", "z"],
+     "conductor 100000000000106 needs at least m + 1 = 100000000000107 power-table entries, "
+     "above the field limit of 20000000"),
+    (["groebner", "--n", "2", "--d", "50000000000053", "--a", "z,z"],
+     "conductor 100000000000106 needs at least m + 1 = 100000000000107 power-table entries, "
+     "above the field limit of 20000000"),
 ])
 def test_runaway_fields_are_refused_at_once(argv, err, capsys, monkeypatch, tmp_path):
     from fermatcalc import exactnum
@@ -582,14 +599,31 @@ def test_runaway_fields_are_refused_at_once(argv, err, capsys, monkeypatch, tmp_
 
     monkeypatch.setattr(exactnum, "_Field", refuse)
     monkeypatch.chdir(tmp_path)
-    for m in (3001, 1000003):
+    for m in (3001, 1000003, 10000000000000061):
         poly = {"vars": 4, "m": m, "terms": [{"exp": [3, 3, 0, 0], "coeff": ["1"]}]}
         Path(f"m{m}.json").write_text(json.dumps(poly), encoding="utf-8")
+    Path("list10000000000000061.json").write_text(json.dumps([poly, poly]), encoding="utf-8")
+    decomp = {"f": [poly, poly], "g": [poly, poly]}
+    Path("decomp10000000000000061.json").write_text(json.dumps(decomp), encoding="utf-8")
     t0 = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("verb,flag", [
+    ("hilbert", "--poly"), ("plane", "--forms"), ("dan-ci", "--decomp"), ("groebner", "--gens"),
+])
+def test_deeply_nested_json_exits_one(verb, flag, capsys, tmp_path):
+    # the decoder's RecursionError is a RuntimeError, which would exit 3 as a failed check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    t0 = time.perf_counter()
+    code = main([verb, "--n", "2", "--d", "5", flag, str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply\n")
 
 
 def test_bad_variable_order_is_refused(capsys):

@@ -179,6 +179,28 @@ def test_field_tables_refuse_exactly_above_their_limit(monkeypatch):
         build(7)
 
 
+def test_conductors_above_the_field_limit_are_refused_before_phi(monkeypatch):
+    from fermatcalc import exactnum, fermat_hodge
+
+    # every table has at least m + 1 entries: at the limit 7, m = 8 is refused
+    # without euler_phi's trial division, and m = 7 on its count of 66 entries
+    build = exactnum._field.__wrapped__
+    monkeypatch.setattr(exactnum, "FIELD_MAX_ENTRIES", 7)
+    with pytest.raises(ValueError, match=r"^conductor 7 needs .* = 66 power-table entries"):
+        build(7)
+
+    def refuse(m):
+        raise AssertionError("euler_phi ran")
+
+    monkeypatch.setattr(exactnum, "euler_phi", refuse)
+    monkeypatch.setattr(fermat_hodge, "euler_phi", refuse)
+    for route in (build, lambda m: CyclotomicNumber.from_coords(m, ["1"]),
+                  lambda m: fermat_hodge.check_prop11_size(3, m)):
+        with pytest.raises(ValueError, match=r"^conductor 8 needs at least m \+ 1 = 9 "
+                                             r"power-table entries, above the field limit of 7$"):
+            route(8)
+
+
 def test_pickle_round_trip():
     x = zeta(8) * ((3 + 4 * root_of_unity(4, 1)) / 5).promote(8)
     poly = Polynomial(3, [((2, 1, 0), x), ((0, 0, 3), zeta(8) + Fraction(1, 2))])

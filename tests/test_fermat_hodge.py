@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
 from fermatcalc.idealcalc import (
@@ -12,7 +13,9 @@ from fermatcalc.idealcalc import (
     ideal_slice,
     ideal_square_membership,
     reduce_mod_jacobian,
+    solve_linear_forms,
 )
+from fermatcalc.ioformats import polynomial_from_json, polynomial_to_json
 from fermatcalc.multipoly import Polynomial, divide, lex_order, monomials_of_degree
 from fermatcalc.fermat_hodge import (
     LinearCycleSpec,
@@ -32,7 +35,12 @@ from fermatcalc.fermat_hodge import (
     special_family,
 )
 
-from conftest import coefficient_pool, ideal_hilbert_dims, random_reduced_class
+from conftest import (
+    coefficient_pool,
+    divide_by_echelon_rows,
+    ideal_hilbert_dims,
+    random_reduced_class,
+)
 
 
 def geometric_sum(a, b, d):
@@ -576,6 +584,89 @@ def test_plane_with_general_position_forms(quintic_surface):
     assert rebuilt == ctx.fermat_polynomial()
 
 
+def plane_by_division(forms, ctx):
+    """(residual, cofactors or None) of the plane {forms = 0} by dividing F by
+    the forms' echelon rows in pivot-first order, the cofactors mapped back
+    through the rows' tag columns."""
+    pivots = solve_linear_forms(forms, ctx.nvars)
+    hat, remainder = divide_by_echelon_rows(ctx.fermat_polynomial(), pivots)
+    if remainder:
+        return remainder, None
+    cofactors = []
+    for j in range(len(forms)):
+        q = Polynomial.zero(ctx.nvars)
+        for pv, h in zip(sorted(pivots), hat):
+            t = pivots[pv].get(ctx.nvars + j)
+            if t is not None:
+                q = q + h.scale(t)
+        cofactors.append(q)
+    return remainder, cofactors
+
+
+def exact_terms(p):
+    return {e: (c.m, c.nums, c.den) for e, c in p.terms.items()}
+
+
+PLANE_POINTS = [(2, 5), (2, 7), (4, 4), (4, 5), (6, 4)]
+
+
+@st.composite
+def plane_forms(draw, ctx):
+    """Forms of one of four kinds: binomials x_p - zeta_2d^k x_q over a drawn
+    pairing with odd k (on F); rational binomials x_p - a x_q; binomials with
+    one even k (off F); or dense forms with drawn coefficients, whose echelon
+    rows have r >= 2.  Binomials are then mixed by a drawn matrix when it is
+    invertible.  The forms may also pass through JSON, as a --forms file
+    reads them, which puts every coefficient, a pivot's 1 too, at the common
+    conductor."""
+    nvars, half = ctx.nvars, ctx.n // 2 + 1
+    x = variables(nvars)
+    kind = draw(st.sampled_from(["binomial", "rational", "off", "dense"]), label="kind")
+    pool = coefficient_pool(ctx.m)
+    if kind == "dense":
+        forms = [sum((x[v].scale(draw(st.sampled_from(pool))) for v in range(nvars)),
+                     Polynomial.zero(nvars)) for _ in range(half)]
+    else:
+        order = draw(st.permutations(range(nvars)), label="pairing")
+        if kind == "rational":
+            coeffs = [draw(st.sampled_from([-1, 1, 2, Fraction(-1, 2)])) for _ in range(half)]
+        else:
+            ks = [draw(st.integers(0, ctx.d - 1)) * 2 + 1 for _ in range(half)]
+            if kind == "off":
+                ks[draw(st.integers(0, half - 1))] -= 1
+            coeffs = [root_of_unity(ctx.m, k) for k in ks]
+        forms = [x[order[2 * j]] - x[order[2 * j + 1]].scale(a) for j, a in enumerate(coeffs)]
+        mix = [[draw(st.sampled_from(pool + [CyclotomicNumber.zero()])) for _ in forms]
+               for _ in forms]
+        mixed = [sum((f.scale(c) for f, c in zip(forms, row) if c), Polynomial.zero(nvars))
+                 for row in mix]
+        if all(mixed) and len(solve_linear_forms(mixed, nvars)) == half:
+            forms = mixed
+    if draw(st.booleans(), label="through JSON"):
+        forms = [polynomial_from_json(polynomial_to_json(f)) for f in forms]
+    return forms
+
+
+@pytest.mark.parametrize("n,d", PLANE_POINTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plane_closed_form_matches_division_by_the_echelon_rows(n, d, data):
+    ctx = FermatContext(n, d)
+    forms = data.draw(plane_forms(ctx))
+    try:
+        report = plane_in_fermat(forms, ctx)
+    except ValueError:  # dependent forms
+        assume(False)
+    remainder, cofactors = plane_by_division(forms, ctx)
+    assert exact_terms(report.residual) == exact_terms(remainder)
+    assert polynomial_to_json(report.residual) == polynomial_to_json(remainder)
+    assert report.contained == (cofactors is not None)
+    if report.contained:
+        assert [exact_terms(q) for q in report.quotients] == [exact_terms(q) for q in cofactors]
+        assert [polynomial_to_json(q) for q in report.quotients] == [
+            polynomial_to_json(q) for q in cofactors]
+
+
 def test_complete_intersection_linear_type_matches_linear_cycle(quintic_surface):
     ctx = quintic_surface
     z = zeta(10)
@@ -704,9 +795,9 @@ def test_plane_counts_its_echelon_rows_before_restricting(quintic_surface, monke
     monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 180 * 129 ** 2 - 1)
 
     def refuse(*args):
-        raise AssertionError("the restriction ran")
+        raise AssertionError("a polynomial product ran")
 
-    monkeypatch.setattr(fermat_hodge, "restrict_to_forms", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
     with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_1\) needs 180 term pairs"):
         plane_in_fermat(forms, ctx)
 

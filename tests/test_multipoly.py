@@ -165,45 +165,6 @@ def test_membership_of_binomial_powers_in_the_paired_basis():
     assert quotients[3].is_zero()
 
 
-def test_substitution():
-    d = 5
-    a = zeta(2 * d)  # a^d = -1
-    x = variables(4)
-    f = Polynomial(4, [((d, 0, 0, 0), 1), ((0, d, 0, 0), 1)])
-    assert f.substitute_linear(0, x[1].scale(a)).is_zero()
-    g = Polynomial.monomial(4, (1, 1, 0, 0))
-    assert g.substitute_linear(0, x[2] + x[3]) == Polynomial(
-        4, [((0, 1, 1, 0), 1), ((0, 1, 0, 1), 1)]
-    )
-
-
-COEFFICIENTS = {
-    "rational": st.integers(-3, 3).map(Fraction),
-    "zeta10": st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(
-        lambda v: CyclotomicNumber(10, v)
-    ),
-}
-
-
-@pytest.mark.parametrize("field", sorted(COEFFICIENTS))
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_substitution_matches_termwise_powers(field, data):
-    nvars = 3
-
-    def poly(max_exponent, max_terms):
-        exps = st.tuples(*[st.integers(0, max_exponent)] * nvars)
-        return Polynomial(nvars, data.draw(st.dictionaries(exps, COEFFICIENTS[field], max_size=max_terms)))
-
-    p, replacement = poly(5, 6), poly(1, 3)
-    index = data.draw(st.integers(0, nvars - 1))
-    expected = Polynomial.zero(nvars)
-    for exps, c in p.terms.items():
-        rest = tuple(0 if v == index else e for v, e in enumerate(exps))
-        expected = expected + replacement ** exps[index] * Polynomial.monomial(nvars, rest, c)
-    assert p.substitute_linear(index, replacement) == expected
-
-
 def test_leading_term_multiplicative():
     rng = random.Random(5)
     pool = coefficient_pool(10)
