@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 from fermatcalc import bounds, fermat_hodge, ioformats
@@ -328,6 +329,11 @@ def _standard_decomposition(args, ctx: FermatContext):
     f = _binomial_forms(ctx, zip([*range(half), half - 1], coeffs))
     if quadric:
         f[-2:] = [f[-2] * f[-1]]
+    # each g_i is a form in two variables of degree d - deg f_i: count the
+    # products of F = sum f_i g_i at that many terms before dividing
+    fermat_hodge.check_socle_size(
+        ctx, sum(len(fi.terms) * (ctx.d - fi.homogeneous_degree() + 1) for fi in f),
+        math.lcm(*(c.m for fi in f for c in fi.terms.values())))
     g = []
     for j, fi in enumerate(f):
         pair_sum = Polynomial(

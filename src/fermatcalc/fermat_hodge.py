@@ -247,9 +247,10 @@ class RationalityCertificate:
 
 
 # Most rows * |P| * (d-1)^(n/2+1) term pairs a rationality certificate accepts,
-# rows = pairings * d^(n/2+1).  The count overstates the work: each row builds
-# one linear cycle of (d-1)^(n/2+1) terms and does |P| lookups into it.  It is
-# kept so that the same inputs are refused.  On a 2-core x86_64 host,
+# rows = pairings * d^(n/2+1).  The count overstates the work: each `certify`
+# row builds one linear cycle of (d-1)^(n/2+1) terms and does |P| lookups into
+# it, and `special_family` builds no linear cycle at all.  It is kept so that
+# the same inputs are refused.  On a 2-core x86_64 host,
 # `certify --alpha 1,1,1` at (4, 7) (1.6e7) takes 1.3-1.8 s and at (4, 5) with
 # all 15 pairings (7.7e6) 1.5-1.8 s; (4, 9) (1.9e8) and (2, 20) (5.2e7) are
 # refused.
@@ -269,16 +270,20 @@ def _check_certificate_size(ctx: FermatContext, terms: int, all_coordinate_pairi
         )
 
 
-def _certificate_row(p, ctx, pairing, alpha) -> CertificateRow:
-    delta = linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx)
-    result = pair_classes(p, delta, ctx)
-    if result.c.is_zero():
-        flag = "zero"
-    elif result.c_rational is not None:
-        flag = "rational"
-    else:
-        flag = "irrational"
-    return CertificateRow(pairing, alpha, result.c, result.c_rational, flag)
+def _certificate_row(pairing, alpha, c: CyclotomicNumber) -> CertificateRow:
+    """The row of pairing coefficient c, flagged zero, rational or irrational."""
+    c_rational = c.as_rational()
+    flag = "zero" if c.is_zero() else "irrational" if c_rational is None else "rational"
+    return CertificateRow(pairing, alpha, c, c_rational, flag)
+
+
+def _certificate(entries) -> RationalityCertificate:
+    """The certificate of the (pairing, alpha, c) rows in order; the first
+    irrational row is the counterexample."""
+    rows = tuple(_certificate_row(*entry) for entry in entries)
+    counterexample = next((r for r in rows if r.flag == "irrational"), None)
+    verdict = "all rational" if counterexample is None else "counterexample"
+    return RationalityCertificate(rows, verdict, counterexample)
 
 
 def rationality_certificate(
@@ -298,14 +303,12 @@ def rationality_certificate(
     _check_certificate_size(ctx, len(p.terms), all_coordinate_pairings)
     pairings = all_pairings(ctx.n) if all_coordinate_pairings else [default_pairing(ctx.n)]
     odd = range(1, 2 * ctx.d, 2)
-    rows = [
-        _certificate_row(p, ctx, pairing, alpha)
+    return _certificate(
+        (pairing, alpha,
+         pair_classes(p, linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx), ctx).c)
         for pairing in pairings
         for alpha in itertools.product(odd, repeat=ctx.n // 2 + 1)
-    ]
-    counterexample = next((r for r in rows if r.flag == "irrational"), None)
-    verdict = "all rational" if counterexample is None else "counterexample"
-    return RationalityCertificate(tuple(rows), verdict, counterexample)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +647,14 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
     """Build the normalized product class for a tuple of special units and
     certify that it pairs rationally with every standard linear cycle.
 
-    The scale is the inverse of the first nonzero linear-cycle pairing
-    coefficient in lexicographic exponent order.
+    The class c * prod_j G(a_j) and the linear cycle zeta^(sum alpha) *
+    prod_j G(zeta^alpha_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s, are products
+    over the same pairs, so their dot product (`pair_classes`) factors pair
+    by pair: c * zeta^(sum alpha) * prod_j f_j(alpha_j), with
+    f_j(k) = sum_{s<=d-2} a_j^s zeta^(k(d-2-s)) (the product form of
+    linear-cycle periods, Movasati-Villaflor Loyola, arXiv:1705.00084).  No
+    linear cycle is built.  The scale c is the inverse of the first nonzero
+    pairing coefficient in lexicographic exponent order.
     """
     if ctx.d != d:
         raise ValueError("context degree does not match the family degree")
@@ -655,22 +664,26 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
     for j, coeff in enumerate(a):
         if not in_special_unit_group(coeff, d):
             raise ValueError(f"coefficient {j} is not in the degree-{d} unit family")
+    # counted as for `certify` on this class, so that the same inputs are refused
     _check_certificate_size(ctx, (d - 1) ** (ctx.n // 2 + 1), False)
-    unnormalized = _pairing_product(ctx, default_pairing(ctx.n), a, 1)
-    normalization = None
-    scale = None
-    for alpha in itertools.product(range(1, 2 * d, 2), repeat=ctx.n // 2 + 1):
-        c = pair_classes(unnormalized, linear_cycle_poly(alpha, ctx), ctx).c
-        if not c.is_zero():
-            normalization = alpha
-            scale = c.inverse()
-            break
-    if scale is None:
+    odd = range(1, 2 * d, 2)
+    factor_sums = []
+    for coeff in a:
+        powers = [coeff**s for s in range(d - 1)]
+        factor_sums.append({k: sum((v * root_of_unity(ctx.m, k * (d - 2 - s))
+                                    for s, v in enumerate(powers)), CyclotomicNumber.zero())
+                            for k in odd})
+    dots = [(alpha, math.prod((f[k] for f, k in zip(factor_sums, alpha)),
+                              start=root_of_unity(ctx.m, sum(alpha))))
+            for alpha in itertools.product(odd, repeat=len(a))]
+    normalization, dot0 = next(((alpha, dot) for alpha, dot in dots if dot), (None, None))
+    if dot0 is None:
         raise ValueError("all pairing coefficients vanish; cannot normalize")
-    spec = ProductClassSpec(a, scale, default_pairing(ctx.n))
-    class_poly = unnormalized.scale(scale)
-    certificate = rationality_certificate(class_poly, ctx)
+    inverse0 = dot0.inverse()
+    spec = ProductClassSpec(a, inverse0 * hessian_coefficient(ctx), default_pairing(ctx.n))
+    certificate = _certificate(
+        (spec.pairing, alpha, dot * inverse0 if dot else CyclotomicNumber.zero()) for alpha, dot in dots)
     if not certificate.all_rational:
         raise ValueError("family member pairs irrationally with a linear cycle")
-    j1_dim = ColonIdeal(class_poly, ctx).slice(1).dim
+    j1_dim = ColonIdeal(product_class_poly(spec, ctx), ctx).slice(1).dim
     return SpecialFamilyResult(spec, certificate, j1_dim, normalization)

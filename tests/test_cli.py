@@ -559,6 +559,25 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("d,steps", [(509, 1028228832), (521, 1092590208), (541, 1205697248)])
+def test_dan_ci_quadric_type_is_refused_before_it_divides(d, steps, capsys, monkeypatch):
+    # the pre-count (n/2+1) 2d = 4d products passes over Q(zeta_2d); the real
+    # sum |f_i| |g_i| = 2d + 3(d-1) does not, and is counted before any division
+    from fermatcalc import cli
+
+    def refuse(*args):
+        raise AssertionError("divide ran")
+
+    monkeypatch.setattr(cli, "divide", refuse)
+    t0 = time.perf_counter()
+    code = main(["dan-ci", "--n", "2", "--d", str(d), "--type", "1,2", "--a", "z,z,z^3"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: (n, d) = (2, {d}) over Q(zeta_{2 * d}) needs "
+                                       f"{5 * d - 3} term pairs (phi+128)^2 = {steps} steps, "
+                                       "above the socle-check limit of 1000000000\n")
+
+
 @pytest.mark.parametrize("argv,err", [
     # Q(zeta_60000) would need 9.6e8 power-table entries
     (["groebner", "--n", "2", "--d", "30000", "--a", "z,z"],

@@ -983,6 +983,93 @@ def test_special_family_rejects_outsiders():
         special_family(5, (zeta(10), zeta(10)), FermatContext(2, 5))
 
 
+def special_by_linear_cycles(d, a, ctx):
+    """The family member by building and pairing every linear cycle: the
+    normalisation scan over `pair_classes`, then `rationality_certificate`."""
+    from fermatcalc.fermat_hodge import _pairing_product
+
+    unnormalized = _pairing_product(ctx, default_pairing(ctx.n), a, 1)
+    alphas = itertools.product(range(1, 2 * d, 2), repeat=len(a))
+    alpha, c = next((alpha, c) for alpha in alphas
+                    if (c := pair_classes(unnormalized, linear_cycle_poly(alpha, ctx), ctx).c))
+    class_poly = unnormalized.scale(c.inverse())
+    return (alpha, c.inverse(), rationality_certificate(class_poly, ctx),
+            ColonIdeal(class_poly, ctx).slice(1).dim)
+
+
+def assert_special_matches_linear_cycles(d, a, ctx):
+    def value(c):
+        return c.m, c.nums, c.den
+
+    def rows(cert):
+        return [(r.pairing, r.alpha, value(r.c), r.c_rational, r.flag) for r in cert.rows]
+
+    result = special_family(d, a, ctx)
+    alpha, scale, cert, j1_dim = special_by_linear_cycles(d, a, ctx)
+    assert result.normalization_alpha == alpha
+    assert value(result.spec.c_lambda) == value(scale)
+    assert rows(result.certificate) == rows(cert)
+    assert result.certificate.verdict == cert.verdict == "all rational"
+    assert result.j1_dim == j1_dim
+
+
+_i, _w = root_of_unity(4, 1), zeta(3)
+PYTHAGOREAN = ((1, 0, 1), (3, 4, 5), (5, 12, 13), (8, 15, 17))  # |x + y i| = r
+EISENSTEIN = ((1, 0, 1), (8, 5, 7), (3, 8, 7), (7, 15, 13))  # |x + y zeta_3| = r
+
+
+@st.composite
+def special_unit(draw, d):
+    """A member of the degree-d unit family, at a conductor of 1, 4 or 2d times its own."""
+    if d == 4:
+        x, y, r = draw(st.sampled_from(PYTHAGOREAN))
+        sx, sy = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))))
+        u = zeta(8) * (sx * x + sy * y * _i) / r * _i ** draw(st.integers(0, 3))
+    else:
+        x, y, r = draw(st.sampled_from(EISENSTEIN))
+        if draw(st.booleans()):
+            x, y = y, x
+        u = draw(st.sampled_from((1, -1))) * (x + y * _w) / r * _w ** draw(st.integers(0, 2))
+        u = u if d == 3 else _i * u
+        if d == 3 and draw(st.booleans()):
+            u = CyclotomicNumber.from_rational(draw(st.sampled_from((1, -1))))
+    return u.promote(math.lcm(u.m, draw(st.sampled_from((1, 4, 2 * d)))))
+
+
+@pytest.mark.parametrize("n,d,a", [
+    (2, 4, (zeta(8), zeta(8))),  # the root point
+    (2, 4, (zeta(8) * (3 + 4 * _i) / 5, zeta(8))),
+    (4, 4, (zeta(8) * (5 - 12 * _i) / 13, zeta(8) * _i, -zeta(8))),
+    (2, 3, (CyclotomicNumber.one(), -CyclotomicNumber.one())),  # 1 pairs to zero at alpha = 3
+    (4, 3, (-CyclotomicNumber.one(), CyclotomicNumber.one(4), (8 + 5 * _w) / 7)),
+    (2, 3, (_w**2, CyclotomicNumber.one())),  # zero at alpha = (1, 1): normalised at (3, 1)
+    (2, 6, (_i, -_i)),
+    (4, 6, (_i, _i * _w, -_i * (3 + 8 * _w) / 7)),
+])
+def test_special_family_matches_the_linear_cycle_route(n, d, a):
+    assert_special_matches_linear_cycles(d, a, FermatContext(n, d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_special_family_matches_the_linear_cycle_route_on_random_units(data):
+    n, d = data.draw(st.sampled_from((2, 4))), data.draw(st.sampled_from((3, 4, 6)))
+    a = tuple(data.draw(special_unit(d)) for _ in range(n // 2 + 1))
+    assert_special_matches_linear_cycles(d, a, FermatContext(n, d))
+
+
+def test_special_family_builds_no_linear_cycle(monkeypatch):
+    from fermatcalc import fermat_hodge
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("special_family builds or pairs a linear cycle")
+
+    for name in ("linear_cycle_poly", "pair_classes", "rationality_certificate"):
+        monkeypatch.setattr(fermat_hodge, name, refuse)
+    result = special_family(4, (zeta(8) * (3 + 4 * _i) / 5, zeta(8)), FermatContext(2, 4))
+    assert result.certificate.all_rational and len(result.certificate.rows) == 16
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting invariants
 # ---------------------------------------------------------------------------
