@@ -992,9 +992,8 @@ def special_by_linear_cycles(d, a, ctx):
     alphas = itertools.product(range(1, 2 * d, 2), repeat=len(a))
     alpha, c = next((alpha, c) for alpha in alphas
                     if (c := pair_classes(unnormalized, linear_cycle_poly(alpha, ctx), ctx).c))
-    class_poly = unnormalized.scale(c.inverse())
-    return (alpha, c.inverse(), rationality_certificate(class_poly, ctx),
-            ColonIdeal(class_poly, ctx).slice(1).dim)
+    class_poly = unnormalized.scale(scale := c.inverse())
+    return alpha, scale, rationality_certificate(class_poly, ctx), ColonIdeal(class_poly, ctx).slice(1).dim
 
 
 def assert_special_matches_linear_cycles(d, a, ctx):
