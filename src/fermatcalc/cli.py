@@ -221,7 +221,7 @@ def _run_certify(args, ctx):
 
 
 def _run_recover(args, ctx):
-    check_colon_size(ctx)
+    check_colon_size(ctx)  # bounds the class build; the recogniser itself eliminates nothing
     p = _class_poly(args, ctx)
     spec = fermat_hodge.recover_product_structure(p, ctx)
     payload = {
@@ -351,7 +351,7 @@ def _standard_decomposition(args, ctx: FermatContext):
 
 
 def _run_special(args, ctx):
-    check_colon_size(ctx)  # the family's j1_dim takes a colon ideal
+    check_colon_size(ctx)  # bounds d before --a is parsed over Q(zeta_2d)
     coeffs = _parse_coeffs(args.a, ctx.m)
     result = fermat_hodge.special_family(args.d, coeffs, ctx)
     cert_payload, _ = _certificate_json(result.certificate)

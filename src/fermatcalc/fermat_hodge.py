@@ -36,13 +36,8 @@ from fractions import Fraction
 from fermatcalc import bounds
 from fermatcalc.exactnum import (CyclotomicNumber, check_conductor, euler_phi, root_of_unity,
                                  unit_circle_check, zeta)
-from fermatcalc.idealcalc import (
-    ColonIdeal,
-    FermatContext,
-    SquareMembership,
-    solve_linear_forms,
-)
-from fermatcalc.multipoly import Polynomial, geometric_factor, leading_term, monomial_div
+from fermatcalc.idealcalc import FermatContext, SquareMembership, reduce_class, solve_linear_forms
+from fermatcalc.multipoly import Polynomial, geometric_factor, leading_term, lex_order, monomial_div
 
 __all__ = [
     "LinearCycleSpec",
@@ -317,43 +312,40 @@ def rationality_certificate(
 
 
 def recover_product_structure(p: Polynomial, ctx: FermatContext) -> ProductClassSpec:
-    """Recover the coefficients, pairing and scale of a product class from
-    the degree-one slice of its colon ideal.
+    """Recover the coefficients, pairing and scale of a product class
+    c * prod_j G(a_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s, from its support:
+    its colon ideal is J + <x_p - a_j x_q> (`idealcalc` module docstring), so
+    nothing is eliminated.  The lex-leading monomial is prod_j x_(p_j)^(d-2),
+    p_j the smaller index of pair j, or its only variable when a_j = 0.  a_j is
+    the coefficient one step along the pair over the leading one; a pair with
+    no step term has a_j = 0 and takes the least free variable.
 
-    Raises ValueError("no product structure") when that slice does not have
-    dimension n/2+1, and ValueError("violates product shape") when the
-    echelonized linear forms are not binomials x_p - a*x_q or the rebuilt
-    product does not reproduce p.
+    Raises ValueError("no product structure") unless p has the (d-1)^k terms
+    of a product with k nonzero a_j and the exact rebuild, the proof, is p.
     """
-    ci = ColonIdeal(p, ctx)
-    s1 = ci.slice(1)
-    half = ctx.n // 2 + 1
-    if s1.dim != half:
+    reduce_class(p, ctx)
+    lead, lead_coeff = leading_term(p, lex_order(ctx.nvars))
+    leads = [v for v, e in enumerate(lead) if e]
+    if len(leads) != ctx.n // 2 + 1 or any(lead[v] != ctx.d - 2 for v in leads):
         raise ValueError("no product structure")
-    partners: dict[int, tuple[int, CyclotomicNumber] | None] = {}
-    for form in s1.basis:
-        items = form.sorted_terms(ci.order)
-        if len(items) > 2:
-            raise ValueError("violates product shape")
-        lead = items[0][0].index(1)
-        # a lone x_p is paired with a free variable below
-        partners[lead] = (items[1][0].index(1), -items[1][1]) if len(items) == 2 else None
-    used = [pair[0] for pair in partners.values() if pair]
-    if len(set(used)) != len(used):
-        raise ValueError("violates product shape")
-    free = [v for v in range(ctx.nvars) if v not in partners and v not in used]
-    pairs = []
-    coeffs = []
-    for lead in sorted(partners):
-        q, a = partners[lead] or (free.pop(0), CyclotomicNumber.zero())
-        pairs.append((lead, q))
-        coeffs.append(a)
+    inv = 1 / lead_coeff  # applied as `echelon_insert` does, so a_j has elimination's conductor
+    pairs, coeffs = [], []
+    for v in leads:
+        steps = ((q, p.terms.get(tuple(e - (t == v) + (t == q) for t, e in enumerate(lead))))
+                 for q in range(ctx.nvars) if not lead[q])
+        q, a = next(((q, a) for q, a in steps if a), (None, CyclotomicNumber.zero()))
+        pairs.append((v, q))
+        coeffs.append(a * inv if a and inv != 1 else a)
+    used = [q for _, q in pairs if q is not None]
+    if len(set(used)) != len(used) or len(p.terms) != (ctx.d - 1) ** len(used):
+        raise ValueError("no product structure")
+    free = iter(v for v in range(ctx.nvars) if not lead[v] and v not in used)
+    pairs = tuple((v, next(free) if q is None else q) for v, q in pairs)
     rebuilt = _pairing_product(ctx, pairs, coeffs, 1)
-    anchor, anchor_coeff = leading_term(rebuilt, ci.order)
-    c_lambda = p.coeff(anchor) / anchor_coeff
-    if c_lambda.is_zero() or rebuilt.scale(c_lambda) != p:
-        raise ValueError("violates product shape")
-    return ProductClassSpec(tuple(coeffs), c_lambda, tuple(pairs))
+    c_lambda = lead_coeff / rebuilt.terms[lead]
+    if rebuilt.scale(c_lambda) != p:
+        raise ValueError("no product structure")
+    return ProductClassSpec(tuple(coeffs), c_lambda, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +646,8 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
     f_j(k) = sum_{s<=d-2} a_j^s zeta^(k(d-2-s)) (the product form of
     linear-cycle periods, Movasati-Villaflor Loyola, arXiv:1705.00084).  No
     linear cycle is built.  The scale c is the inverse of the first nonzero
-    pairing coefficient in lexicographic exponent order.
+    pairing coefficient in lexicographic exponent order.  `j1_dim` is n/2+1,
+    by the closed colon ideal of `recover_product_structure`: no class is built.
     """
     if ctx.d != d:
         raise ValueError("context degree does not match the family degree")
@@ -685,5 +678,4 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
         (spec.pairing, alpha, dot * inverse0 if dot else CyclotomicNumber.zero()) for alpha, dot in dots)
     if not certificate.all_rational:
         raise ValueError("family member pairs irrationally with a linear cycle")
-    j1_dim = ColonIdeal(product_class_poly(spec, ctx), ctx).slice(1).dim
-    return SpecialFamilyResult(spec, certificate, j1_dim, normalization)
+    return SpecialFamilyResult(spec, certificate, ctx.n // 2 + 1, normalization)

@@ -86,6 +86,7 @@ __all__ = [
     "GroebnerResult",
     "SquareMembership",
     "reduce_mod_jacobian",
+    "reduce_class",
     "colon_slice",
     "hilbert_profile",
     "lt_slice",
@@ -145,6 +146,18 @@ def reduce_mod_jacobian(p: Polynomial, ctx: FermatContext) -> Polynomial:
     if len(kept) == len(p.terms):
         return p
     return Polynomial(p.nvars, kept)
+
+
+def reduce_class(p: Polynomial, ctx: FermatContext) -> Polynomial:
+    """The normal form of a class polynomial p modulo J, checked nonzero (a
+    class inside J has zero primitive part) after p's variables and degree."""
+    if p.nvars != ctx.nvars:
+        raise ValueError(f"expected {ctx.nvars} variables, got {p.nvars}")
+    if p.homogeneous_degree() != ctx.sigma:
+        raise ValueError(f"class polynomial must be homogeneous of degree {ctx.sigma}")
+    if (reduced := reduce_mod_jacobian(p, ctx)).is_zero():
+        raise ValueError("class has zero primitive part")
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +304,9 @@ class ColonIdeal:
     """The annihilator ideal (J^F : P) of a class polynomial P, computed and
     cached degree by degree.
 
-    P must be homogeneous of degree sigma with a nonzero reduction modulo the
-    Jacobian ideal; classes inside the Jacobian ideal have zero primitive
-    part and no associated Artinian Gorenstein algebra.  (n, d) must pass
-    `check_colon_size`.
+    P must pass `reduce_class`: classes inside the Jacobian ideal have zero
+    primitive part and no associated Artinian Gorenstein algebra.  (n, d)
+    must pass `check_colon_size`.
 
     Degree k is eliminated on the capped catalecticant only; `rank` reads a
     degree above sigma/2 at sigma-k, while `slice`, `quotient_monomials`,
@@ -306,13 +318,7 @@ class ColonIdeal:
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
-        if p.nvars != ctx.nvars:
-            raise ValueError(f"expected {ctx.nvars} variables, got {p.nvars}")
-        if p.homogeneous_degree() != ctx.sigma:
-            raise ValueError(f"class polynomial must be homogeneous of degree {ctx.sigma}")
-        reduced = reduce_mod_jacobian(p, ctx)
-        if reduced.is_zero():
-            raise ValueError("class has zero primitive part")
+        reduced = reduce_class(p, ctx)
         check_colon_size(ctx)
         self.ctx = ctx
         self.order = order or lex_order(ctx.nvars)

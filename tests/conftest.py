@@ -9,12 +9,14 @@ from typing import Sequence
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.idealcalc import FermatContext, ideal_slice, solve_linear_forms
+from fermatcalc.fermat_hodge import ProductClassSpec, _pairing_product
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, solve_linear_forms
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
     count_monomials,
     divide,
+    leading_term,
     monomials_of_degree,
 )
 
@@ -55,6 +57,50 @@ def random_reduced_class(ctx: FermatContext, rng: random.Random, terms: int = 10
 def random_product_coefficients(ctx: FermatContext, rng: random.Random):
     pool = coefficient_pool(ctx.m)
     return tuple(rng.choice(pool) for _ in range(ctx.n // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# Product structure by elimination: the reference `recover_product_structure`
+# is checked against.
+# ---------------------------------------------------------------------------
+
+
+def recover_by_elimination(p: Polynomial, ctx: FermatContext) -> ProductClassSpec:
+    """The pairing, coefficients and scale of a product class read off the
+    exact degree-one slice of its colon ideal, whose reduced echelon forms are
+    the binomials x_p - a_j x_q (or a lone x_p where a_j = 0).  Raises
+    ValueError("no product structure") when the slice does not have n/2+1
+    forms and ValueError("violates product shape") when a form is not such a
+    binomial or the rebuilt product is not p."""
+    ci = ColonIdeal(p, ctx)
+    s1 = ci.slice(1)
+    half = ctx.n // 2 + 1
+    if s1.dim != half:
+        raise ValueError("no product structure")
+    partners: dict[int, tuple[int, CyclotomicNumber] | None] = {}
+    for form in s1.basis:
+        items = form.sorted_terms(ci.order)
+        if len(items) > 2:
+            raise ValueError("violates product shape")
+        lead = items[0][0].index(1)
+        # a lone x_p is paired with a free variable below
+        partners[lead] = (items[1][0].index(1), -items[1][1]) if len(items) == 2 else None
+    used = [pair[0] for pair in partners.values() if pair]
+    if len(set(used)) != len(used):
+        raise ValueError("violates product shape")
+    free = [v for v in range(ctx.nvars) if v not in partners and v not in used]
+    pairs = []
+    coeffs = []
+    for lead in sorted(partners):
+        q, a = partners[lead] or (free.pop(0), CyclotomicNumber.zero())
+        pairs.append((lead, q))
+        coeffs.append(a)
+    rebuilt = _pairing_product(ctx, pairs, coeffs, 1)
+    anchor, anchor_coeff = leading_term(rebuilt, ci.order)
+    c_lambda = p.coeff(anchor) / anchor_coeff
+    if c_lambda.is_zero() or rebuilt.scale(c_lambda) != p:
+        raise ValueError("violates product shape")
+    return ProductClassSpec(tuple(coeffs), c_lambda, tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,25 @@ def test_recover_keeps_each_coefficient_conductor(capsys):
     assert payload["c_lambda"] == {"coords": ["3/2"], "m": 1}
 
 
+def test_recover_and_special_run_no_elimination(capsys, monkeypatch):
+    from fermatcalc import echelon, idealcalc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact elimination ran")
+
+    monkeypatch.setattr(idealcalc.ColonIdeal, "_kernel_data", refuse)
+    monkeypatch.setattr(echelon, "echelon", refuse)
+    monkeypatch.setattr(idealcalc, "echelon", refuse)
+    code, out = run(capsys, "recover", "--n", "4", "--d", "5", "--a", "z,0,3/2*z^4", "--c-lambda", "i")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pairing"] == [0, 1, 2, 3, 4, 5]
+    assert payload["a"][1] == {"coords": ["0"], "m": 1}
+    assert payload["c_lambda"] == {"coords": ["0", "1"], "m": 4}
+    code, out = run(capsys, "special", "--n", "4", "--d", "4", "--a", "z*(3+4i)/5,z,z*i")
+    assert code == 0 and json.loads(out)["j1_dim"] == 3
+
+
 def test_prop11_verb(capsys):
     code, out = run(capsys, "prop11", "--d", "5", "--a", "2")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fermatcalc.bounds import second_minimum_bound, tangent_codim
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_check, zeta
 from fermatcalc.idealcalc import (
     ColonIdeal,
@@ -40,6 +41,7 @@ from conftest import (
     divide_by_echelon_rows,
     ideal_hilbert_dims,
     random_reduced_class,
+    recover_by_elimination,
 )
 
 
@@ -396,6 +398,112 @@ def test_recover_rejects_classes_without_product_structure(quintic_surface):
     p = Polynomial(4, [((3, 3, 0, 0), 1), ((0, 0, 3, 3), 1)])  # J_1 = 0
     with pytest.raises(ValueError, match="no product structure"):
         recover_product_structure(p, ctx)
+    # binomial-shaped: the colon slice of G(2) G(3) plus a term inside J is
+    # the product's binomials, and a changed coefficient keeps its support,
+    # yet neither rebuilds
+    product = product_class_poly(ProductClassSpec((2, 3), CyclotomicNumber.one()), ctx)
+    changed = dict(product.terms)
+    changed[(0, 3, 0, 3)] = changed[(0, 3, 0, 3)] + 1
+    for p in (product + Polynomial.monomial(4, (4, 2, 0, 0)), Polynomial(4, changed)):
+        with pytest.raises(ValueError, match="no product structure"):
+            recover_product_structure(p, ctx)
+
+
+def structure(spec):
+    """(pairing, a, c_lambda) with every value as (m, nums, den)."""
+    return spec.pairing, [(a.m, a.nums, a.den) for a in spec.a], (
+        spec.c_lambda.m, spec.c_lambda.nums, spec.c_lambda.den)
+
+
+RECOVERY_POINTS = ((2, 3), (4, 3), (6, 3), (2, 4), (4, 4), (6, 4), (2, 5), (4, 5), (2, 9))
+
+
+def recovery_classes(ctx, rng):
+    """Linear cycles, and product classes over random pairings with pairs of
+    either orientation, zero coefficients, the scale i, and rationals held at
+    conductor 2d (zeta^d = -1)."""
+    m, half = ctx.m, ctx.n // 2 + 1
+    i = root_of_unity(4, 1)
+    pool = [root_of_unity(m, k) for k in range(m)] + [
+        root_of_unity(m, ctx.d), CyclotomicNumber.from_rational(2).promote(m),
+        CyclotomicNumber.from_rational(Fraction(-3, 2)), i * 3, zeta(m) + 1]
+    pairings = all_pairings(ctx.n)
+    odd = range(1, 2 * ctx.d, 2)
+    yield linear_cycle_poly(tuple(rng.choice(odd) for _ in range(half)), ctx)
+    yield linear_cycle_poly(LinearCycleSpec(tuple(rng.choice(odd) for _ in range(half)),
+                                            rng.choice(pairings)), ctx)
+    for c in (CyclotomicNumber.one(), i, root_of_unity(m, ctx.d),
+              CyclotomicNumber.from_rational(3).promote(m)):
+        pairing = tuple((q, p) if rng.random() < 0.5 else (p, q) for p, q in rng.choice(pairings))
+        a = tuple(CyclotomicNumber.zero() if rng.random() < 0.25 else rng.choice(pool)
+                  for _ in range(half))
+        yield product_class_poly(ProductClassSpec(a, c, pairing), ctx)
+    yield product_class_poly(ProductClassSpec((CyclotomicNumber.zero(),) * half, i), ctx)
+
+
+@pytest.mark.parametrize("n,d", RECOVERY_POINTS)
+def test_recover_matches_the_elimination_route(n, d):
+    ctx = FermatContext(n, d)
+    for p in recovery_classes(ctx, random.Random(f"recover:{n}:{d}")):
+        recovered = recover_product_structure(p, ctx)
+        assert structure(recovered) == structure(recover_by_elimination(p, ctx))
+        assert product_class_poly(recovered, ctx) == p
+
+
+def test_recover_leaves_a_coefficient_over_a_unit_leading_coefficient_unscaled():
+    # P = -(x_2 + zeta_6^3 x_0) x_1 leads with x_0 x_1 at coefficient 1 over
+    # Q(zeta_6); a_0 = -1 keeps conductor 1, as elimination leaves a monic row
+    ctx = FermatContext(2, 3)
+    spec = ProductClassSpec((root_of_unity(6, 3), CyclotomicNumber.zero()),
+                            -CyclotomicNumber.one(), ((2, 0), (1, 3)))
+    p = product_class_poly(spec, ctx)
+    expected = (((0, 2), (1, 3)), [(1, (-1,), 1), (1, (0,), 1)], (6, (1, 0), 1))
+    assert structure(recover_product_structure(p, ctx)) == expected
+    assert structure(recover_by_elimination(p, ctx)) == expected
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 5), (4, 4), (2, 9)])
+def test_recover_refuses_near_products_on_both_routes(n, d):
+    ctx = FermatContext(n, d)
+    half = n // 2 + 1
+    a = tuple(root_of_unity(ctx.m, 2 * j + 1) for j in range(half))
+    p = product_class_poly(ProductClassSpec(a, CyclotomicNumber.from_rational(3)), ctx)
+    outside = next(e for e in monomials_of_degree(ctx.nvars, ctx.sigma, cap=d - 2) if e not in p.terms)
+    moved = dict(p.terms)
+    moved[outside] = moved.pop(max(moved))
+    inside_j = (d - 1, ctx.sigma - d + 1) + (0,) * (ctx.nvars - 2)
+    for q in (p + Polynomial.monomial(ctx.nvars, outside), Polynomial(ctx.nvars, moved),
+              p + Polynomial.monomial(ctx.nvars, inside_j)):
+        with pytest.raises(ValueError, match="no product structure"):
+            recover_product_structure(q, ctx)
+        with pytest.raises(ValueError, match="product s"):
+            recover_by_elimination(q, ctx)
+
+
+def test_recover_refuses_factors_that_share_a_variable():
+    # (x_0 + 2 x_2)(x_1 + 3 x_2) at (2, 3) has the term count, leading term
+    # and step terms of a product, but its two factors share x_2
+    ctx = FermatContext(2, 3)
+    x = variables(4)
+    p = (x[0] + x[2].scale(2)) * (x[1] + x[2].scale(3))
+    for recover in (recover_product_structure, recover_by_elimination):
+        with pytest.raises(ValueError, match="product s"):
+            recover(p, ctx)
+
+
+def test_recover_refuses_a_large_non_product_before_rebuilding_it():
+    import time
+
+    # n/2+2 terms with the support of a product's leading and step terms at
+    # (40, 40); rebuilding it would take 39^21 terms
+    ctx = FermatContext(40, 40)
+    lead = (38, 0) * 21
+    steps = [lead[:2 * j] + (37, 1) + lead[2 * j + 2:] for j in range(21)]
+    p = Polynomial(ctx.nvars, [(e, 1) for e in [lead, *steps]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="no product structure"):
+        recover_product_structure(p, ctx)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +983,43 @@ def test_koszul_twisted_decomposition_matches_elimination(n, d, quadric, monkeyp
     g[0], g[1] = g[0] + h * f[1], g[1] - h * f[0]
     report = assert_matches_elimination(monkeypatch, lambda: complete_intersection_ideal(f, g, ctx))
     assert report.socle == ctx.sigma and report.socle_ok
+
+
+def partial(p, v):
+    """dp/dx_v."""
+    return Polynomial(p.nvars, [(e[:v] + (e[v] - 1,) + e[v + 1:], c * e[v])
+                                for e, c in p.terms.items() if e[v]])
+
+
+def complete_intersection_class(f, g, ctx):
+    """det Jac(f_1, g_1, ..., f_(n/2+1), g_(n/2+1)), the class of the cycle
+    {f_1 = ... = 0} up to scale (Villaflor Loyola, arXiv:1812.03964).  f_j and
+    g_j are forms in x_(2j), x_(2j+1), so the Jacobian is block-diagonal and
+    the determinant is prod_j (df_j/dx dg_j/dy - df_j/dy dg_j/dx)."""
+    det = Polynomial.constant(ctx.nvars, 1)
+    for j, (fj, gj) in enumerate(zip(f, g)):
+        x, y = 2 * j, 2 * j + 1
+        det = det * (partial(fj, x) * partial(gj, y) - partial(fj, y) * partial(gj, x))
+    return det
+
+
+@pytest.mark.parametrize("n,d,quadric", [(n, d, quadric) for n, d in ((2, 5), (2, 7), (4, 4), (4, 5))
+                                         for quadric in (False, True)])
+def test_complete_intersection_class_is_an_oracle_for_the_decomposition(n, d, quadric):
+    ctx = FermatContext(n, d)
+    ks = tuple(range(1, 2 * (n // 2 + 1 + quadric), 2))
+    f, g = standard_decomposition(ctx, ks, quadric)
+    report = complete_intersection_ideal(f, g, ctx)
+    det = complete_intersection_class(f, g, ctx)
+    assert ColonIdeal(det, ctx).hilbert_profile().dims == report.dims[: ctx.sigma + 1]
+    if quadric:
+        assert tangent_codim(det, ctx).value == second_minimum_bound(n, d)
+    else:
+        # each block is d a_j G(a_j): the plane's coefficients, scale prod_j d a_j
+        a = tuple(root_of_unity(ctx.m, k) for k in ks)
+        spec = recover_product_structure(det, ctx)
+        assert spec.pairing == default_pairing(n) and spec.a == a
+        assert spec.c_lambda == math.prod((v * d for v in a), start=CyclotomicNumber.one())
 
 
 def test_constant_factor_gives_the_unit_ideal(quintic_surface, monkeypatch):
