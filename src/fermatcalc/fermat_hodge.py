@@ -36,8 +36,9 @@ from fractions import Fraction
 from fermatcalc import bounds
 from fermatcalc.exactnum import (CyclotomicNumber, check_conductor, euler_phi, root_of_unity,
                                  unit_circle_check, zeta)
-from fermatcalc.idealcalc import FermatContext, SquareMembership, reduce_class, solve_linear_forms
-from fermatcalc.multipoly import Polynomial, geometric_factor, leading_term, lex_order, monomial_div
+from fermatcalc.idealcalc import (FermatContext, SquareMembership, pairing_product, product_structure,
+                                  reduce_class, solve_linear_forms)
+from fermatcalc.multipoly import Polynomial, monomial_div
 
 __all__ = [
     "LinearCycleSpec",
@@ -143,14 +144,6 @@ class ProductClassSpec:
         return _resolve_pairing(self.pairing, n, len(self.a), "coefficients")
 
 
-def _pairing_product(ctx: FermatContext, pairing, coeffs, scale) -> Polynomial:
-    """scale * prod_j geometric_factor(p_j, q_j, coeffs_j) over the pairs (p_j, q_j)."""
-    poly = Polynomial.constant(ctx.nvars, scale)
-    for (p, q), a in zip(pairing, coeffs):
-        poly = poly * geometric_factor(ctx.nvars, p, q, a, ctx.d)
-    return poly
-
-
 def linear_cycle_poly(spec, ctx: FermatContext) -> Polynomial:
     """The class polynomial of a linear cycle:
     zeta_{2d}^(sum alpha) * prod_j geometric_factor(p_j, q_j, zeta_{2d}^alpha_j).
@@ -162,12 +155,12 @@ def linear_cycle_poly(spec, ctx: FermatContext) -> Polynomial:
     spec.validate(ctx)
     coeffs = [root_of_unity(ctx.m, a) for a in spec.alpha]
     scale = root_of_unity(ctx.m, sum(spec.alpha))
-    return _pairing_product(ctx, spec.resolved_pairing(ctx), coeffs, scale)
+    return pairing_product(ctx, spec.resolved_pairing(ctx), coeffs, scale)
 
 
 def product_class_poly(spec: ProductClassSpec, ctx: FermatContext) -> Polynomial:
     """The class polynomial c_lambda * prod_j geometric_factor(p_j, q_j, a_j)."""
-    return _pairing_product(ctx, spec.resolved_pairing(ctx.n), spec.a, spec.c_lambda)
+    return pairing_product(ctx, spec.resolved_pairing(ctx.n), spec.a, spec.c_lambda)
 
 
 def hessian_coefficient(ctx: FermatContext) -> CyclotomicNumber:
@@ -313,39 +306,19 @@ def rationality_certificate(
 
 def recover_product_structure(p: Polynomial, ctx: FermatContext) -> ProductClassSpec:
     """Recover the coefficients, pairing and scale of a product class
-    c * prod_j G(a_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s, from its support:
-    its colon ideal is J + <x_p - a_j x_q> (`idealcalc` module docstring), so
-    nothing is eliminated.  The lex-leading monomial is prod_j x_(p_j)^(d-2),
-    p_j the smaller index of pair j, or its only variable when a_j = 0.  a_j is
-    the coefficient one step along the pair over the leading one; a pair with
-    no step term has a_j = 0 and takes the least free variable.
+    c * prod_j G(a_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s, from its support
+    by `idealcalc.product_structure`: its colon ideal is J + <x_p - a_j x_q>
+    (`idealcalc` module docstring), so nothing is eliminated.
 
     Raises ValueError("no product structure") unless p has the (d-1)^k terms
     of a product with k nonzero a_j and the exact rebuild, the proof, is p.
     """
     reduce_class(p, ctx)
-    lead, lead_coeff = leading_term(p, lex_order(ctx.nvars))
-    leads = [v for v, e in enumerate(lead) if e]
-    if len(leads) != ctx.n // 2 + 1 or any(lead[v] != ctx.d - 2 for v in leads):
+    structure = product_structure(p, ctx)
+    if structure is None:
         raise ValueError("no product structure")
-    inv = 1 / lead_coeff  # applied as `echelon_insert` does, so a_j has elimination's conductor
-    pairs, coeffs = [], []
-    for v in leads:
-        steps = ((q, p.terms.get(tuple(e - (t == v) + (t == q) for t, e in enumerate(lead))))
-                 for q in range(ctx.nvars) if not lead[q])
-        q, a = next(((q, a) for q, a in steps if a), (None, CyclotomicNumber.zero()))
-        pairs.append((v, q))
-        coeffs.append(a * inv if a and inv != 1 else a)
-    used = [q for _, q in pairs if q is not None]
-    if len(set(used)) != len(used) or len(p.terms) != (ctx.d - 1) ** len(used):
-        raise ValueError("no product structure")
-    free = iter(v for v in range(ctx.nvars) if not lead[v] and v not in used)
-    pairs = tuple((v, next(free) if q is None else q) for v, q in pairs)
-    rebuilt = _pairing_product(ctx, pairs, coeffs, 1)
-    c_lambda = lead_coeff / rebuilt.terms[lead]
-    if rebuilt.scale(c_lambda) != p:
-        raise ValueError("no product structure")
-    return ProductClassSpec(tuple(coeffs), c_lambda, pairs)
+    pairs, coeffs, c_lambda = structure
+    return ProductClassSpec(coeffs, c_lambda, pairs)
 
 
 # ---------------------------------------------------------------------------

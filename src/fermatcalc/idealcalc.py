@@ -20,24 +20,46 @@ symmetric (Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and
 Determinantal Loci, LNM 1721).  Ranks are therefore only eliminated up to
 degree sigma/2.
 
-A rank is first taken modulo a prime p = 1 (mod L), L the conductor of P's
-coefficients, through the ring map Z_(p)[zeta_L] -> F_p.  A nonzero minor
-mod p is the image of a nonzero minor over Q(zeta_L), so a rank mod p that
-reaches the number of capped columns proves full rank exactly, and the
-reduced echelon form of the capped block is then the identity.  Other
-degrees are eliminated exactly, unless S/(J : P) is a complete intersection.
+A product class P = c * prod_j G(a_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s
+over a coordinate pairing (linear cycles are the case a_j = zeta_2d^alpha_j)
+needs no elimination.  Each g_j = x_p - a_j x_q has g_j * P in J, since
+(x_p - a x_q) G(a) telescopes to x_p^(d-1) - (a x_q)^(d-1).  Solving the g_j
+leaves one variable y_j per pair, so S/(J + <g>) is the complete intersection
+C = k[y]/(y_j^(d-1)), Gorenstein with socle degree (n/2+1)(d-2) = sigma.  C
+maps onto S/(J : P), which is nonzero in degree sigma, and every nonzero
+ideal of C contains its socle (Iarrobino-Kanev), so the map is injective and
+J : P = J + <g>.  `product_structure` recognises P from its support, the exact
+rebuild being the proof.  Then the normal form NF modulo J + <g> replaces the
+order-larger variable of each pair by a_j (or 1/a_j) times the other one, x_p
+by 0 when a_j = 0, and a monomial with an exponent above d-2 by 0.  The
+degree-k slice is {x^beta - NF(x^beta)} over the monomials beta that NF
+moves, its leading monomials are those beta, and rank(k) counts the capped
+monomials in the n/2+1 kept variables: no row is built and no prime sought.
+On the (2, 5) linear cycle with alpha = (1, 3), x_0 -> zeta x_1 and
+x_2 -> zeta^3 x_3:
+
+>>> from fermatcalc.fermat_hodge import linear_cycle_poly
+>>> ctx = FermatContext(2, 5)
+>>> ColonIdeal(linear_cycle_poly((1, 3), ctx), ctx).slice(1).basis
+(Polynomial(4, 'x0 - z*x1'), Polynomial(4, 'x2 - z^3*x3'))
+
+Every other class is eliminated.  A rank is first taken modulo a prime
+p = 1 (mod L), L the conductor of P's coefficients, through the ring map
+Z_(p)[zeta_L] -> F_p.  A nonzero minor mod p is the image of a nonzero minor
+over Q(zeta_L), so a rank mod p that reaches the number of capped columns
+proves full rank exactly, and the reduced echelon form of the capped block
+is then the identity.  Other degrees are eliminated exactly, unless
+S/(J : P) is a complete intersection.
 
 Let G be the exact degree-1 slice of J : P, checked by reducing every
 product g * P to 0 modulo J, so that G + J lies in J : P.  When G has n/2+1
-forms, as for linear cycles (J : P = I_delta + J) and product classes,
-solving G leaves n/2+1 free variables y_j, and S/(G + J) is a quotient of the
-complete intersection C = k[y]/(y_j^(d-1)), whose socle sits in degree
-(n/2+1)(d-2) = sigma.  S/(J : P) is a quotient of S/(G + J), hence of C,
-and is nonzero in degree sigma.  Every nonzero ideal of the Gorenstein
-algebra C contains its socle (Iarrobino-Kanev), so the kernel is 0 and
-S/(J : P) = C, whose Hilbert function is `count_capped_monomials(n/2+1, k,
-d-2)`: no row is built.  The same argument bounds dim G by n/2+1: more forms
-would leave too few variables to reach sigma, so more is an internal error.
+forms, solving G leaves n/2+1 free variables y_j, and the argument above
+gives S/(J : P) = C, whose Hilbert function is `count_capped_monomials(n/2+1,
+k, d-2)`: no row is built past degree one.  Products are not the only such
+classes: when x_0, x_1, x_2 are proportional on the solutions of G and x_3 is
+left alone, G has n/2+1 = 2 forms at n = 2, but no pairing fits.  The same
+argument bounds dim G by n/2+1: more forms would leave too few variables to
+reach sigma, so more is an internal error.
 
 All exact linear algebra is elimination over Q(zeta_m) by the engine in
 `fermatcalc.echelon`; the mod-p pass runs the same insertion on ints
@@ -64,6 +86,7 @@ from fermatcalc.multipoly import (
     Polynomial,
     count_capped_monomials,
     divide,
+    geometric_factor,
     leading_term,
     lex_order,
     minimal_generators,
@@ -87,6 +110,8 @@ __all__ = [
     "SquareMembership",
     "reduce_mod_jacobian",
     "reduce_class",
+    "pairing_product",
+    "product_structure",
     "colon_slice",
     "hilbert_profile",
     "lt_slice",
@@ -300,6 +325,51 @@ def check_class_size(ctx: FermatContext) -> None:
         )
 
 
+def pairing_product(ctx: FermatContext, pairing, coeffs, scale) -> Polynomial:
+    """scale * prod_j geometric_factor(p_j, q_j, coeffs_j) over the pairs (p_j, q_j)."""
+    poly = Polynomial.constant(ctx.nvars, scale)
+    for (p, q), a in zip(pairing, coeffs):
+        poly = poly * geometric_factor(ctx.nvars, p, q, a, ctx.d)
+    return poly
+
+
+def product_structure(p: Polynomial, ctx: FermatContext):
+    """The pairing, coefficients and scale (pairs, a, c) of a product class
+    p = c * prod_j G(a_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s, read off its
+    support, or None when p is no product.
+
+    The lex-leading monomial is prod_j x_(p_j)^(d-2), p_j the smaller index of
+    pair j, or its only variable when a_j = 0.  a_j is the coefficient one step
+    along the pair over the leading one, times `inv = 1/lead` unless
+    `inv == 1`, as `echelon_insert` scales a row, so a_j has the conductor the
+    elimination of the degree-one colon gives it.  A pair with no step term
+    has a_j = 0 and takes the least free variable.  p is a product only when
+    it has the (d-1)^k terms of one with k nonzero a_j and the exact rebuild,
+    the proof, is p."""
+    lead, lead_coeff = leading_term(p, lex_order(ctx.nvars))
+    leads = [v for v, e in enumerate(lead) if e]
+    if len(leads) != ctx.n // 2 + 1 or any(lead[v] != ctx.d - 2 for v in leads):
+        return None
+    inv = 1 / lead_coeff
+    pairs, coeffs = [], []
+    for v in leads:
+        steps = ((q, p.terms.get(tuple(e - (t == v) + (t == q) for t, e in enumerate(lead))))
+                 for q in range(ctx.nvars) if not lead[q])
+        q, a = next(((q, a) for q, a in steps if a), (None, CyclotomicNumber.zero()))
+        pairs.append((v, q))
+        coeffs.append(a * inv if a and inv != 1 else a)
+    used = [q for _, q in pairs if q is not None]
+    if len(set(used)) != len(used) or len(p.terms) != (ctx.d - 1) ** len(used):
+        return None
+    free = iter(v for v in range(ctx.nvars) if not lead[v] and v not in used)
+    pairs = tuple((v, next(free) if q is None else q) for v, q in pairs)
+    rebuilt = pairing_product(ctx, pairs, coeffs, 1)
+    c_lambda = lead_coeff / rebuilt.terms[lead]
+    if rebuilt.scale(c_lambda) != p:
+        return None
+    return pairs, tuple(coeffs), c_lambda
+
+
 class ColonIdeal:
     """The annihilator ideal (J^F : P) of a class polynomial P, computed and
     cached degree by degree.
@@ -308,13 +378,26 @@ class ColonIdeal:
     primitive part and no associated Artinian Gorenstein algebra.  (n, d)
     must pass `check_colon_size`.
 
-    Degree k is eliminated on the capped catalecticant only; `rank` reads a
-    degree above sigma/2 at sigma-k, while `slice`, `quotient_monomials`,
-    `leading_monomials` and `lt_generators` use degree k itself.  `rank` has
-    two routes: when the checked degree-1 slice has n/2+1 forms, S/(J : P)
-    is a complete intersection and a degree 1 < k <= sigma/2 is counted;
-    every other degree takes `_kernel_data`, the identity when its rank mod p
-    equals its number of capped columns and else exact elimination.
+    A product class, recognised once by `product_structure`, is read off the
+    normal form of the module docstring at every degree.  Its multiplication
+    matrix splits into blocks by the degree of the source monomial in each
+    pair, and each block has rank at most 1: its one standard monomial
+    x^gamma, if any, is the order-least monomial of every column the block
+    holds.  The exact elimination of a block therefore keeps its first row
+    scaled by 1 / (its entry at x^gamma), and leaves a non-standard x^beta the
+    coefficient P_u(beta) * (1 / P_u(gamma)).  Here u(beta) takes exponent
+    d-2-e on p and e on q for each pair (p, q), e the exponent of x_p in
+    beta.  That is the normal-form coefficient, formed from the same operands,
+    so every printed conductor is the elimination's.
+
+    Any other class is eliminated on the capped catalecticant only; `rank`
+    reads a degree above sigma/2 at sigma-k, while `slice`,
+    `quotient_monomials`, `leading_monomials` and `lt_generators` use degree k
+    itself.  Its `rank` has two routes: when the checked degree-1 slice has
+    n/2+1 forms, S/(J : P) is a complete intersection and a degree
+    1 < k <= sigma/2 is counted; every other degree takes `_kernel_data`, the
+    identity when its rank mod p equals its number of capped columns and else
+    exact elimination.  The prime is sought at the first rank mod p.
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -324,9 +407,55 @@ class ColonIdeal:
         self.order = order or lex_order(ctx.nvars)
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
-        reduction = _Reduction.avoiding(reduced.terms.values())
-        self._prime = reduction.p
-        self._terms = [(gamma, c, reduction(c)) for gamma, c in reduced.terms.items()]
+        structure = product_structure(reduced, ctx)
+        self._product = None if structure is None else (structure[0], self._moved(*structure[:2]))
+
+    def _moved(self, pairs, coeffs) -> dict[int, int | None]:
+        """The variables the normal form moves, each to the variable it becomes
+        or to None for 0: the order-larger variable of each pair (p, q), and
+        x_p alone when a = 0."""
+        place = {v: i for i, v in enumerate(self.order.priority)}
+        moved: dict[int, int | None] = {}
+        for (p, q), a in zip(pairs, coeffs):
+            if not a:
+                moved[p] = None
+            elif place[p] < place[q]:
+                moved[p] = q
+            else:
+                moved[q] = p
+        return moved
+
+    def _normal_monomial(self, beta: Monomial) -> Monomial | None:
+        """The standard monomial x^gamma with x^beta = c * x^gamma, c nonzero,
+        modulo J + <g_j>, or None when x^beta lies in J + <g_j>."""
+        gamma = list(beta)
+        for v, t in self._product[1].items():
+            if beta[v]:
+                if t is None:
+                    return None
+                gamma[t] += beta[v]
+                gamma[v] = 0
+        return tuple(gamma) if max(gamma) <= self.ctx.d - 2 else None
+
+    def _pair_coefficient(self, beta: Monomial) -> CyclotomicNumber:
+        """P's coefficient at u(beta) (class docstring)."""
+        u = [0] * self.ctx.nvars
+        for p, q in self._product[0]:
+            u[p], u[q] = self.ctx.d - 2 - beta[p], beta[p]
+        return self.reduced.terms[tuple(u)]
+
+    def _monomials(self, k: int) -> list[Monomial]:
+        """The degree-k monomials in descending order."""
+        if k < 0:
+            raise ValueError("negative degree")
+        return self.order.sort_descending(monomials_of_degree(self.ctx.nvars, k))
+
+    @functools.cached_property
+    def _residues(self) -> tuple[int, list]:
+        """The prime of the mod-p ranks and P's terms (gamma, c mod p), found
+        at the first rank mod p."""
+        reduction = _Reduction.avoiding(self.reduced.terms.values())
+        return reduction.p, [(gamma, reduction(c)) for gamma, c in self.reduced.terms.items()]
 
     def _multiplication_rows(self, index: dict[Monomial, int], kept, exact: bool) -> list[dict]:
         """Nonzero rows of multiplication by P, over Q(zeta) when `exact` and
@@ -338,7 +467,8 @@ class ColonIdeal:
         `monomials_of_degree`: the echelon form does not depend on the row
         order, but the elimination work and the conductors of intermediate
         values do."""
-        terms = [(gamma, c if exact else r) for gamma, c, r in self._terms if exact or r]
+        terms = list(self.reduced.terms.items()) if exact else [
+            (gamma, r) for gamma, r in self._residues[1] if r]
         rows: dict[Monomial, dict] = {}
         for beta, col in index.items():
             for gamma, v in terms:
@@ -355,7 +485,7 @@ class ColonIdeal:
         `index` and the targets `kept`: the identity when the rows reach rank
         len(index) mod p (a nonzero minor mod p lifts), else exact elimination."""
         rows = self._multiplication_rows(index, kept, exact=False)
-        if reaches_rank_mod_p(rows, self._prime, len(index)):
+        if reaches_rank_mod_p(rows, self._residues[0], len(index)):
             one = CyclotomicNumber.one()
             return {col: {col: one} for col in index.values()}
         return echelon(self._multiplication_rows(index, kept, exact=True))
@@ -393,37 +523,64 @@ class ColonIdeal:
 
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
-        which equals the quotient dimension dim R_k.  The capped matrix at
-        degree sigma-k is the transpose of the one at k, so a degree above
-        sigma/2 is read at sigma-k.  A degree 1 < k <= sigma/2 of a complete
-        intersection is counted, and any other degree takes `_kernel_data`."""
+        which equals the quotient dimension dim R_k.  It is counted for a
+        product class.  Otherwise the capped matrix at degree sigma-k is the
+        transpose of the one at k, so a degree above sigma/2 is read at
+        sigma-k; a degree 1 < k <= sigma/2 of a complete intersection is
+        counted, and any other degree takes `_kernel_data`."""
         ctx = self.ctx
-        k = ctx.sigma - k if ctx.sigma < 2 * k <= 2 * ctx.sigma else k
-        if 1 < k <= ctx.sigma // 2 and k not in self._cache and self._complete_intersection:
-            return count_capped_monomials(ctx.n // 2 + 1, k, ctx.d - 2)
-        return len(self._kernel_data(k)[2])
+        if self._product is None:
+            k = ctx.sigma - k if ctx.sigma < 2 * k <= 2 * ctx.sigma else k
+            if not (1 < k <= ctx.sigma // 2 and k not in self._cache and self._complete_intersection):
+                return len(self._kernel_data(k)[2])
+        elif k < 0:
+            raise ValueError("negative degree")
+        return count_capped_monomials(ctx.n // 2 + 1, k, ctx.d - 2)
 
     def slice(self, k: int) -> DegreeSlice:
-        """Reduced echelon basis of the degree-k piece of the colon ideal."""
+        """Reduced echelon basis of the degree-k piece of the colon ideal,
+        0 <= k <= sigma: above sigma it is all of S_k."""
+        if k > self.ctx.sigma:
+            raise ValueError(f"slice degree must lie in 0..{self.ctx.sigma}")
+        nvars, one = self.ctx.nvars, CyclotomicNumber.one()
+        if self._product is not None:
+            basis, inverses = [], {}
+            for beta in self._monomials(k):
+                gamma = self._normal_monomial(beta)
+                if gamma == beta:
+                    continue
+                terms = [(beta, one)]
+                if gamma is not None:
+                    inv = inverses.get(gamma)
+                    if inv is None:
+                        inverses[gamma] = inv = 1 / self._pair_coefficient(gamma)
+                    c = self._pair_coefficient(beta)
+                    terms.append((gamma, -(c * inv if inv != 1 else c)))
+                basis.append(Polynomial(nvars, terms))
+            return DegreeSlice(k, tuple(basis))
         source, pivots, pivot_cols, free_cols = self._kernel_data(k)
         basis = []
         for f in free_cols:
-            terms = [(source[f], CyclotomicNumber.one())]
+            terms = [(source[f], one)]
             for pc in pivot_cols:
                 v = pivots[pc].get(f)
                 if v is not None:
                     terms.append((source[pc], -v))
-            basis.append(Polynomial(self.ctx.nvars, terms))
+            basis.append(Polynomial(nvars, terms))
         basis.sort(key=lambda b: self.order.key(leading_term(b, self.order)[0]), reverse=True)
         return DegreeSlice(k, tuple(basis))
 
     def quotient_monomials(self, k: int) -> tuple[Monomial, ...]:
         """Monomial complement basis of R_k (the non-leading-term monomials)."""
+        if self._product is not None:
+            return tuple(m for m in self._monomials(k) if self._normal_monomial(m) == m)
         source, _, pivot_cols, _ = self._kernel_data(k)
         return tuple(self.order.sort_descending(source[c] for c in pivot_cols))
 
     def leading_monomials(self, k: int) -> frozenset[Monomial]:
         """Leading terms of the echelonized degree-k ideal slice."""
+        if self._product is not None:
+            return frozenset(m for m in self._monomials(k) if self._normal_monomial(m) != m)
         source, _, _, free_cols = self._kernel_data(k)
         return frozenset(source[f] for f in free_cols)
 

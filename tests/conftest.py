@@ -9,8 +9,8 @@ from typing import Sequence
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
-from fermatcalc.fermat_hodge import ProductClassSpec, _pairing_product
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, solve_linear_forms
+from fermatcalc.fermat_hodge import ProductClassSpec
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, pairing_product, solve_linear_forms
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -61,8 +61,17 @@ def random_product_coefficients(ctx: FermatContext, rng: random.Random):
 
 # ---------------------------------------------------------------------------
 # Product structure by elimination: the reference `recover_product_structure`
-# is checked against.
+# and the closed form of product colon ideals are checked against.
 # ---------------------------------------------------------------------------
+
+
+class EliminatedColon(ColonIdeal):
+    """ColonIdeal with product recognition switched off, so that every class,
+    products included, takes the elimination route."""
+
+    def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
+        super().__init__(p, ctx, order)
+        self._product = None
 
 
 def recover_by_elimination(p: Polynomial, ctx: FermatContext) -> ProductClassSpec:
@@ -72,7 +81,7 @@ def recover_by_elimination(p: Polynomial, ctx: FermatContext) -> ProductClassSpe
     ValueError("no product structure") when the slice does not have n/2+1
     forms and ValueError("violates product shape") when a form is not such a
     binomial or the rebuilt product is not p."""
-    ci = ColonIdeal(p, ctx)
+    ci = EliminatedColon(p, ctx)
     s1 = ci.slice(1)
     half = ctx.n // 2 + 1
     if s1.dim != half:
@@ -95,7 +104,7 @@ def recover_by_elimination(p: Polynomial, ctx: FermatContext) -> ProductClassSpe
         q, a = partners[lead] or (free.pop(0), CyclotomicNumber.zero())
         pairs.append((lead, q))
         coeffs.append(a)
-    rebuilt = _pairing_product(ctx, pairs, coeffs, 1)
+    rebuilt = pairing_product(ctx, pairs, coeffs, 1)
     anchor, anchor_coeff = leading_term(rebuilt, ci.order)
     c_lambda = p.coeff(anchor) / anchor_coeff
     if c_lambda.is_zero() or rebuilt.scale(c_lambda) != p:

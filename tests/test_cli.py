@@ -254,6 +254,52 @@ def test_recover_and_special_run_no_elimination(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["j1_dim"] == 3
 
 
+def patch_elimination(monkeypatch, hook):
+    """Route the mod-p and exact eliminations of the colon verbs through
+    `hook(name)`, which may raise or record."""
+    from fermatcalc import echelon, idealcalc
+
+    def through(name, f):
+        return lambda *args, **kwargs: hook(name) or f(*args, **kwargs)
+
+    for owner, name in ((echelon, "echelon"), (idealcalc, "echelon"), (idealcalc, "reaches_rank_mod_p")):
+        monkeypatch.setattr(owner, name, through(name, getattr(owner, name)))
+    monkeypatch.setattr(idealcalc.ColonIdeal, "_multiplication_rows",
+                        through("rows", idealcalc.ColonIdeal._multiplication_rows))
+    monkeypatch.setattr(idealcalc._Reduction, "avoiding",
+                        staticmethod(through("avoiding", idealcalc._Reduction.avoiding)))
+
+
+def test_product_colon_verbs_build_no_rows(capsys, monkeypatch, tmp_path):
+    def refuse(name):
+        raise AssertionError(f"{name} ran on a product class")
+
+    patch_elimination(monkeypatch, refuse)
+    for n, d, flags in ((4, 5, ["--alpha", "1,3,5"]),
+                        (2, 9, ["--a", "z,-3/2*z^5", "--c-lambda", "3/2"])):
+        common = ["--n", str(n), "--d", str(d), *flags]
+        sigma = (d - 2) * (n // 2 + 1)
+        for argv in ([["hilbert", *common], ["tangent", *common]]
+                     + [["hilbert", *common, "--degree", str(k)] for k in range(sigma + 1)]):
+            assert run(capsys, *argv)[0] == 0, argv
+    # a dense 40-term class still takes the elimination route
+    import random
+
+    from fermatcalc.idealcalc import FermatContext
+    from fermatcalc.ioformats import polynomial_to_json
+
+    from conftest import random_reduced_class
+
+    ran = set()
+    monkeypatch.undo()
+    patch_elimination(monkeypatch, ran.add)
+    dense = random_reduced_class(FermatContext(4, 4), random.Random(5), terms=40)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(polynomial_to_json(dense)), encoding="utf-8")
+    assert run(capsys, "hilbert", "--n", "4", "--d", "4", "--poly", str(path), "--degree", "4")[0] == 0
+    assert ran == {"echelon", "reaches_rank_mod_p", "rows", "avoiding"}
+
+
 def test_prop11_verb(capsys):
     code, out = run(capsys, "prop11", "--d", "5", "--a", "2")
     assert code == 0
@@ -509,7 +555,7 @@ def test_prop11_still_counts_the_conductor_of_its_literal(capsys):
 
 @pytest.mark.parametrize("argv,work,err", [
     # the family's colon ideal is refused before its class and certificate are built
-    (["special", "--n", "8", "--d", "4", "--a", "z,z,z,z,z"], "_pairing_product",
+    (["special", "--n", "8", "--d", "4", "--a", "z,z,z,z,z"], "pairing_product",
      "(n, d) = (8, 4) has 1452 capped columns at degree 5, above the colon limit of 1000"),
     # 4913 rows, each a product of two 4096-term classes
     (["certify", "--n", "4", "--d", "17", "--alpha", "1,1,1"], "_certificate_row",

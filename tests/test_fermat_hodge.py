@@ -1022,6 +1022,19 @@ def test_complete_intersection_class_is_an_oracle_for_the_decomposition(n, d, qu
         assert spec.c_lambda == math.prod((v * d for v in a), start=CyclotomicNumber.one())
 
 
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
+def test_complete_intersection_class_slices_are_the_decomposition_ideal(n, d):
+    # (J : P_Z)_k of the det Jac class of type 1,...,1 against the reduced
+    # echelon slices of J + <f_1, ..., f_(n/2+1)>, eliminated from the
+    # generators themselves, at every degree
+    ctx = FermatContext(n, d)
+    f, g = standard_decomposition(ctx, tuple(range(1, 2 * (n // 2 + 1), 2)), False)
+    ci = ColonIdeal(complete_intersection_class(f, g, ctx), ctx)
+    powers = [x ** (d - 1) for x in variables(ctx.nvars)]
+    for k in range(ctx.sigma + 1):
+        assert ci.slice(k) == ideal_slice([*f, *powers], k), k
+
+
 def test_constant_factor_gives_the_unit_ideal(quintic_surface, monkeypatch):
     ctx = quintic_surface
     f, g = standard_decomposition(ctx, (1, 3), False)
@@ -1131,9 +1144,9 @@ def test_special_family_rejects_outsiders():
 def special_by_linear_cycles(d, a, ctx):
     """The family member by building and pairing every linear cycle: the
     normalisation scan over `pair_classes`, then `rationality_certificate`."""
-    from fermatcalc.fermat_hodge import _pairing_product
+    from fermatcalc.idealcalc import pairing_product
 
-    unnormalized = _pairing_product(ctx, default_pairing(ctx.n), a, 1)
+    unnormalized = pairing_product(ctx, default_pairing(ctx.n), a, 1)
     alphas = itertools.product(range(1, 2 * d, 2), repeat=len(a))
     alpha, c = next((alpha, c) for alpha in alphas
                     if (c := pair_classes(unnormalized, linear_cycle_poly(alpha, ctx), ctx).c))

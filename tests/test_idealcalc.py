@@ -33,6 +33,7 @@ from fermatcalc.multipoly import (
 )
 
 from conftest import (
+    EliminatedColon,
     coefficient_pool,
     ideal_hilbert_dims,
     random_reduced_class,
@@ -396,24 +397,26 @@ def test_ideal_slice_agrees_with_colon_route(quintic_surface):
 
 
 def test_degree_cap_defaults_beyond_socle(quintic_surface):
+    # above sigma the colon is all of S_k: ranks and monomials are still read
+    # there, and a slice, which would list every monomial, is refused
     ctx = quintic_surface
-    ci = ColonIdeal(linear_cycle_class(ctx, (1, 1)), ctx)
-    for k in (ctx.sigma + 1, ctx.sigma + 2):
-        monos = list(monomials_of_degree(4, k))
-        assert ci.rank(k) == 0
-        assert ci.slice(k).dim == count_monomials(4, k)
-        assert ci.slice(k).basis == tuple(
-            Polynomial.monomial(4, m) for m in ci.order.sort_descending(monos)
-        )
-        assert ci.leading_monomials(k) == frozenset(monos)
-        assert ci.quotient_monomials(k) == ()
+    p = linear_cycle_class(ctx, (1, 1))
+    for ci in (ColonIdeal(p, ctx), EliminatedColon(p, ctx)):
+        for k in (ctx.sigma + 1, ctx.sigma + 2):
+            monos = list(monomials_of_degree(4, k))
+            assert ci.rank(k) == 0
+            with pytest.raises(ValueError, match=r"slice degree must lie in 0\.\.6"):
+                ci.slice(k)
+            assert ci.leading_monomials(k) == frozenset(monos)
+            assert ci.quotient_monomials(k) == ()
 
 
 def test_negative_degrees_are_refused(quintic_surface):
-    ci = ColonIdeal(linear_cycle_class(quintic_surface, (1, 1)), quintic_surface)
-    for entry in (ci.rank, ci.slice, ci.quotient_monomials, ci.leading_monomials):
-        with pytest.raises(ValueError, match="negative degree"):
-            entry(-1)
+    p = linear_cycle_class(quintic_surface, (1, 1))
+    for ci in (ColonIdeal(p, quintic_surface), EliminatedColon(p, quintic_surface)):
+        for entry in (ci.rank, ci.slice, ci.quotient_monomials, ci.leading_monomials):
+            with pytest.raises(ValueError, match="negative degree"):
+                entry(-1)
 
 
 def test_ideal_and_quotient_slices_are_complementary(quintic_surface):
@@ -597,10 +600,10 @@ def test_hilbert_dims_of_random_ideals_match_full_spans(field, data):
 # ---------------------------------------------------------------------------
 
 
-class TargetLoopColon(ColonIdeal):
+class TargetLoopColon(EliminatedColon):
     """Reference colon ideal: one row per capped target over every degree-k
     monomial, uncapped columns included, eliminated exactly at every degree,
-    with no symmetry and no mod-p pass."""
+    with no symmetry, no mod-p pass and no product recognition."""
 
     def target_rows(self, targets, columns):
         index = {m: i for i, m in enumerate(columns)}
@@ -708,7 +711,7 @@ def test_prime_search_skips_a_prime_dividing_a_denominator():
     assert not any(_is_prime(q) for q in range(first.p + 10, second.p, 10))
     ctx = FermatContext(2, 5)
     p = linear_cycle_poly((1, 3), ctx)
-    scaled = ColonIdeal(p.scale(blocked), ctx)  # its residues need a different prime
+    scaled = EliminatedColon(p.scale(blocked), ctx)  # its residues need a different prime
     assert scaled.hilbert_profile() == ColonIdeal(p, ctx).hilbert_profile()
     assert scaled.slice(2) == TargetLoopColon(p, ctx).slice(2)
 
@@ -765,12 +768,16 @@ def test_pairing_rank_eliminates_only_its_rank_deficient_degrees(monkeypatch):
     ref = TargetLoopColon(p, ctx)
     calls = []
     monkeypatch.setattr(idealcalc, "echelon", lambda rows: calls.append(len(rows)) or echelon(rows))
-    assert ColonIdeal(p, ctx).pairing_rank(0) == ref.pairing_rank(0) == 1
+    assert EliminatedColon(p, ctx).pairing_rank(0) == ref.pairing_rank(0) == 1
     assert calls == [1]  # degree sigma's one capped target; degree 0 and the pairing pass mod p
     for i in range(1, ctx.sigma):
         calls.clear()
-        assert ColonIdeal(p, ctx).pairing_rank(i) == ref.pairing_rank(i)
+        assert EliminatedColon(p, ctx).pairing_rank(i) == ref.pairing_rank(i)
         assert len(calls) == 2  # degrees i and sigma-i; the pairing itself passes mod p
+        calls.clear()
+        # the closed form gives both monomial bases, and the pairing passes mod p
+        assert ColonIdeal(p, ctx).pairing_rank(i) == ref.pairing_rank(i)
+        assert calls == []
 
 
 def product_profile(ctx):
@@ -860,11 +867,12 @@ def test_sandwich_ranks_match_the_target_loop_and_the_rational_oracle(field, dat
         for k in range(ctx.sigma + 1):
             assert ci.rank(k) == ref.rank(k) == ref.oracle_rank(k, m)
     if kind in ("linear", "product"):
-        assert max(degrees) <= 1  # degrees past one were counted, not ranked
+        assert degrees == []  # counted off the recognised product, with no row built
 
 
 @pytest.mark.parametrize("n,d", [(4, 5), (2, 9), (6, 4)])
 def test_linear_and_product_profiles_need_no_exact_elimination_past_degree_one(n, d, monkeypatch):
+    # nor at degree one: the closed form builds no row at any degree
     from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
 
     from conftest import random_product_coefficients
@@ -880,8 +888,8 @@ def test_linear_and_product_profiles_need_no_exact_elimination_past_degree_one(n
         mod_p.clear()
         ci = ColonIdeal(p, ctx)
         assert ci.hilbert_profile().dims == product_profile(ctx)
-        assert sorted(degrees) == [0, 1]
-        assert sorted(mod_p) == [0, 1]
+        assert degrees == []
+        assert mod_p == []
 
 
 def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch):
@@ -902,7 +910,7 @@ def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch
         ColonIdeal, "slice", lambda self, k: DegreeSlice(1, perturbed) if k == 1 else slice_(self, k)
     )
     degrees = record_kernel_degrees(monkeypatch)
-    ci = ColonIdeal(p, ctx)
+    ci = EliminatedColon(p, ctx)  # the linear cycle on the route that checks its forms
     assert ci.rank(4) == TargetLoopColon(p, ctx).rank(4) == 12
     assert not ci._complete_intersection
     assert degrees == [4]
@@ -917,7 +925,7 @@ def test_a_coefficient_divisible_by_the_prime_leaves_no_residue_entry():
     p = linear_cycle_class(ctx, (1, 3))
     prime = _Reduction.avoiding(p.terms.values()).p
     assert prime == 2147483951
-    scaled = ColonIdeal(p.scale(prime), ctx)  # every residue is 0 mod the same prime
+    scaled = EliminatedColon(p.scale(prime), ctx)  # every residue is 0 mod the same prime
     assert scaled.hilbert_profile() == ColonIdeal(p, ctx).hilbert_profile()
     assert scaled.slice(2) == ColonIdeal(p, ctx).slice(2)
 
@@ -959,21 +967,44 @@ def ci_route_classes(ctx):
     }
 
 
+def grouped_class(ctx):
+    """A class whose degree-one colon has n/2+1 forms but which is no product:
+    the dual generator of J + <x_1 - 2 x_0, x_2 - zeta x_0, x_(2j) - zeta^3
+    x_(2j+1) for j >= 2>.  x_0, x_1 and x_2 are proportional on the forms' zero
+    set and x_3 stays alone, so no pairing fits.  Its factor in x_0, x_1, x_2
+    is sum_u 2^(d-2-u_1) zeta^(d-2-u_2) x^u over the capped u of degree 2(d-2)."""
+    from fermatcalc.idealcalc import pairing_product
+
+    cap = ctx.d - 2
+    two, z = CyclotomicNumber.from_rational(2), zeta(ctx.m)
+    block = Polynomial(ctx.nvars, [
+        (u + (0,) * (ctx.nvars - 3), two ** (cap - u[1]) * z ** (cap - u[2]))
+        for u in monomials_of_degree(3, 2 * cap, cap=cap)])
+    rest = [(2 * j, 2 * j + 1) for j in range(2, ctx.nvars // 2)]
+    return block * pairing_product(ctx, rest, [z**3] * len(rest), 1)
+
+
 @pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5), (6, 4)])
 def test_complete_intersection_ranks_need_no_mod_p_rows_past_degree_one(n, d, monkeypatch):
+    from fermatcalc.idealcalc import product_structure
+
     ctx = FermatContext(n, d)
     degrees = record_mod_p_degrees(monkeypatch)
     kernels = record_kernel_degrees(monkeypatch)
     for kind, p in ci_route_classes(ctx).items():
-        degrees.clear()
-        kernels.clear()
-        ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+        ci = ColonIdeal(p, ctx)
         assert ci.hilbert_profile().dims == product_profile(ctx), kind
         assert ci.slice(1).dim == n // 2 + 1, kind
-        assert max(degrees) <= 1, kind  # only degrees 0 and 1 ran mod p
-        assert sorted(kernels) == [0, 1], kind
-        for k in range(ctx.sigma // 2 + 1):
-            assert ci.rank(k) == ref.rank(k), (kind, k)
+    assert degrees == kernels == []  # products are read off their normal form
+    p = grouped_class(ctx)
+    assert product_structure(p, ctx) is None
+    ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
+    assert ci.hilbert_profile().dims == product_profile(ctx)
+    assert ci.slice(1).dim == n // 2 + 1 and ci._complete_intersection
+    assert max(degrees) <= 1  # only degrees 0 and 1 ran mod p
+    assert sorted(kernels) == [0, 1]
+    for k in range(ctx.sigma // 2 + 1):
+        assert ci.rank(k) == ref.rank(k), k
 
 
 def linear_cycle_sum(ctx, specs):
@@ -1025,7 +1056,7 @@ def test_more_degree_one_forms_than_free_variables_is_an_internal_error(monkeypa
     from fermatcalc.idealcalc import DegreeSlice
 
     ctx = FermatContext(2, 5)
-    ci = ColonIdeal(linear_cycle_class(ctx, (1, 3)), ctx)
+    ci = EliminatedColon(linear_cycle_class(ctx, (1, 3)), ctx)
     honest = ci.slice(1).basis
     extra = next(x for x in (Polynomial.variable(4, i) for i in range(4))
                  if ideal_slice([*honest, x], 1).dim == 3)
@@ -1036,3 +1067,121 @@ def test_more_degree_one_forms_than_free_variables_is_an_internal_error(monkeypa
     monkeypatch.setattr(idealcalc, "reduce_mod_jacobian", lambda p, ctx: Polynomial(p.nvars, {}))
     with pytest.raises(RuntimeError, match=r"3 forms, above n/2\+1 = 2"):
         ci.rank(2)
+
+
+# ---------------------------------------------------------------------------
+# The closed form of product classes against the elimination route
+# ---------------------------------------------------------------------------
+
+
+def closed_form_classes(ctx, rng):
+    """Linear cycles over the default and a random pairing, product classes
+    with c_lambda in {1, 3/2, i} over random pairings of either orientation,
+    and product classes with one and with every a_j = 0.  Coefficients are
+    command-line literals, so rationals keep conductor 1 and i conductor 4."""
+    from fermatcalc.fermat_hodge import LinearCycleSpec, ProductClassSpec, all_pairings, product_class_poly
+    from fermatcalc.ioformats import parse_cyclotomic_expr
+
+    half = ctx.n // 2 + 1
+    odd = range(1, 2 * ctx.d, 2)
+
+    def literal(text):
+        return parse_cyclotomic_expr(text, ctx.m)
+
+    def pairing():
+        return tuple((q, p) if rng.random() < 0.5 else (p, q) for p, q in rng.choice(all_pairings(ctx.n)))
+
+    def coefficients():
+        pool = ["z", "-2*z^3", "3/2*z^7", "z^2*i", "1/2", "-1", "i"]
+        return tuple(literal(rng.choice(pool)) for _ in range(half))
+
+    yield "linear", linear_cycle_class(ctx, tuple(rng.choice(odd) for _ in range(half)))
+    yield "linear, random pairing", linear_cycle_class(
+        ctx, LinearCycleSpec(tuple(rng.choice(odd) for _ in range(half)), pairing()))
+    for c in ("1", "3/2", "i"):
+        yield f"c = {c}", product_class_poly(ProductClassSpec(coefficients(), literal(c), pairing()), ctx)
+    a = coefficients()
+    yield "one a_j = 0", product_class_poly(
+        ProductClassSpec((CyclotomicNumber.zero(), *a[1:]), literal("3/2"), pairing()), ctx)
+    yield "every a_j = 0", product_class_poly(
+        ProductClassSpec((CyclotomicNumber.zero(),) * half, literal("i"), pairing()), ctx)
+
+
+def assert_closed_form_matches(ci, ref, exact_bytes=True):
+    """Every degree 0..sigma of ColonIdeal `ci` against the eliminating `ref`:
+    ranks, slices (their JSON bytes too when `exact_bytes`), monomials,
+    pairing ranks and the leading-term generators."""
+    from fermatcalc.ioformats import slice_to_json
+
+    sigma = ci.ctx.sigma
+    for k in range(sigma + 1):
+        assert ci.rank(k) == ref.rank(k), k
+        closed, eliminated = ci.slice(k), ref.slice(k)
+        assert closed == eliminated, k
+        if exact_bytes:
+            assert slice_to_json(closed) == slice_to_json(eliminated), k
+        assert ci.quotient_monomials(k) == ref.quotient_monomials(k), k
+        assert ci.leading_monomials(k) == ref.leading_monomials(k), k
+        assert ci.pairing_rank(k) == ref.pairing_rank(k), k
+    assert ci.lt_generators(sigma) == ref.lt_generators(sigma)
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (2, 9), (4, 4), (4, 5), (6, 4)])
+def test_closed_form_matches_the_elimination_route(n, d, monkeypatch):
+    from fermatcalc.multipoly import pair_leader_order
+
+    ctx = FermatContext(n, d)
+    rng = random.Random(f"closed form:{n}:{d}")
+    kernels = record_kernel_degrees(monkeypatch)
+    orders = (lex_order(ctx.nvars), pair_leader_order(ctx.nvars))
+    # the target loop and both orders per class where the eliminations are
+    # cheap; at (2,9), (4,5) and (6,4) the classes take the two orders in turn
+    small = (n, d) in ((2, 5), (2, 7), (4, 4))
+    for i, (kind, p) in enumerate(closed_form_classes(ctx, rng)):
+        for order in orders if small else orders[i % 2:i % 2 + 1]:
+            ci = ColonIdeal(p, ctx, order)
+            refs = [EliminatedColon(p, ctx, order)] + [TargetLoopColon(p, ctx, order)] * small
+            for ref in refs:
+                assert_closed_form_matches(ci, ref)
+    assert all(k in kernels for k in range(ctx.sigma + 1))  # the references eliminated
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_elimination_over_random_pairings(data):
+    from fermatcalc.exactnum import root_of_unity
+    from fermatcalc.fermat_hodge import ProductClassSpec, all_pairings, product_class_poly
+    from fermatcalc.multipoly import MonomialOrder
+
+    ctx = data.draw(st.sampled_from([FermatContext(2, 3), FermatContext(2, 4), FermatContext(2, 5),
+                                     FermatContext(4, 3)]), label="ctx")
+    half = ctx.n // 2 + 1
+    field = data.draw(st.sampled_from([ctx.m, 4]), label="field")
+    rational = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    value = st.builds(lambda r, k: root_of_unity(field, k) * r, rational, st.integers(0, field - 1))
+    a = data.draw(st.lists(st.one_of(st.just(CyclotomicNumber.zero()), value, rational),
+                           min_size=half, max_size=half), label="a")
+    c = data.draw(st.one_of(value, rational), label="c")
+    pairing = tuple((q, p) if data.draw(st.booleans()) else (p, q)
+                    for p, q in data.draw(st.sampled_from(all_pairings(ctx.n)), label="pairing"))
+    order = MonomialOrder(tuple(data.draw(st.permutations(range(ctx.nvars)), label="order")))
+    p = product_class_poly(ProductClassSpec(tuple(map(CyclotomicNumber._coerce, a)),
+                                            CyclotomicNumber._coerce(c), pairing), ctx)
+    assert_closed_form_matches(ColonIdeal(p, ctx, order), EliminatedColon(p, ctx, order))
+
+
+def test_slices_above_sigma_are_refused_at_once():
+    import time
+
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+
+    ctx = FermatContext(4, 5)
+    dense = random_reduced_class(ctx, random.Random(3), terms=40)
+    product = product_class_poly(ProductClassSpec((zeta(10), CyclotomicNumber.zero(), zeta(10) ** 3),
+                                                  CyclotomicNumber.from_rational(Fraction(3, 2))), ctx)
+    for p in (dense, product):
+        start = time.perf_counter()
+        for k in (ctx.sigma + 1, 10**5):
+            with pytest.raises(ValueError, match=r"slice degree must lie in 0\.\.9"):
+                colon_slice(p, k, ctx)
+        assert time.perf_counter() - start < 1
