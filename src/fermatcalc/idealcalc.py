@@ -43,23 +43,14 @@ x_2 -> zeta^3 x_3:
 >>> ColonIdeal(linear_cycle_poly((1, 3), ctx), ctx).slice(1).basis
 (Polynomial(4, 'x0 - z*x1'), Polynomial(4, 'x2 - z^3*x3'))
 
-Every other class is eliminated.  A rank is first taken modulo a prime
-p = 1 (mod L), L the conductor of P's coefficients, through the ring map
-Z_(p)[zeta_L] -> F_p.  A nonzero minor mod p is the image of a nonzero minor
-over Q(zeta_L), so a rank mod p that reaches the number of capped columns
-proves full rank exactly, and the reduced echelon form of the capped block
-is then the identity.  Other degrees are eliminated exactly, unless
-S/(J : P) is a complete intersection.
-
-Let G be the exact degree-1 slice of J : P, checked by reducing every
-product g * P to 0 modulo J, so that G + J lies in J : P.  When G has n/2+1
-forms, solving G leaves n/2+1 free variables y_j, and the argument above
-gives S/(J : P) = C, whose Hilbert function is `count_capped_monomials(n/2+1,
-k, d-2)`: no row is built past degree one.  Products are not the only such
-classes: when x_0, x_1, x_2 are proportional on the solutions of G and x_3 is
-left alone, G has n/2+1 = 2 forms at n = 2, but no pairing fits.  The same
-argument bounds dim G by n/2+1: more forms would leave too few variables to
-reach sigma, so more is an internal error.
+Every other class is eliminated, even when S/(J : P) is a complete
+intersection that no pairing fits (at n = 2, a degree-one colon making x_0,
+x_1, x_2 proportional and leaving x_3 alone).  A rank is first taken modulo
+a prime p = 1 (mod L), L the conductor of P's coefficients, through the ring
+map Z_(p)[zeta_L] -> F_p.  A nonzero minor mod p is the image of a nonzero
+minor over Q(zeta_L), so a rank mod p that reaches the number of capped
+columns proves full rank exactly, and the reduced echelon form of the
+capped block is then the identity.  Other degrees are eliminated exactly.
 
 All exact linear algebra is elimination over Q(zeta_m) by the engine in
 `fermatcalc.echelon`; the mod-p pass runs the same insertion on ints
@@ -393,11 +384,9 @@ class ColonIdeal:
     Any other class is eliminated on the capped catalecticant only; `rank`
     reads a degree above sigma/2 at sigma-k, while `slice`,
     `quotient_monomials`, `leading_monomials` and `lt_generators` use degree k
-    itself.  Its `rank` has two routes: when the checked degree-1 slice has
-    n/2+1 forms, S/(J : P) is a complete intersection and a degree
-    1 < k <= sigma/2 is counted; every other degree takes `_kernel_data`, the
-    identity when its rank mod p equals its number of capped columns and else
-    exact elimination.  The prime is sought at the first rank mod p.
+    itself.  Every degree takes `_kernel_data`, the identity when its rank
+    mod p equals its number of capped columns and else exact elimination.
+    The prime is sought at the first rank mod p.
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -508,32 +497,17 @@ class ColonIdeal:
         self._cache[k] = data
         return data
 
-    @functools.cached_property
-    def _complete_intersection(self) -> bool:
-        """Whether the degree-1 slice G has n/2+1 forms, each g * P equal
-        to 0 mod J, so that S/(J : P) is k[y]/(y_j^(d-1)).  More than n/2+1
-        checked forms is impossible (module docstring) and raises RuntimeError."""
-        ctx, forms = self.ctx, self.slice(1).basis
-        half = ctx.n // 2 + 1
-        if len(forms) < half or any(reduce_mod_jacobian(g * self.reduced, ctx) for g in forms):
-            return False
-        if len(forms) > half:
-            raise RuntimeError(f"the degree-one colon has {len(forms)} forms, above n/2+1 = {half}")
-        return True
-
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
         which equals the quotient dimension dim R_k.  It is counted for a
         product class.  Otherwise the capped matrix at degree sigma-k is the
         transpose of the one at k, so a degree above sigma/2 is read at
-        sigma-k; a degree 1 < k <= sigma/2 of a complete intersection is
-        counted, and any other degree takes `_kernel_data`."""
+        sigma-k, and the degree takes `_kernel_data`."""
         ctx = self.ctx
         if self._product is None:
             k = ctx.sigma - k if ctx.sigma < 2 * k <= 2 * ctx.sigma else k
-            if not (1 < k <= ctx.sigma // 2 and k not in self._cache and self._complete_intersection):
-                return len(self._kernel_data(k)[2])
-        elif k < 0:
+            return len(self._kernel_data(k)[2])
+        if k < 0:
             raise ValueError("negative degree")
         return count_capped_monomials(ctx.n // 2 + 1, k, ctx.d - 2)
 

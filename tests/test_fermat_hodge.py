@@ -965,11 +965,15 @@ def test_decomposition_dims_match_elimination(n, d, ks, quadric, monkeypatch):
 def test_plane_socle_checks_match_elimination_over_every_pairing(n, d, monkeypatch):
     ctx = FermatContext(n, d)
     x = variables(ctx.nvars)
+    alpha = tuple(range(1, 2 * (n // 2 + 1), 2))
     for pairing in all_pairings(n):
-        forms = [x[p] - x[q].scale(root_of_unity(ctx.m, 2 * j + 1))
-                 for j, (p, q) in enumerate(pairing)]
+        forms = [x[p] - x[q].scale(root_of_unity(ctx.m, a)) for a, (p, q) in zip(alpha, pairing)]
         report = assert_matches_elimination(monkeypatch, lambda: plane_in_fermat(forms, ctx))
         assert report.contained and report.socle == ctx.sigma and report.socle_ok
+        # the plane's ideal is the colon ideal of its linear cycle
+        ci = ColonIdeal(linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx), ctx)
+        for k in range(ctx.sigma + 1):
+            assert ideal_slice(report.generators, k) == ci.slice(k), (pairing, k)
 
 
 @pytest.mark.parametrize("n,d,quadric", [(2, 5, False), (4, 4, True)])
@@ -1022,17 +1026,21 @@ def test_complete_intersection_class_is_an_oracle_for_the_decomposition(n, d, qu
         assert spec.c_lambda == math.prod((v * d for v in a), start=CyclotomicNumber.one())
 
 
-@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
-def test_complete_intersection_class_slices_are_the_decomposition_ideal(n, d):
-    # (J : P_Z)_k of the det Jac class of type 1,...,1 against the reduced
-    # echelon slices of J + <f_1, ..., f_(n/2+1)>, eliminated from the
-    # generators themselves, at every degree
+@pytest.mark.parametrize("n,d,quadric", [
+    pytest.param(n, d, quadric, id=f"{n}-{d}" + "-quadric" * quadric)
+    for n, d in ((2, 5), (2, 7), (4, 4), (4, 5)) for quadric in (False, True)])
+def test_complete_intersection_class_slices_are_the_decomposition_ideal(n, d, quadric):
+    # (J : P_Z)_k of the det Jac class against the reduced echelon slices of
+    # the decomposition ideal, eliminated from the generators themselves, at
+    # every degree: J + <f_1, ..., f_(n/2+1)> for type 1,...,1 (the closed
+    # form), <f_1, g_1, ..., f_(n/2+1), g_(n/2+1)> for type 1,...,1,2
     ctx = FermatContext(n, d)
-    f, g = standard_decomposition(ctx, tuple(range(1, 2 * (n // 2 + 1), 2)), False)
+    ks = tuple(range(1, 2 * (n // 2 + 1 + quadric), 2))
+    f, g = standard_decomposition(ctx, ks, quadric)
     ci = ColonIdeal(complete_intersection_class(f, g, ctx), ctx)
-    powers = [x ** (d - 1) for x in variables(ctx.nvars)]
+    gens = [*f, *g] if quadric else [*f, *(x ** (d - 1) for x in variables(ctx.nvars))]
     for k in range(ctx.sigma + 1):
-        assert ci.slice(k) == ideal_slice([*f, *powers], k), k
+        assert ci.slice(k) == ideal_slice(gens, k), k
 
 
 def test_constant_factor_gives_the_unit_ideal(quintic_surface, monkeypatch):

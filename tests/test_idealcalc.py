@@ -910,9 +910,8 @@ def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch
         ColonIdeal, "slice", lambda self, k: DegreeSlice(1, perturbed) if k == 1 else slice_(self, k)
     )
     degrees = record_kernel_degrees(monkeypatch)
-    ci = EliminatedColon(p, ctx)  # the linear cycle on the route that checks its forms
+    ci = EliminatedColon(p, ctx)  # the linear cycle on the elimination route
     assert ci.rank(4) == TargetLoopColon(p, ctx).rank(4) == 12
-    assert not ci._complete_intersection
     assert degrees == [4]
     assert ci.hilbert_profile().dims == product_profile(ctx)
     assert sorted(degrees) == [0, 1, 2, 3, 4]
@@ -931,7 +930,7 @@ def test_a_coefficient_divisible_by_the_prime_leaves_no_residue_entry():
 
 
 # ---------------------------------------------------------------------------
-# The complete-intersection route: dim G = n/2+1 gives every rank exactly
+# Products are counted; every other class is eliminated
 # ---------------------------------------------------------------------------
 
 
@@ -985,7 +984,7 @@ def grouped_class(ctx):
 
 
 @pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5), (6, 4)])
-def test_complete_intersection_ranks_need_no_mod_p_rows_past_degree_one(n, d, monkeypatch):
+def test_product_ranks_build_no_rows_and_a_grouped_class_is_eliminated(n, d, monkeypatch):
     from fermatcalc.idealcalc import product_structure
 
     ctx = FermatContext(n, d)
@@ -1000,11 +999,22 @@ def test_complete_intersection_ranks_need_no_mod_p_rows_past_degree_one(n, d, mo
     assert product_structure(p, ctx) is None
     ci, ref = ColonIdeal(p, ctx), TargetLoopColon(p, ctx)
     assert ci.hilbert_profile().dims == product_profile(ctx)
-    assert ci.slice(1).dim == n // 2 + 1 and ci._complete_intersection
-    assert max(degrees) <= 1  # only degrees 0 and 1 ran mod p
-    assert sorted(kernels) == [0, 1]
+    assert ci.slice(1).dim == n // 2 + 1
+    # a complete intersection that no pairing fits: eliminated up to sigma/2
+    assert sorted(kernels) == list(range(ctx.sigma // 2 + 1))
     for k in range(ctx.sigma // 2 + 1):
         assert ci.rank(k) == ref.rank(k), k
+
+
+@pytest.mark.parametrize("n,d", [(2, 7), (4, 4), (4, 5)])
+def test_tangent_of_a_dense_class_eliminates_one_degree(n, d, monkeypatch):
+    from fermatcalc.bounds import tangent_codim
+
+    ctx = FermatContext(n, d)
+    p = random_reduced_class(ctx, random.Random(n * d), terms=40)
+    kernels = record_kernel_degrees(monkeypatch)
+    tangent_codim(p, ctx)
+    assert kernels == [min(d, ctx.sigma - d)]
 
 
 def linear_cycle_sum(ctx, specs):
@@ -1038,7 +1048,6 @@ def test_two_linear_cycles_differing_in_one_exponent_keep_the_sandwich(n, d, spe
     for k in range(ctx.sigma + 1):
         assert ci.rank(k) == ref.rank(k)
     assert ci.slice(1).dim == n // 2
-    assert not ci._complete_intersection
     assert max(degrees) >= 2  # ranks past degree one took the exact route
 
 
@@ -1049,24 +1058,6 @@ def test_a_rank_deficient_degree_is_ranked_mod_p_once(n, d, specs, monkeypatch):
     ci = ColonIdeal(linear_cycle_sum(ctx, specs), ctx)
     assert ci.hilbert_profile().dims != product_profile(ctx)
     assert degrees == list(range(ctx.sigma // 2 + 1))
-
-
-def test_more_degree_one_forms_than_free_variables_is_an_internal_error(monkeypatch):
-    from fermatcalc import idealcalc
-    from fermatcalc.idealcalc import DegreeSlice
-
-    ctx = FermatContext(2, 5)
-    ci = EliminatedColon(linear_cycle_class(ctx, (1, 3)), ctx)
-    honest = ci.slice(1).basis
-    extra = next(x for x in (Polynomial.variable(4, i) for i in range(4))
-                 if ideal_slice([*honest, x], 1).dim == 3)
-    slice_ = ColonIdeal.slice
-    monkeypatch.setattr(ColonIdeal, "slice", lambda self, k: (
-        DegreeSlice(1, (*honest, extra)) if k == 1 else slice_(self, k)))
-    # let every form pass the g * P check, so that only the count can catch it
-    monkeypatch.setattr(idealcalc, "reduce_mod_jacobian", lambda p, ctx: Polynomial(p.nvars, {}))
-    with pytest.raises(RuntimeError, match=r"3 forms, above n/2\+1 = 2"):
-        ci.rank(2)
 
 
 # ---------------------------------------------------------------------------
