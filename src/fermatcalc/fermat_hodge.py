@@ -115,16 +115,15 @@ class LinearCycleSpec:
     alpha: tuple[int, ...]
     pairing: tuple[tuple[int, int], ...] | None = None
 
-    def resolved_pairing(self, ctx: FermatContext) -> tuple[tuple[int, int], ...]:
-        return _resolve_pairing(self.pairing, ctx.n, len(self.alpha), "exponents")
-
-    def validate(self, ctx: FermatContext):
-        self.resolved_pairing(ctx)
+    def validate(self, ctx: FermatContext) -> tuple[tuple[int, int], ...]:
+        """The resolved pairing, once the spec is checked against ctx."""
+        pairing = _resolve_pairing(self.pairing, ctx.n, len(self.alpha), "exponents")
         for a in self.alpha:
             if a % 2 == 0 or not 1 <= a <= 2 * ctx.d - 1:
                 raise ValueError(
                     f"exponent {a} must be odd and within 1..{2 * ctx.d - 1}"
                 )
+        return pairing
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,10 @@ def linear_cycle_poly(spec, ctx: FermatContext) -> Polynomial:
     """
     if not isinstance(spec, LinearCycleSpec):
         spec = LinearCycleSpec(tuple(spec))
-    spec.validate(ctx)
+    pairing = spec.validate(ctx)
     coeffs = [root_of_unity(ctx.m, a) for a in spec.alpha]
     scale = root_of_unity(ctx.m, sum(spec.alpha))
-    return pairing_product(ctx, spec.resolved_pairing(ctx), coeffs, scale)
+    return pairing_product(ctx, pairing, coeffs, scale)
 
 
 def product_class_poly(spec: ProductClassSpec, ctx: FermatContext) -> Polynomial:
@@ -620,7 +619,7 @@ def special_family(d: int, a, ctx: FermatContext) -> SpecialFamilyResult:
     linear-cycle periods, Movasati-Villaflor Loyola, arXiv:1705.00084).  No
     linear cycle is built.  The scale c is the inverse of the first nonzero
     pairing coefficient in lexicographic exponent order.  `j1_dim` is n/2+1,
-    by the closed colon ideal of `recover_product_structure`: no class is built.
+    by the closed colon ideal of the `idealcalc` docstring: no class is built.
     """
     if ctx.d != d:
         raise ValueError("context degree does not match the family degree")

@@ -386,7 +386,9 @@ class ColonIdeal:
     `quotient_monomials`, `leading_monomials` and `lt_generators` use degree k
     itself.  Every degree takes `_kernel_data`, the identity when its rank
     mod p equals its number of capped columns and else exact elimination.
-    The prime is sought at the first rank mod p.
+    The prime is sought at the first rank mod p.  Both routes refuse a
+    negative degree, and above sigma, where R_k = 0, `rank` is 0 and the ideal
+    is all of S_k, read with no prime, no row and no elimination.
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -394,6 +396,8 @@ class ColonIdeal:
         check_colon_size(ctx)
         self.ctx = ctx
         self.order = order or lex_order(ctx.nvars)
+        if sorted(self.order.priority) != list(range(ctx.nvars)):
+            raise ValueError(f"order must list all {ctx.nvars} variables")
         self.reduced = reduced
         self._cache: dict[int, tuple] = {}
         structure = product_structure(reduced, ctx)
@@ -490,7 +494,7 @@ class ColonIdeal:
         cap = self.ctx.d - 2
         source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source) if max(m) <= cap}
-        pivots = self._pivots(index, lambda tau: max(tau) <= cap)
+        pivots = self._pivots(index, lambda tau: max(tau) <= cap) if k <= self.ctx.sigma else {}
         pivot_cols = sorted(pivots)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, pivot_cols, free_cols)
@@ -499,21 +503,21 @@ class ColonIdeal:
 
     def rank(self, k: int) -> int:
         """dim of the image of multiplication by P on the degree-k slice,
-        which equals the quotient dimension dim R_k.  It is counted for a
-        product class.  Otherwise the capped matrix at degree sigma-k is the
-        transpose of the one at k, so a degree above sigma/2 is read at
-        sigma-k, and the degree takes `_kernel_data`."""
+        which equals the quotient dimension dim R_k: 0 above sigma.  It is
+        counted for a product class.  Otherwise the capped matrix at degree
+        sigma-k is the transpose of the one at k, so the degree taken by
+        `_kernel_data` is min(k, sigma-k)."""
         ctx = self.ctx
-        if self._product is None:
-            k = ctx.sigma - k if ctx.sigma < 2 * k <= 2 * ctx.sigma else k
-            return len(self._kernel_data(k)[2])
         if k < 0:
             raise ValueError("negative degree")
-        return count_capped_monomials(ctx.n // 2 + 1, k, ctx.d - 2)
+        if self._product is not None:
+            return count_capped_monomials(ctx.n // 2 + 1, k, ctx.d - 2)
+        return len(self._kernel_data(min(k, ctx.sigma - k))[2]) if k <= ctx.sigma else 0
 
     def slice(self, k: int) -> DegreeSlice:
         """Reduced echelon basis of the degree-k piece of the colon ideal,
-        0 <= k <= sigma: above sigma it is all of S_k."""
+        0 <= k <= sigma: above sigma it is all of S_k.  Pivot row pc holds
+        entries only past pc, so free column f leads its kernel vector."""
         if k > self.ctx.sigma:
             raise ValueError(f"slice degree must lie in 0..{self.ctx.sigma}")
         nvars, one = self.ctx.nvars, CyclotomicNumber.one()
@@ -533,23 +537,19 @@ class ColonIdeal:
                 basis.append(Polynomial(nvars, terms))
             return DegreeSlice(k, tuple(basis))
         source, pivots, pivot_cols, free_cols = self._kernel_data(k)
-        basis = []
-        for f in free_cols:
-            terms = [(source[f], one)]
-            for pc in pivot_cols:
-                v = pivots[pc].get(f)
-                if v is not None:
-                    terms.append((source[pc], -v))
-            basis.append(Polynomial(nvars, terms))
-        basis.sort(key=lambda b: self.order.key(leading_term(b, self.order)[0]), reverse=True)
-        return DegreeSlice(k, tuple(basis))
+        kernel = {f: [(source[f], one)] for f in free_cols}
+        for pc in pivot_cols:
+            for c, v in pivots[pc].items():
+                if c != pc:
+                    kernel[c].append((source[pc], -v))
+        return DegreeSlice(k, tuple(Polynomial(nvars, kernel[f]) for f in reversed(free_cols)))
 
     def quotient_monomials(self, k: int) -> tuple[Monomial, ...]:
         """Monomial complement basis of R_k (the non-leading-term monomials)."""
         if self._product is not None:
             return tuple(m for m in self._monomials(k) if self._normal_monomial(m) == m)
         source, _, pivot_cols, _ = self._kernel_data(k)
-        return tuple(self.order.sort_descending(source[c] for c in pivot_cols))
+        return tuple(source[c] for c in reversed(pivot_cols))
 
     def leading_monomials(self, k: int) -> frozenset[Monomial]:
         """Leading terms of the echelonized degree-k ideal slice."""

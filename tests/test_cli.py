@@ -868,6 +868,40 @@ def test_readme_examples_run(line, capsys):
         assert tuple(json.loads(out)["dims"]) == profile
 
 
+README_LIBRARY = (
+    README.read_text(encoding="utf-8")
+    .split("## Library use", 1)[1]
+    .split("```python\n", 1)[1]
+    .split("```", 1)[0]
+    .splitlines()
+)
+
+
+def test_readme_library_block_runs():
+    # the comment on an expression line is its value's repr, or the error it raises
+    import ast
+    import re
+
+    namespace = {}
+    checked = []
+    for line in README_LIBRARY:
+        code, _, comment = line.partition("  # ")
+        code, comment = code.strip(), comment.strip()
+        if not code:
+            continue
+        if comment.startswith("ValueError: "):
+            with pytest.raises(ValueError, match=re.escape(comment.removeprefix("ValueError: "))):
+                eval(code, namespace)
+        elif isinstance(ast.parse(code).body[0], ast.Expr):
+            assert repr(eval(code, namespace)) == comment, line
+        else:
+            exec(code, namespace)
+            continue
+        checked.append(code)
+    assert checked == ["ci.hilbert_profile().dims", "[str(f) for f in ci.slice(1).basis]",
+                       "ci.rank(7)", "ci.slice(7)", "pair_classes(p, q, ctx).c_rational"]
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: every verb, small (n, d), a fixed vocabulary of flags and values
 # ---------------------------------------------------------------------------

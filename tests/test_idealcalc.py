@@ -847,7 +847,7 @@ def class_of_kind(ctx, kind, entries, data):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_sandwich_ranks_match_the_target_loop_and_the_rational_oracle(field, data):
+def test_colon_ranks_match_the_target_loop_and_the_rational_oracle(field, data):
     import math
 
     entries, _ = FIELDS[field]
@@ -892,23 +892,9 @@ def test_linear_and_product_profiles_need_no_exact_elimination_past_degree_one(n
         assert mod_p == []
 
 
-def test_a_perturbed_degree_one_slice_falls_back_to_the_exact_engine(monkeypatch):
-    from fermatcalc.idealcalc import DegreeSlice
-
+def test_an_eliminated_profile_folds_every_degree_to_at_most_sigma_half(monkeypatch):
     ctx = FermatContext(4, 5)
     p = linear_cycle_class(ctx, (1, 3, 5))
-    x5 = Polynomial.variable(ctx.nvars, 5)
-    powers = [Polynomial.variable(ctx.nvars, i) ** (ctx.d - 1) for i in range(ctx.nvars)]
-    honest = ColonIdeal(p, ctx).slice(1).basis
-    perturbed = (honest[0] + x5, *honest[1:])
-    # unchecked, the perturbed forms would bound rank(4) = 12 by 11
-    assert ideal_hilbert_dims([*perturbed, *powers], 4)[4] == 11
-    assert ideal_hilbert_dims([*honest, *powers], 4)[4] == 12
-
-    slice_ = ColonIdeal.slice
-    monkeypatch.setattr(
-        ColonIdeal, "slice", lambda self, k: DegreeSlice(1, perturbed) if k == 1 else slice_(self, k)
-    )
     degrees = record_kernel_degrees(monkeypatch)
     ci = EliminatedColon(p, ctx)  # the linear cycle on the elimination route
     assert ci.rank(4) == TargetLoopColon(p, ctx).rank(4) == 12
@@ -948,7 +934,7 @@ def record_mod_p_degrees(monkeypatch) -> list[int]:
     return degrees
 
 
-def ci_route_classes(ctx):
+def recognised_products(ctx):
     """A linear cycle, a product class and a product class with a zero
     coefficient (its factor x_p^(d-2) is annihilated by x_p alone)."""
     from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
@@ -990,7 +976,7 @@ def test_product_ranks_build_no_rows_and_a_grouped_class_is_eliminated(n, d, mon
     ctx = FermatContext(n, d)
     degrees = record_mod_p_degrees(monkeypatch)
     kernels = record_kernel_degrees(monkeypatch)
-    for kind, p in ci_route_classes(ctx).items():
+    for kind, p in recognised_products(ctx).items():
         ci = ColonIdeal(p, ctx)
         assert ci.hilbert_profile().dims == product_profile(ctx), kind
         assert ci.slice(1).dim == n // 2 + 1, kind
@@ -1040,7 +1026,7 @@ CYCLE_SUMS = [
 
 
 @pytest.mark.parametrize("n,d,specs", CYCLE_SUMS)
-def test_two_linear_cycles_differing_in_one_exponent_keep_the_sandwich(n, d, specs, monkeypatch):
+def test_linear_cycle_sums_are_eliminated_past_degree_one(n, d, specs, monkeypatch):
     ctx = FermatContext(n, d)
     p = linear_cycle_sum(ctx, specs)
     degrees = record_mod_p_degrees(monkeypatch)
@@ -1176,3 +1162,78 @@ def test_slices_above_sigma_are_refused_at_once():
             with pytest.raises(ValueError, match=r"slice degree must lie in 0\.\.9"):
                 colon_slice(p, k, ctx)
         assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# One degree rule for both routes: R_k = 0 above sigma
+# ---------------------------------------------------------------------------
+
+
+def degree_rule_classes(ctx, terms):
+    """A dense class of `terms` terms and a product class with one a_j = 0."""
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+
+    dense = random_reduced_class(ctx, random.Random(3), terms=terms)
+    a = (zeta(ctx.m), CyclotomicNumber.zero(), zeta(ctx.m) ** 3)[:ctx.n // 2 + 1]
+    product = product_class_poly(
+        ProductClassSpec(a, CyclotomicNumber.from_rational(Fraction(3, 2))), ctx)
+    return {"dense": dense, "product": product}
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (4, 5)])
+def test_above_sigma_both_routes_answer_from_a_zero_quotient(n, d, monkeypatch):
+    import time
+
+    from fermatcalc import idealcalc
+
+    ctx = FermatContext(n, d)
+    for kind, p in degree_rule_classes(ctx, terms=40).items():
+        leading = TargetLoopColon(p, ctx).leading_monomials(ctx.sigma + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            def refuse(*args, **kwargs):
+                raise AssertionError("no prime, row or elimination above sigma")
+
+            mp.setattr(idealcalc._Reduction, "avoiding", refuse)
+            mp.setattr(ColonIdeal, "_multiplication_rows", refuse)
+            mp.setattr(idealcalc, "echelon", refuse)
+            ci = ColonIdeal(p, ctx)
+            start = time.perf_counter()
+            for k in (ctx.sigma + 1, 2 * ctx.sigma + 1, 10**5):
+                assert ci.rank(k) == 0, (kind, k)
+            assert time.perf_counter() - start < 1, kind
+            assert ci.quotient_monomials(ctx.sigma + 1) == (), kind
+            assert ci.leading_monomials(ctx.sigma + 1) == leading, kind
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (4, 5)])
+def test_dense_slices_read_off_the_echelon_rows_match_the_target_loop(n, d):
+    from fermatcalc.multipoly import MonomialOrder
+
+    ctx = FermatContext(n, d)
+    # 12 terms: the target loop eliminates the wide (4,5) slices of a 40-term
+    # class in about 10 s per order on a 2-core x86_64 host, these in 0.1 s
+    p = degree_rule_classes(ctx, terms=12)["dense"]
+    shuffled = list(range(ctx.nvars))
+    random.Random(n * d).shuffle(shuffled)
+    for order in (lex_order(ctx.nvars), pair_leader_order(ctx.nvars), MonomialOrder(tuple(shuffled))):
+        ci, ref = ColonIdeal(p, ctx, order), TargetLoopColon(p, ctx, order)
+        for k in range(ctx.sigma + 1):
+            basis = ci.slice(k).basis
+            assert basis == ref.slice(k).basis, (order, k)
+            keys = [order.key(leading_term(b, order)[0]) for b in basis]
+            assert all(a > b for a, b in zip(keys, keys[1:])), (order, k)
+
+
+def test_an_order_that_does_not_rank_every_variable_is_refused(quintic_surface):
+    from fermatcalc.bounds import classify_lt_shape, tangent_codim
+    from fermatcalc.multipoly import MonomialOrder
+
+    ctx = quintic_surface
+    for p in degree_rule_classes(ctx, terms=10).values():
+        for order in (MonomialOrder((1, 0)), MonomialOrder((0, 1, 2, 3, 4))):
+            with pytest.raises(ValueError, match="order must list all 4 variables"):
+                ColonIdeal(p, ctx, order)
+            with pytest.raises(ValueError, match="order must list all 4 variables"):
+                tangent_codim(p, ctx, order)
+            with pytest.raises(ValueError, match="order must list all 4 variables"):
+                classify_lt_shape(p, order, ctx)
