@@ -369,6 +369,11 @@ class ColonIdeal:
     primitive part and no associated Artinian Gorenstein algebra.  (n, d)
     must pass `check_colon_size`.
 
+    `slice`, `quotient_monomials` and `leading_monomials` read one echelon
+    tuple, `_echelon_data(k)`, where each degree takes its route, under one
+    degree rule: a negative degree is refused, and above sigma, where R_k = 0,
+    `rank` is 0 and the ideal is all of S_k, with no pivot, prime, row or cache.
+
     A product class, recognised once by `product_structure`, is read off the
     normal form of the module docstring at every degree.  Its multiplication
     matrix splits into blocks by the degree of the source monomial in each
@@ -381,14 +386,10 @@ class ColonIdeal:
     beta.  That is the normal-form coefficient, formed from the same operands,
     so every printed conductor is the elimination's.
 
-    Any other class is eliminated on the capped catalecticant only; `rank`
-    reads a degree above sigma/2 at sigma-k, while `slice`,
-    `quotient_monomials`, `leading_monomials` and `lt_generators` use degree k
-    itself.  Every degree takes `_kernel_data`, the identity when its rank
-    mod p equals its number of capped columns and else exact elimination.
-    The prime is sought at the first rank mod p.  Both routes refuse a
-    negative degree, and above sigma, where R_k = 0, `rank` is 0 and the ideal
-    is all of S_k, read with no prime, no row and no elimination.
+    Any other class is eliminated on the capped catalecticant by
+    `_kernel_data`: the identity when its rank mod p reaches the number of
+    capped columns, else exact elimination, the prime sought at the first
+    rank mod p.  `rank` reads a degree above sigma/2 at sigma-k.
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -418,11 +419,11 @@ class ColonIdeal:
                 moved[q] = p
         return moved
 
-    def _normal_monomial(self, beta: Monomial) -> Monomial | None:
+    def _normal_monomial(self, beta: Monomial, moved) -> Monomial | None:
         """The standard monomial x^gamma with x^beta = c * x^gamma, c nonzero,
         modulo J + <g_j>, or None when x^beta lies in J + <g_j>."""
         gamma = list(beta)
-        for v, t in self._product[1].items():
+        for v, t in moved.items():
             if beta[v]:
                 if t is None:
                     return None
@@ -430,18 +431,36 @@ class ColonIdeal:
                 gamma[v] = 0
         return tuple(gamma) if max(gamma) <= self.ctx.d - 2 else None
 
-    def _pair_coefficient(self, beta: Monomial) -> CyclotomicNumber:
+    def _pair_coefficient(self, beta: Monomial, pairs) -> CyclotomicNumber:
         """P's coefficient at u(beta) (class docstring)."""
         u = [0] * self.ctx.nvars
-        for p, q in self._product[0]:
+        for p, q in pairs:
             u[p], u[q] = self.ctx.d - 2 - beta[p], beta[p]
         return self.reduced.terms[tuple(u)]
 
-    def _monomials(self, k: int) -> list[Monomial]:
-        """The degree-k monomials in descending order."""
+    def _echelon_data(self, k: int):
+        """`_kernel_data`'s tuple (source ascending, pivots, pivot cols, free
+        cols) at degree k on every route.  A product's pivot rows are the blocks
+        of the class docstring, 1 at x^gamma; above sigma no column pivots."""
         if k < 0:
             raise ValueError("negative degree")
-        return self.order.sort_descending(monomials_of_degree(self.ctx.nvars, k))
+        if k <= self.ctx.sigma and self._product is None:
+            return self._kernel_data(k)
+        source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
+        pivots, rows, inverses = {}, {}, {}
+        if k <= self.ctx.sigma:  # a product, so the normal form fills the pivot rows
+            pairs, moved = self._product
+            for i, beta in enumerate(source):
+                gamma = self._normal_monomial(beta, moved)
+                if gamma == beta:
+                    pivots[i] = rows[beta] = {i: CyclotomicNumber.one()}
+                elif gamma is not None:
+                    inv = inverses.get(gamma)
+                    if inv is None:
+                        inverses[gamma] = inv = 1 / self._pair_coefficient(gamma, pairs)
+                    c = self._pair_coefficient(beta, pairs)
+                    rows[gamma][i] = c * inv if inv != 1 else c
+        return source, pivots, sorted(pivots), [i for i in range(len(source)) if i not in pivots]
 
     @functools.cached_property
     def _residues(self) -> tuple[int, list]:
@@ -484,20 +503,17 @@ class ColonIdeal:
         return echelon(self._multiplication_rows(index, kept, exact=True))
 
     def _kernel_data(self, k: int):
-        """Echelon data of the multiplication matrix at degree k: a tuple
-        (source monomials ascending, pivot dict, pivot cols, free cols)."""
+        """The elimination route's echelon data at degree 0 <= k <= sigma: a
+        tuple (source monomials ascending, pivot dict, pivot cols, free cols)."""
         data = self._cache.get(k)
         if data is not None:
             return data
-        if k < 0:
-            raise ValueError("negative degree")
         cap = self.ctx.d - 2
         source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source) if max(m) <= cap}
-        pivots = self._pivots(index, lambda tau: max(tau) <= cap) if k <= self.ctx.sigma else {}
-        pivot_cols = sorted(pivots)
+        pivots = self._pivots(index, lambda tau: max(tau) <= cap)
         free_cols = [i for i in range(len(source)) if i not in pivots]
-        data = (source, pivots, pivot_cols, free_cols)
+        data = (source, pivots, sorted(pivots), free_cols)
         self._cache[k] = data
         return data
 
@@ -521,22 +537,7 @@ class ColonIdeal:
         if k > self.ctx.sigma:
             raise ValueError(f"slice degree must lie in 0..{self.ctx.sigma}")
         nvars, one = self.ctx.nvars, CyclotomicNumber.one()
-        if self._product is not None:
-            basis, inverses = [], {}
-            for beta in self._monomials(k):
-                gamma = self._normal_monomial(beta)
-                if gamma == beta:
-                    continue
-                terms = [(beta, one)]
-                if gamma is not None:
-                    inv = inverses.get(gamma)
-                    if inv is None:
-                        inverses[gamma] = inv = 1 / self._pair_coefficient(gamma)
-                    c = self._pair_coefficient(beta)
-                    terms.append((gamma, -(c * inv if inv != 1 else c)))
-                basis.append(Polynomial(nvars, terms))
-            return DegreeSlice(k, tuple(basis))
-        source, pivots, pivot_cols, free_cols = self._kernel_data(k)
+        source, pivots, pivot_cols, free_cols = self._echelon_data(k)
         kernel = {f: [(source[f], one)] for f in free_cols}
         for pc in pivot_cols:
             for c, v in pivots[pc].items():
@@ -545,17 +546,16 @@ class ColonIdeal:
         return DegreeSlice(k, tuple(Polynomial(nvars, kernel[f]) for f in reversed(free_cols)))
 
     def quotient_monomials(self, k: int) -> tuple[Monomial, ...]:
-        """Monomial complement basis of R_k (the non-leading-term monomials)."""
-        if self._product is not None:
-            return tuple(m for m in self._monomials(k) if self._normal_monomial(m) == m)
-        source, _, pivot_cols, _ = self._kernel_data(k)
+        """Monomial complement basis of R_k (the non-leading-term monomials),
+        () above sigma with nothing listed."""
+        if k > self.ctx.sigma:
+            return ()
+        source, _, pivot_cols, _ = self._echelon_data(k)
         return tuple(source[c] for c in reversed(pivot_cols))
 
     def leading_monomials(self, k: int) -> frozenset[Monomial]:
         """Leading terms of the echelonized degree-k ideal slice."""
-        if self._product is not None:
-            return frozenset(m for m in self._monomials(k) if self._normal_monomial(m) != m)
-        source, _, _, free_cols = self._kernel_data(k)
+        source, _, _, free_cols = self._echelon_data(k)
         return frozenset(source[f] for f in free_cols)
 
     def hilbert_profile(self) -> HilbertProfile:

@@ -13,7 +13,9 @@ multiplies, so "3+4i" and "z*(3+4i)/5" mean what they look like.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
 
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, zeta
@@ -62,16 +64,17 @@ def polynomial_to_json(p: Polynomial) -> dict:
 
 
 def polynomial_from_json(obj) -> Polynomial:
-    """Inverse of polynomial_to_json; a value of the wrong shape raises ValueError."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("vars"), int)
-            and isinstance(obj.get("m"), int) and isinstance(obj.get("terms"), list)):
+    """Inverse of polynomial_to_json; a value of the wrong shape, such as JSON
+    true or false where an integer belongs, raises ValueError."""
+    if not (isinstance(obj, dict) and type(obj.get("vars")) is int
+            and type(obj.get("m")) is int and isinstance(obj.get("terms"), list)):
         raise ValueError('polynomial must be an object with integers "vars", "m" and a list "terms"')
     terms = []
     for t in obj["terms"]:
         if not (isinstance(t, dict) and isinstance(t.get("exp"), list)
                 and isinstance(t.get("coeff"), list)
-                and all(isinstance(e, int) for e in t["exp"])
-                and all(isinstance(c, (str, int)) for c in t["coeff"])):
+                and all(type(e) is int for e in t["exp"])
+                and all(type(c) in (str, int) for c in t["coeff"])):
             raise ValueError(f"malformed polynomial term {t!r}")
         terms.append((tuple(t["exp"]), CyclotomicNumber.from_coords(obj["m"], t["coeff"])))
     return Polynomial(obj["vars"], terms)
@@ -83,7 +86,7 @@ def declared_fields(polys) -> list[tuple[int, int]]:
     if not isinstance(polys, list):
         return []
     return [(p["m"], len(p["terms"])) for p in polys
-            if isinstance(p, dict) and isinstance(p.get("m"), int) and p["m"] > 0
+            if isinstance(p, dict) and type(p.get("m")) is int and p["m"] > 0
             and isinstance(p.get("terms"), list)]
 
 
@@ -121,6 +124,11 @@ def profile_to_json(p: HilbertProfile) -> dict:
 # ---------------------------------------------------------------------------
 # Cyclotomic literal parser
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _least_with_more_digits(digits: int) -> int:
+    return 10**digits
 
 
 class _Parser:
@@ -172,16 +180,35 @@ class _Parser:
         return self.power()
 
     def power(self) -> CyclotomicNumber:
+        """base^k by exactly the products of `CyclotomicNumber.__pow__`, its
+        unused last square included, refused once a numerator or denominator
+        it keeps has more digits than an int may print
+        (`sys.get_int_max_str_digits()`); z^k and i^k stay small for every k."""
         base = self.atom()
-        if self.peek() == "^":
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        negative = self.peek() == "-"
+        if negative:
             self.pos += 1
-            negative = False
-            if self.peek() == "-":
-                negative = True
-                self.pos += 1
-            exponent = self.integer()
-            return base ** (-exponent if negative else exponent)
-        return base
+        exponent = self.integer()
+        result = CyclotomicNumber.one(base.m)
+        if negative and exponent:
+            base = base.inverse()
+        while exponent:
+            if exponent & 1:
+                result = self.printable(result * base)
+            base = base * base
+            exponent >>= 1
+            if exponent:
+                self.printable(base)
+        return result
+
+    def printable(self, x: CyclotomicNumber) -> CyclotomicNumber:
+        digits = sys.get_int_max_str_digits()
+        if digits and max(x.den, *map(abs, x.nums)) >= _least_with_more_digits(digits):
+            self.error(f"power has more than {digits} digits")
+        return x
 
     def integer(self) -> int:
         ch = self.peek()

@@ -145,6 +145,43 @@ def test_malformed_polynomial_lists_exit_one(capsys, tmp_path, argv, blob, expec
     assert expected in err
 
 
+
+def test_json_booleans_in_a_class_exit_one(capsys, tmp_path):
+    path = tmp_path / "class.json"
+    blob = {"vars": 4, "m": True, "terms": [{"exp": [3, False, 3, False], "coeff": [True]}]}
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["hilbert", "--n", "2", "--d", "5", "--poly", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: polynomial must be an object")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--n", "2", "--d", "5", "--a", "2^100000000,1"],
+        ["prop11", "--d", "5", "--a", "2^1000000"],
+        ["certify", "--n", "2", "--d", "5", "--a", "3^100000,1"],
+    ],
+    ids=["hilbert", "prop11", "certify"],
+)
+def test_unprintable_powers_are_refused_before_the_verb_runs(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: parse error at position")
+    assert f"power has more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_powers_of_z_reduce_for_any_exponent(capsys):
+    outputs = []
+    for a in ("z^1000000001,1", "z,1"):
+        assert main(["certify", "--n", "2", "--d", "5", "--a", a]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
 def test_pair_verb(capsys):
     code, out = run(
         capsys, "pair", "--n", "2", "--d", "5", "--alpha", "1,1", "--alpha2", "1,3"
@@ -899,7 +936,8 @@ def test_readme_library_block_runs():
             continue
         checked.append(code)
     assert checked == ["ci.hilbert_profile().dims", "[str(f) for f in ci.slice(1).basis]",
-                       "ci.rank(7)", "ci.slice(7)", "pair_classes(p, q, ctx).c_rational"]
+                       "ci.rank(7)", "ci.quotient_monomials(10**5)", "ci.slice(7)",
+                       "pair_classes(p, q, ctx).c_rational"]
 
 
 # ---------------------------------------------------------------------------

@@ -1188,7 +1188,7 @@ def test_above_sigma_both_routes_answer_from_a_zero_quotient(n, d, monkeypatch):
 
     ctx = FermatContext(n, d)
     for kind, p in degree_rule_classes(ctx, terms=40).items():
-        leading = TargetLoopColon(p, ctx).leading_monomials(ctx.sigma + 1)
+        leading = frozenset(monomials_of_degree(ctx.nvars, ctx.sigma + 1))  # all of S_k
         with pytest.MonkeyPatch.context() as mp:
             def refuse(*args, **kwargs):
                 raise AssertionError("no prime, row or elimination above sigma")
@@ -1203,6 +1203,61 @@ def test_above_sigma_both_routes_answer_from_a_zero_quotient(n, d, monkeypatch):
             assert time.perf_counter() - start < 1, kind
             assert ci.quotient_monomials(ctx.sigma + 1) == (), kind
             assert ci.leading_monomials(ctx.sigma + 1) == leading, kind
+
+
+def test_above_sigma_nothing_is_listed_or_cached_on_any_route():
+    import time
+
+    ctx = FermatContext(4, 5)
+    classes = degree_rule_classes(ctx, terms=40)
+    routes = {"dense": ColonIdeal(classes["dense"], ctx),
+              "product": ColonIdeal(classes["product"], ctx),
+              "eliminated": EliminatedColon(classes["product"], ctx)}
+    leading = frozenset(monomials_of_degree(ctx.nvars, ctx.sigma + 1))
+    for route, ci in routes.items():
+        start = time.perf_counter()
+        assert ci.quotient_monomials(10**5) == (), route
+        assert time.perf_counter() - start < 1, route
+        assert ci.quotient_monomials(ctx.sigma + 1) == (), route
+        assert ci.leading_monomials(ctx.sigma + 1) == leading, route
+        assert all(k <= ctx.sigma for k in ci._cache), route
+
+
+def test_lt_generators_through_sigma_plus_one_match_the_target_loop():
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+    from fermatcalc.multipoly import minimal_generators
+
+    ctx = FermatContext(2, 3)  # lt_generators(d) reaches degree sigma + 1 = 3
+    a = (zeta(ctx.m), CyclotomicNumber.zero())
+    product = product_class_poly(ProductClassSpec(a, CyclotomicNumber.one()), ctx)
+    dense = random_reduced_class(ctx, random.Random(1), terms=3)
+    for p in (linear_cycle_class(ctx, (1, 3)), product, dense):
+        for order in (lex_order(ctx.nvars), pair_leader_order(ctx.nvars)):
+            ref = TargetLoopColon(p, ctx, order)
+            degrees = []
+            for k in range(ctx.d + 1):
+                source, _, _, free_cols = ref._kernel_data(k)
+                degrees.append([source[f] for f in free_cols])
+            expected = minimal_generators(degrees, order)
+            assert ColonIdeal(p, ctx, order).lt_generators(ctx.d) == expected
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (4, 4), (4, 5)])
+def test_the_one_reader_gives_the_elimination_tuple(n, d):
+    """`_echelon_data` on linear cycles and products (zero and mixed-field a_j,
+    c_lambda in {1, 3/2, i}) is the elimination's `_kernel_data` at every
+    degree: the same source, pivot cols and free cols, and equal pivots."""
+    ctx = FermatContext(n, d)
+    rng = random.Random(f"one reader:{n}:{d}")
+    for kind, p in closed_form_classes(ctx, rng):
+        for order in (lex_order(ctx.nvars), pair_leader_order(ctx.nvars)):
+            ci, ref = ColonIdeal(p, ctx, order), EliminatedColon(p, ctx, order)
+            for k in range(ctx.sigma + 1):
+                source, pivots, pivot_cols, free_cols = ci._echelon_data(k)
+                ref_source, ref_pivots, ref_pivot_cols, ref_free_cols = ref._kernel_data(k)
+                assert source == ref_source and pivot_cols == ref_pivot_cols, (kind, k)
+                assert free_cols == ref_free_cols and pivots == ref_pivots, (kind, order, k)
+            assert ci._cache == {}, kind  # products never reach the elimination cache
 
 
 @pytest.mark.parametrize("n,d", [(2, 5), (4, 5)])

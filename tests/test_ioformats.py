@@ -94,3 +94,41 @@ def test_expression_parser_errors_carry_positions():
     for bad in ("z+", "(z", "q", "z^", "3//2"):
         with pytest.raises(ValueError, match="parse error at position"):
             parse_cyclotomic_expr(bad, 6)
+
+
+@pytest.mark.parametrize(
+    "blob,message",
+    [
+        ({"vars": True, "m": 10, "terms": []}, "polynomial must be an object"),
+        ({"vars": 4, "m": True, "terms": []}, "polynomial must be an object"),
+        ({"vars": 4, "m": 10, "terms": [{"exp": [3, False, 3, False], "coeff": ["1"]}]},
+         "malformed polynomial term"),
+        ({"vars": 4, "m": 10, "terms": [{"exp": [3, 0, 3, 0], "coeff": [True]}]},
+         "malformed polynomial term"),
+    ],
+    ids=["vars", "m", "exp", "coeff"],
+)
+def test_json_booleans_are_not_integers(blob, message):
+    from fermatcalc.ioformats import declared_fields
+
+    with pytest.raises(ValueError, match=message):
+        polynomial_from_json(json.loads(json.dumps(blob)))
+    assert declared_fields([{"vars": 4, "m": True, "terms": []}]) == []
+
+
+def test_powers_are_refused_past_the_printable_digits():
+    import sys
+    import time
+
+    digits = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    for text in ("2^100000000", "3^100000", "(1+z)^100000000", f"10^{digits}", f"10^-{digits}"):
+        with pytest.raises(ValueError, match=f"power has more than {digits} digits"):
+            parse_cyclotomic_expr(text, 10)
+    assert time.perf_counter() - start < 1
+    assert parse_cyclotomic_expr(f"10^{digits - 1}", 10) == 10 ** (digits - 1)
+    assert parse_cyclotomic_expr(f"10^-{digits - 1}", 10) == Fraction(1, 10 ** (digits - 1))
+    # roots of unity stay small, so their powers reduce for every exponent
+    assert parse_cyclotomic_expr("z^1000000001", 10) == zeta(10)
+    assert parse_cyclotomic_expr("i^-10000000000000000000000000000003", 10) == root_of_unity(4, 1)
+    assert parse_cyclotomic_expr("2^0", 10) == parse_cyclotomic_expr("0^-0", 10) == 1
