@@ -406,8 +406,9 @@ class CyclotomicNumber:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def conjugate(self) -> "CyclotomicNumber":

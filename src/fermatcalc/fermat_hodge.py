@@ -310,7 +310,8 @@ def recover_product_structure(p: Polynomial, ctx: FermatContext) -> ProductClass
     (`idealcalc` module docstring), so nothing is eliminated.
 
     Raises ValueError("no product structure") unless p has the (d-1)^k terms
-    of a product with k nonzero a_j and the exact rebuild, the proof, is p.
+    of a product with k nonzero a_j and every term but the lead is a_j times
+    its neighbour one step back along a pair, the proof.
     """
     reduce_class(p, ctx)
     structure = product_structure(p, ctx)

@@ -11,14 +11,14 @@ the degree-k monomials into the capped degree-(sigma+k) monomials.
 That matrix is a catalecticant.  A source monomial with an exponent above
 d-2 lies in J, so its column is zero: only the capped columns are built,
 row by row from P's support (beta + gamma for capped beta and P's terms
-x^gamma), and the uncapped ones are free.  Writing a capped target as
-tau = socle - v, the entry at (v, beta) is P's coefficient at
-socle - v - beta, which is symmetric in v and beta, so the capped matrix at
-degree sigma-k is the transpose of the one at k and rank(k) = rank(sigma-k):
-the Hilbert function of the Artinian Gorenstein algebra R/(J : P) is
-symmetric (Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and
-Determinantal Loci, LNM 1721).  Ranks are therefore only eliminated up to
-degree sigma/2.
+x^gamma, on monomials packed into ints), and the uncapped ones are free.
+Writing a capped target as tau = socle - v, the entry at (v, beta) is P's
+coefficient at socle - v - beta, which is symmetric in v and beta, so the
+capped matrix at degree sigma-k is the transpose of the one at k and
+rank(k) = rank(sigma-k): the Hilbert function of the Artinian Gorenstein
+algebra R/(J : P) is symmetric (Iarrobino-Kanev, Power Sums, Gorenstein
+Algebras, and Determinantal Loci, LNM 1721).  Ranks are therefore only
+eliminated up to degree sigma/2, from sigma/2 down (`ColonIdeal`).
 
 A product class P = c * prod_j G(a_j), G(a) = sum_s x_p^(d-2-s) (a x_q)^s
 over a coordinate pairing (linear cycles are the case a_j = zeta_2d^alpha_j)
@@ -28,13 +28,15 @@ leaves one variable y_j per pair, so S/(J + <g>) is the complete intersection
 C = k[y]/(y_j^(d-1)), Gorenstein with socle degree (n/2+1)(d-2) = sigma.  C
 maps onto S/(J : P), which is nonzero in degree sigma, and every nonzero
 ideal of C contains its socle (Iarrobino-Kanev), so the map is injective and
-J : P = J + <g>.  `product_structure` recognises P from its support, the exact
-rebuild being the proof.  Then the normal form NF modulo J + <g> replaces the
-order-larger variable of each pair by a_j (or 1/a_j) times the other one, x_p
-by 0 when a_j = 0, and a monomial with an exponent above d-2 by 0.  The
-degree-k slice is {x^beta - NF(x^beta)} over the monomials beta that NF
-moves, its leading monomials are those beta, and rank(k) counts the capped
-monomials in the n/2+1 kept variables: no row is built and no prime sought.
+J : P = J + <g>.  `product_structure` recognises P from its support and
+proves it with one product per term: every term but the lead is a_j times
+its neighbour one step back along a pair.  Then the normal form NF modulo
+J + <g> replaces the order-larger variable of each pair by a_j (or 1/a_j)
+times the other one, x_p by 0 when a_j = 0, and a monomial with an exponent
+above d-2 by 0.  The degree-k slice is {x^beta - NF(x^beta)} over the
+monomials beta that NF moves, its leading monomials are those beta, and
+rank(k) counts the capped monomials in the n/2+1 kept variables: no row is
+built and no prime sought.
 On the (2, 5) linear cycle with alpha = (1, 3), x_0 -> zeta x_1 and
 x_2 -> zeta^3 x_3:
 
@@ -65,8 +67,8 @@ import functools
 import heapq
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import add
 from typing import Iterable, Sequence
 
 from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p, reduce_row
@@ -283,6 +285,15 @@ class _Reduction:
         return v * pow(x.den, -1, p) % p
 
 
+def _pack(e: Monomial, width: int) -> int:
+    """The monomial e as one int, `width` bits per exponent and e_0 on top:
+    ints compare as lex, and a product of monomials is one int add."""
+    key = 0
+    for x in e:
+        key = key << width | x
+    return key
+
+
 # Widest capped catalecticant a ColonIdeal accepts: its column count at
 # degree sigma//2, the widest degree a Hilbert profile eliminates.
 COLON_MAX_COLUMNS = 1000
@@ -334,10 +345,19 @@ def product_structure(p: Polynomial, ctx: FermatContext):
     along the pair over the leading one, times `inv = 1/lead` unless
     `inv == 1`, as `echelon_insert` scales a row, so a_j has the conductor the
     elimination of the degree-one colon gives it.  A pair with no step term
-    has a_j = 0 and takes the least free variable.  p is a product only when
-    it has the (d-1)^k terms of one with k nonzero a_j and the exact rebuild,
-    the proof, is p."""
-    lead, lead_coeff = leading_term(p, lex_order(ctx.nvars))
+    has a_j = 0 and takes the least free variable.
+
+    The proof takes one product per term.  Each term e other than the lead
+    must equal a_j times its neighbour e - step_j, where j is the first pair
+    with a_j != 0 and e_(q_j) > 0 and step_j moves one unit from x_(p_j) to
+    x_(q_j); p is refused when that neighbour is missing or no such pair
+    exists.  Every term then chains down to the lead, so it lies on the
+    support of c * prod_j G(a_j) with that product's coefficient, and p is a
+    product exactly when it also has the product's (d-1)^k terms, k the number
+    of nonzero a_j.  Values are compared, not conductors.  c is the lead
+    coefficient, since every G(a_j) leads with 1."""
+    lead = max(p.terms)  # exponent tuples compare in lex order
+    lead_coeff = p.terms[lead]
     leads = [v for v, e in enumerate(lead) if e]
     if len(leads) != ctx.n // 2 + 1 or any(lead[v] != ctx.d - 2 for v in leads):
         return None
@@ -349,16 +369,27 @@ def product_structure(p: Polynomial, ctx: FermatContext):
         q, a = next(((q, a) for q, a in steps if a), (None, CyclotomicNumber.zero()))
         pairs.append((v, q))
         coeffs.append(a * inv if a and inv != 1 else a)
-    used = [q for _, q in pairs if q is not None]
-    if len(set(used)) != len(used) or len(p.terms) != (ctx.d - 1) ** len(used):
+    stepped = [(v, q, a) for (v, q), a in zip(pairs, coeffs) if a]
+    used = {q for _, q, _ in stepped}
+    if len(used) != len(stepped) or len(p.terms) != (ctx.d - 1) ** len(stepped):
         return None
+    for e, c in p.terms.items():
+        if e == lead:
+            continue
+        for v, q, a in stepped:
+            if e[q]:
+                below = list(e)
+                below[v] += 1
+                below[q] -= 1
+                below = p.terms.get(tuple(below))
+                break
+        else:
+            return None
+        if below is None or a * below != c:
+            return None
     free = iter(v for v in range(ctx.nvars) if not lead[v] and v not in used)
     pairs = tuple((v, next(free) if q is None else q) for v, q in pairs)
-    rebuilt = pairing_product(ctx, pairs, coeffs, 1)
-    c_lambda = lead_coeff / rebuilt.terms[lead]
-    if rebuilt.scale(c_lambda) != p:
-        return None
-    return pairs, tuple(coeffs), c_lambda
+    return pairs, tuple(coeffs), lead_coeff
 
 
 class ColonIdeal:
@@ -390,6 +421,14 @@ class ColonIdeal:
     `_kernel_data`: the identity when its rank mod p reaches the number of
     capped columns, else exact elimination, the prime sought at the first
     rank mod p.  `rank` reads a degree above sigma/2 at sigma-k.
+
+    Full rank at degree k, (J : P)_k = J_k, gives full rank at every j < k,
+    so `hilbert_profile` ranks sigma/2 first and stops eliminating at the
+    first full-rank degree.  Take g in (J : P)_j outside J.  Then
+    g * S_(k-j) lies in (J : P)_k = J_k, so g kills
+    (S/J)_(k-j) * (S/J)_(2 sigma - k) = (S/J)_(2 sigma - j) in S/J.  S/J is
+    Gorenstein with socle degree 2 sigma, so an element of degree j that
+    multiplies all of degree 2 sigma - j to 0 is 0: g lies in J after all.
     """
 
     def __init__(self, p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None):
@@ -463,39 +502,57 @@ class ColonIdeal:
         return source, pivots, sorted(pivots), [i for i in range(len(source)) if i not in pivots]
 
     @functools.cached_property
+    def _packing(self) -> tuple[int, int, int]:
+        """(width, OFF, HIGH) of `_pack`.  Fields of bit_length(2 sigma) + 1
+        bits keep the top bit of every exponent of beta + gamma clear, so tau
+        is capped exactly when (tau + OFF) & HIGH == 0: OFF adds
+        2^(width-1) - 1 - (d-2) to each field, which carries into its top bit
+        when the exponent passes d-2."""
+        width = (2 * self.ctx.sigma).bit_length() + 1
+        top, nvars = 1 << (width - 1), self.ctx.nvars
+        return width, _pack((top - 1 - (self.ctx.d - 2),) * nvars, width), _pack((top,) * nvars, width)
+
+    @functools.cached_property
     def _residues(self) -> tuple[int, list]:
-        """The prime of the mod-p ranks and P's terms (gamma, c mod p), found
-        at the first rank mod p."""
+        """The prime of the mod-p ranks and P's packed terms (gamma, c mod p)
+        with a nonzero residue, found at the first rank mod p."""
         reduction = _Reduction.avoiding(self.reduced.terms.values())
-        return reduction.p, [(gamma, reduction(c)) for gamma, c in self.reduced.terms.items()]
+        width = self._packing[0]
+        terms = ((_pack(gamma, width), reduction(c)) for gamma, c in self.reduced.terms.items())
+        return reduction.p, [(g, r) for g, r in terms if r]
 
     def _multiplication_rows(self, index: dict[Monomial, int], kept, exact: bool) -> list[dict]:
         """Nonzero rows of multiplication by P, over Q(zeta) when `exact` and
-        else mod p, one per kept target: for each source monomial beta and
-        term c * x^gamma of P, the row of tau = beta + gamma holds c (or its
-        residue) in column index[beta].  A term whose residue is 0 leaves no
-        entry mod p, so no row holds a zero the engine could pivot on.  Rows
-        come in descending lex order of their targets, the order of
-        `monomials_of_degree`: the echelon form does not depend on the row
-        order, but the elimination work and the conductors of intermediate
-        values do."""
-        terms = list(self.reduced.terms.items()) if exact else [
-            (gamma, r) for gamma, r in self._residues[1] if r]
-        rows: dict[Monomial, dict] = {}
+        else mod p, one per kept target: every capped target when `kept` is
+        None, else the packed targets in the set `kept`.  For each source
+        monomial beta and term c * x^gamma of P, the row of tau = beta + gamma
+        holds c (or its residue) in column index[beta], on packed monomials
+        (`_pack`).  A term whose residue is 0 leaves no entry mod p, so no row
+        holds a zero the engine could pivot on.  Rows come in descending lex
+        order of their targets, the order of `monomials_of_degree`: the
+        echelon form does not depend on the row order, but the elimination
+        work and the conductors of intermediate values do."""
+        width, off, high = self._packing
+        terms = [(_pack(gamma, width), c) for gamma, c in self.reduced.terms.items()] if exact \
+            else self._residues[1]
+        rows: dict[int, dict] = defaultdict(dict)
         for beta, col in index.items():
-            for gamma, v in terms:
-                tau = tuple(map(add, beta, gamma))
-                if kept(tau):
-                    row = rows.get(tau)
-                    if row is None:
-                        rows[tau] = row = {}
-                    row[col] = v
+            b = _pack(beta, width)
+            if kept is None:
+                for g, v in terms:
+                    if not (b + g + off) & high:
+                        rows[b + g][col] = v
+            else:
+                for g, v in terms:
+                    if b + g in kept:
+                        rows[b + g][col] = v
         return [rows[tau] for tau in sorted(rows, reverse=True)]
 
     def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns
-        `index` and the targets `kept`: the identity when the rows reach rank
-        len(index) mod p (a nonzero minor mod p lifts), else exact elimination."""
+        `index` and the targets `kept` (`_multiplication_rows`): the identity
+        when the rows reach rank len(index) mod p (a nonzero minor mod p
+        lifts), else exact elimination."""
         rows = self._multiplication_rows(index, kept, exact=False)
         if reaches_rank_mod_p(rows, self._residues[0], len(index)):
             one = CyclotomicNumber.one()
@@ -511,7 +568,7 @@ class ColonIdeal:
         cap = self.ctx.d - 2
         source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source) if max(m) <= cap}
-        pivots = self._pivots(index, lambda tau: max(tau) <= cap)
+        pivots = self._pivots(index, None)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, sorted(pivots), free_cols)
         self._cache[k] = data
@@ -559,18 +616,28 @@ class ColonIdeal:
         return frozenset(source[f] for f in free_cols)
 
     def hilbert_profile(self) -> HilbertProfile:
-        return HilbertProfile(tuple(self.rank(k) for k in range(self.ctx.sigma + 1)))
+        """rank(k) for k = 0..sigma, ranked from sigma/2 down: at the first
+        degree whose rank is the number of capped monomials, every lower degree
+        takes its own count with no row and no prime (class docstring)."""
+        ctx = self.ctx
+        half, full = [], False
+        for k in range(ctx.sigma // 2, -1, -1):
+            width = count_capped_monomials(ctx.nvars, k, ctx.d - 2)
+            half.append(width if full else self.rank(k))
+            full = half[-1] == width
+        return HilbertProfile(tuple(half[ctx.sigma // 2 - min(k, ctx.sigma - k)]
+                                    for k in range(ctx.sigma + 1)))
 
     def pairing_rank(self, i: int) -> int:
         """Rank of the multiplication pairing R_i x R_(sigma-i) -> R_sigma on
         the monomial complement bases."""
         if not 0 <= i <= self.ctx.sigma:
             raise ValueError(f"pairing degree must lie in 0..{self.ctx.sigma}")
-        socle = (self.ctx.d - 2,) * self.ctx.nvars
-        targets = {monomial_div(socle, u) for u in self.quotient_monomials(i)}
+        socle, width = (self.ctx.d - 2,) * self.ctx.nvars, self._packing[0]
+        targets = {_pack(monomial_div(socle, u), width) for u in self.quotient_monomials(i)}
         right = self.quotient_monomials(self.ctx.sigma - i)
         index = {v: jdx for jdx, v in enumerate(right)}
-        return len(self._pivots(index, targets.__contains__))
+        return len(self._pivots(index, targets))
 
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by

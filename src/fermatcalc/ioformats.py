@@ -180,10 +180,10 @@ class _Parser:
         return self.power()
 
     def power(self) -> CyclotomicNumber:
-        """base^k by exactly the products of `CyclotomicNumber.__pow__`, its
-        unused last square included, refused once a numerator or denominator
-        it keeps has more digits than an int may print
-        (`sys.get_int_max_str_digits()`); z^k and i^k stay small for every k."""
+        """base^k by exactly the products of `CyclotomicNumber.__pow__`,
+        refused once a numerator or denominator it keeps has more digits than
+        an int may print (`sys.get_int_max_str_digits()`); z^k and i^k stay
+        small for every k."""
         base = self.atom()
         if self.peek() != "^":
             return base
@@ -198,10 +198,9 @@ class _Parser:
         while exponent:
             if exponent & 1:
                 result = self.printable(result * base)
-            base = base * base
             exponent >>= 1
             if exponent:
-                self.printable(base)
+                base = self.printable(base * base)
         return result
 
     def printable(self, x: CyclotomicNumber) -> CyclotomicNumber:

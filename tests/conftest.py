@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
 from fermatcalc.fermat_hodge import ProductClassSpec
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, pairing_product, solve_linear_forms
+from fermatcalc.idealcalc import (ColonIdeal, FermatContext, _Reduction, ideal_slice, pairing_product,
+                                  solve_linear_forms)
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
@@ -110,6 +112,27 @@ def recover_by_elimination(p: Polynomial, ctx: FermatContext) -> ProductClassSpe
     if c_lambda.is_zero() or rebuilt.scale(c_lambda) != p:
         raise ValueError("violates product shape")
     return ProductClassSpec(tuple(coeffs), c_lambda, tuple(pairs))
+
+
+def tuple_multiplication_rows(ci: ColonIdeal, index, kept, exact: bool) -> list[dict]:
+    """The rows of `ColonIdeal._multiplication_rows` built on exponent tuples:
+    for each source monomial beta (column index[beta]) and term c * x^gamma of
+    P, the row of tau = beta + gamma holds c, or its residue mod the prime of
+    the rank pass, when `kept(tau)`; a zero residue leaves no entry.  Rows in
+    descending lex order of tau.  The reference the packed builder is checked
+    against."""
+    if exact:
+        terms = list(ci.reduced.terms.items())
+    else:
+        reduction = _Reduction.avoiding(ci.reduced.terms.values())
+        terms = [(gamma, r) for gamma, c in ci.reduced.terms.items() if (r := reduction(c))]
+    rows: dict[tuple, dict] = {}
+    for beta, col in index.items():
+        for gamma, v in terms:
+            tau = tuple(map(add, beta, gamma))
+            if kept(tau):
+                rows.setdefault(tau, {})[col] = v
+    return [rows[tau] for tau in sorted(rows, reverse=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,72 @@ def test_recover_and_special_run_no_elimination(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["j1_dim"] == 3
 
 
+def near_products(n, d):
+    """A product class with its lex-least term, neither the lead nor a one-step
+    neighbour of it, perturbed in value, and with that term moved one unit
+    from x_1 to x_2, off the lattice of the pairs (0, 1), (2, 3), ..."""
+    from fermatcalc.exactnum import CyclotomicNumber, root_of_unity
+    from fermatcalc.fermat_hodge import ProductClassSpec, product_class_poly
+    from fermatcalc.idealcalc import FermatContext
+    from fermatcalc.multipoly import Polynomial
+
+    ctx = FermatContext(n, d)
+    a = tuple(root_of_unity(ctx.m, 2 * j + 1) for j in range(n // 2 + 1))
+    p = product_class_poly(ProductClassSpec(a, CyclotomicNumber.from_rational(3)), ctx)
+    interior = min(p.terms)
+    assert sum(interior[1::2]) >= 2  # at least two steps from the lead
+    perturbed = dict(p.terms)
+    perturbed[interior] = perturbed[interior] + 1
+    moved = dict(p.terms)
+    off = list(interior)
+    off[1], off[2] = off[1] - 1, off[2] + 1
+    moved[tuple(off)] = moved.pop(interior)
+    return ctx, [Polynomial(ctx.nvars, perturbed), Polynomial(ctx.nvars, moved)]
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 5), (4, 4), (2, 9)])
+def test_a_perturbed_or_moved_interior_term_is_no_product(n, d, capsys, tmp_path):
+    from fermatcalc.idealcalc import product_structure
+    from fermatcalc.ioformats import polynomial_to_json
+
+    from conftest import recover_by_elimination
+
+    ctx, classes = near_products(n, d)
+    for q in classes:
+        assert product_structure(q, ctx) is None
+        with pytest.raises(ValueError, match="product s"):
+            recover_by_elimination(q, ctx)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(polynomial_to_json(q)), encoding="utf-8")
+        assert main(["recover", "--n", str(n), "--d", str(d), "--poly", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: no product structure\n")
+
+
+@pytest.mark.parametrize("verb", ["hilbert", "tangent", "recover"])
+def test_a_product_request_builds_its_class_once_and_scales_nothing(verb, capsys, monkeypatch):
+    from fermatcalc import fermat_hodge, idealcalc
+    from fermatcalc.multipoly import Polynomial
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return pairing_product(*args)
+
+    def refuse(*args):
+        raise AssertionError("Polynomial.scale ran")
+
+    pairing_product = idealcalc.pairing_product
+    for owner in (fermat_hodge, idealcalc):
+        monkeypatch.setattr(owner, "pairing_product", counted)
+    monkeypatch.setattr(Polynomial, "scale", refuse)
+    for flags in (["--n", "4", "--d", "5", "--alpha", "1,3,5"],
+                  ["--n", "2", "--d", "9", "--a", "z,-3/2*z^5", "--c-lambda", "3/2"]):
+        built.clear()
+        assert run(capsys, verb, *flags)[0] == 0
+        assert len(built) == 1
+
+
 def patch_elimination(monkeypatch, hook):
     """Route the mod-p and exact eliminations of the colon verbs through
     `hook(name)`, which may raise or record."""

@@ -23,6 +23,7 @@ from fermatcalc.idealcalc import (
 )
 from fermatcalc.multipoly import (
     Polynomial,
+    count_capped_monomials,
     count_monomials,
     divide,
     leading_term,
@@ -631,6 +632,11 @@ class TargetLoopColon(EliminatedColon):
     def rank(self, k):
         return len(self._kernel_data(k)[2])
 
+    def hilbert_profile(self):
+        """Every degree 0..sigma eliminated on its own, with no symmetry and
+        no step down from a full-rank degree."""
+        return HilbertProfile(tuple(self.rank(k) for k in range(self.ctx.sigma + 1)))
+
     def pairing_rank(self, i):
         socle = (self.ctx.d - 2,) * self.ctx.nvars
         targets = [monomial_div(socle, u) for u in self.quotient_monomials(i)]
@@ -1043,7 +1049,64 @@ def test_a_rank_deficient_degree_is_ranked_mod_p_once(n, d, specs, monkeypatch):
     degrees = record_mod_p_degrees(monkeypatch)
     ci = ColonIdeal(linear_cycle_sum(ctx, specs), ctx)
     assert ci.hilbert_profile().dims != product_profile(ctx)
-    assert degrees == list(range(ctx.sigma // 2 + 1))
+    # from sigma/2 down, each degree once: only degree 0 reaches full rank
+    assert degrees == list(range(ctx.sigma // 2, -1, -1))
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4)])
+def test_a_dense_profile_at_full_rank_is_ranked_mod_p_only_at_sigma_half(n, d, monkeypatch):
+    from fermatcalc import idealcalc
+
+    ctx = FermatContext(n, d)
+    p = random_reduced_class(ctx, random.Random(n * d), terms=40)
+    expected = TargetLoopColon(p, ctx).hilbert_profile()
+    degrees = record_mod_p_degrees(monkeypatch)
+    kernels = record_kernel_degrees(monkeypatch)
+
+    def refuse(rows):
+        raise AssertionError("a full-rank profile needs no exact elimination")
+
+    monkeypatch.setattr(idealcalc, "echelon", refuse)
+    ci = ColonIdeal(p, ctx)
+    assert ci.hilbert_profile() == expected
+    assert expected.dims[ctx.sigma // 2] == count_capped_monomials(ctx.nvars, ctx.sigma // 2, d - 2)
+    assert degrees == kernels == [ctx.sigma // 2]
+
+
+def assert_top_down_profile_matches_the_target_loop(p, ctx):
+    """The profile ranked from sigma/2 down against every degree eliminated on
+    its own, and the claim it rests on: a degree at full rank (as many as the
+    capped monomials) has every lower degree at full rank."""
+    expected = TargetLoopColon(p, ctx).hilbert_profile()
+    assert ColonIdeal(p, ctx).hilbert_profile() == expected
+    full = [expected.dims[k] == count_capped_monomials(ctx.nvars, k, ctx.d - 2)
+            for k in range(ctx.sigma + 1)]
+    assert all(full[:k] == [True] * k for k in range(ctx.sigma + 1) if full[k])
+
+
+@pytest.mark.parametrize("n,d,specs", CYCLE_SUMS)
+def test_top_down_profiles_of_cycle_sums_match_the_target_loop(n, d, specs):
+    ctx = FermatContext(n, d)
+    assert_top_down_profile_matches_the_target_loop(linear_cycle_sum(ctx, specs), ctx)
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
+def test_top_down_profile_of_a_grouped_class_matches_the_target_loop(n, d):
+    ctx = FermatContext(n, d)
+    assert_top_down_profile_matches_the_target_loop(grouped_class(ctx), ctx)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_top_down_profiles_of_random_cycle_sums_match_the_target_loop(data):
+    from fermatcalc.fermat_hodge import all_pairings
+
+    n, d = data.draw(st.sampled_from([(2, 5), (2, 7), (4, 4)]), label="n, d")
+    ctx = FermatContext(n, d)
+    alpha = st.tuples(*[st.sampled_from(range(1, 2 * d, 2))] * (n // 2 + 1))
+    spec = st.tuples(alpha, st.sampled_from(all_pairings(n)))
+    specs = data.draw(st.lists(spec, min_size=2, max_size=3), label="specs")
+    assert_top_down_profile_matches_the_target_loop(linear_cycle_sum(ctx, specs), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1292,3 +1355,56 @@ def test_an_order_that_does_not_rank_every_variable_is_refused(quintic_surface):
                 tangent_codim(p, ctx, order)
             with pytest.raises(ValueError, match="order must list all 4 variables"):
                 classify_lt_shape(p, order, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Packed multiplication rows against the tuple builder
+# ---------------------------------------------------------------------------
+
+
+def row_entries(rows):
+    """Each row's (column, value) pairs in insertion order, values as
+    (m, nums, den) over Q(zeta) and as ints mod p."""
+    return [[(c, (v.m, v.nums, v.den) if isinstance(v, CyclotomicNumber) else v) for c, v in row.items()]
+            for row in rows]
+
+
+def assert_rows_match(ci, index, packed, kept):
+    from conftest import tuple_multiplication_rows
+
+    for exact in (False, True):
+        assert row_entries(ci._multiplication_rows(index, packed, exact)) == \
+            row_entries(tuple_multiplication_rows(ci, index, kept, exact)), exact
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 7), (4, 4), (4, 5)])
+def test_packed_rows_match_the_tuple_builder(n, d):
+    from fermatcalc.idealcalc import _pack
+
+    ctx = FermatContext(n, d)
+    half, cap = n // 2 + 1, d - 2
+    dense = random_reduced_class(ctx, random.Random(n * d), terms=40)
+    cycles = linear_cycle_sum(ctx, [((1,) * half,), ((1,) * (half - 1) + (3,),)])
+    socle = (cap,) * ctx.nvars
+    for p in (dense, cycles):
+        ci = ColonIdeal(p, ctx)
+        width = ci._packing[0]
+        for k in range(ctx.sigma + 1):
+            source = sorted(monomials_of_degree(ctx.nvars, k), key=ci.order.key)
+            index = {m: i for i, m in enumerate(source) if max(m) <= cap}
+            assert_rows_match(ci, index, None, lambda tau: max(tau) <= cap)
+        if p is dense and (n, d) == (4, 5):
+            continue  # its exact degree-5 colon, which the targets read, takes about 24 s
+        for i in range(ctx.sigma + 1):
+            targets = {monomial_div(socle, u) for u in ci.quotient_monomials(i)}
+            index = {v: j for j, v in enumerate(ci.quotient_monomials(ctx.sigma - i))}
+            assert_rows_match(ci, index, {_pack(t, width) for t in targets}, targets.__contains__)
+
+
+def test_packed_rows_match_the_tuple_builder_on_756_columns():
+    ctx = FermatContext(4, 7)
+    k, cap = ctx.sigma // 2, ctx.d - 2
+    ci = ColonIdeal(random_reduced_class(ctx, random.Random(47), terms=40), ctx)
+    index = {m: i for i, m in enumerate(m for m in monomials_of_degree(ctx.nvars, k) if max(m) <= cap)}
+    assert len(index) == 756
+    assert_rows_match(ci, index, None, lambda tau: max(tau) <= cap)
