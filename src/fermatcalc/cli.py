@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from itertools import accumulate
 
 from fermatcalc import bounds, fermat_hodge, ioformats
 from fermatcalc.exactnum import CyclotomicNumber, check_conductor
@@ -29,8 +30,7 @@ from fermatcalc.idealcalc import (
 from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
-    divide,
-    lex_order,
+    geometric_factor,
     pair_leader_order,
 )
 
@@ -131,7 +131,7 @@ def _bound_report_json(report) -> dict:
     return payload
 
 
-def _certificate_json(cert) -> tuple[dict, tuple]:
+def _certificate_json(cert) -> dict:
     rows = [
         {
             "pairing": [v for pair in r.pairing for v in pair],
@@ -152,7 +152,11 @@ def _certificate_json(cert) -> tuple[dict, tuple]:
             "pairing": [v for pair in cert.counterexample.pairing for v in pair],
             "alpha": list(cert.counterexample.alpha),
         }
-    csv_rows = [
+    return payload
+
+
+def _certificate_csv(cert) -> tuple:
+    return ("pairing", "alpha", "c", "c_rational", "flag"), [
         (
             ";".join(f"{p}-{q}" for p, q in r.pairing),
             ";".join(str(a) for a in r.alpha),
@@ -162,7 +166,6 @@ def _certificate_json(cert) -> tuple[dict, tuple]:
         )
         for r in cert.rows
     ]
-    return payload, (("pairing", "alpha", "c", "c_rational", "flag"), csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +219,8 @@ def _run_certify(args, ctx):
     cert = fermat_hodge.rationality_certificate(
         p, ctx, all_coordinate_pairings=args.all_pairings
     )
-    payload, csv_spec = _certificate_json(cert)
-    return payload, csv_spec, 0
+    csv_spec = _certificate_csv(cert) if args.output == "csv" else None  # only csv prints rows
+    return _certificate_json(cert), csv_spec, 0
 
 
 def _run_recover(args, ctx):
@@ -334,19 +337,16 @@ def _standard_decomposition(args, ctx: FermatContext):
     fermat_hodge.check_socle_size(
         ctx, sum(len(fi.terms) * (ctx.d - fi.homogeneous_degree() + 1) for fi in f),
         math.lcm(*(c.m for fi in f for c in fi.terms.values())))
-    g = []
-    for j, fi in enumerate(f):
-        pair_sum = Polynomial(
-            ctx.nvars,
-            [(tuple(ctx.d * (t == v) for t in range(ctx.nvars)), 1) for v in (2 * j, 2 * j + 1)],
-        )
-        quotients, remainder = divide(pair_sum, [fi], lex_order(ctx.nvars))
-        if not remainder.is_zero():
-            raise ValueError(
-                f"factor {j} does not divide its Fermat pair sum; "
-                "its roots must be d-th roots of -1"
-            )
-        g.append(quotients[0])
+    # x^d + y^d = (x - a y) G(a) exactly when a^d = -1, and then G(a) = (x - b y) g for b != a
+    for j, a in enumerate(coeffs):
+        if a ** ctx.d != -1 or (j == half and a == coeffs[-2]):
+            raise ValueError(f"factor {min(j, half - 1)} does not divide its Fermat pair sum; "
+                             "its roots must be d-th roots of -1")
+    g = [geometric_factor(ctx.nvars, 2 * j, 2 * j + 1, a, ctx.d + 2 - deg)
+         for j, (a, deg) in enumerate(zip(coeffs, degrees))]
+    if quadric:  # h_t = a^t + b h_(t-1) over G(a)'s terms a^t x^(d-2-t) y^t, t ascending
+        b, terms = coeffs[-1], g[-1].terms
+        g[-1] = Polynomial(ctx.nvars, zip(terms, accumulate(terms.values(), lambda h, p: p + b * h)))
     return f, g
 
 
@@ -354,13 +354,12 @@ def _run_special(args, ctx):
     check_colon_size(ctx)  # bounds d before --a is parsed over Q(zeta_2d)
     coeffs = _parse_coeffs(args.a, ctx.m)
     result = fermat_hodge.special_family(args.d, coeffs, ctx)
-    cert_payload, _ = _certificate_json(result.certificate)
     payload = {
         "a": [ioformats.cyclotomic_to_json(v) for v in result.spec.a],
         "c_a": ioformats.cyclotomic_to_json(result.spec.c_lambda),
         "normalization_alpha": list(result.normalization_alpha),
         "j1_dim": result.j1_dim,
-        "certificate": cert_payload,
+        "certificate": _certificate_json(result.certificate),
     }
     return payload, None, 0
 

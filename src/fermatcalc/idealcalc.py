@@ -523,8 +523,8 @@ class ColonIdeal:
 
     def _multiplication_rows(self, index: dict[Monomial, int], kept, exact: bool) -> list[dict]:
         """Nonzero rows of multiplication by P, over Q(zeta) when `exact` and
-        else mod p, one per kept target: every capped target when `kept` is
-        None, else the packed targets in the set `kept`.  For each source
+        else mod p, one per kept target: every capped target, filtered by the
+        set `kept` of packed targets unless it is None.  For each source
         monomial beta and term c * x^gamma of P, the row of tau = beta + gamma
         holds c (or its residue) in column index[beta], on packed monomials
         (`_pack`).  A term whose residue is 0 leaves no entry mod p, so no row
@@ -538,15 +538,10 @@ class ColonIdeal:
         rows: dict[int, dict] = defaultdict(dict)
         for beta, col in index.items():
             b = _pack(beta, width)
-            if kept is None:
-                for g, v in terms:
-                    if not (b + g + off) & high:
-                        rows[b + g][col] = v
-            else:
-                for g, v in terms:
-                    if b + g in kept:
-                        rows[b + g][col] = v
-        return [rows[tau] for tau in sorted(rows, reverse=True)]
+            for g, v in terms:
+                if not (b + g + off) & high:
+                    rows[b + g][col] = v
+        return [rows[tau] for tau in sorted(rows, reverse=True) if kept is None or tau in kept]
 
     def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns

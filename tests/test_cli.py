@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -730,13 +732,14 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
 @pytest.mark.parametrize("d,steps", [(509, 1028228832), (521, 1092590208), (541, 1205697248)])
 def test_dan_ci_quadric_type_is_refused_before_it_divides(d, steps, capsys, monkeypatch):
     # the pre-count (n/2+1) 2d = 4d products passes over Q(zeta_2d); the real
-    # sum |f_i| |g_i| = 2d + 3(d-1) does not, and is counted before any division
+    # sum |f_i| |g_i| = 2d + 3(d-1) does not, and is counted before any cofactor
+    # g_i is built (every g_i starts from a geometric factor)
     from fermatcalc import cli
 
     def refuse(*args):
-        raise AssertionError("divide ran")
+        raise AssertionError("a cofactor was built")
 
-    monkeypatch.setattr(cli, "divide", refuse)
+    monkeypatch.setattr(cli, "geometric_factor", refuse)
     t0 = time.perf_counter()
     code = main(["dan-ci", "--n", "2", "--d", str(d), "--type", "1,2", "--a", "z,z,z^3"])
     assert time.perf_counter() - t0 < 1.0
@@ -917,6 +920,83 @@ def test_dan_ci_accepts_a_decomposition_file(capsys, tmp_path):
     code, out = run(capsys, "dan-ci", "--n", "2", "--d", "5", "--decomp", str(path))
     assert code == 0
     assert json.loads(out)["dims"] == [1, 2, 3, 4, 3, 2, 1, 0]
+
+
+def _division_decomposition(ctx, coeffs, quadric):
+    """The f_i of `--type 1,...,1[,2]` and, for each, the quotient of its Fermat
+    pair sum x_2j^d + x_2j+1^d by multivariate division, or None when the
+    remainder is not 0: the reference for the closed-form cofactors."""
+    from fermatcalc.multipoly import Polynomial, divide, lex_order
+
+    half = ctx.n // 2 + 1
+    x = [Polynomial.variable(ctx.nvars, i) for i in range(ctx.nvars)]
+    f = [x[2 * j] - x[2 * j + 1].scale(a) for j, a in zip([*range(half), half - 1], coeffs)]
+    if quadric:
+        f[-2:] = [f[-2] * f[-1]]
+    g = []
+    for j, fi in enumerate(f):
+        quotients, remainder = divide(x[2 * j] ** ctx.d + x[2 * j + 1] ** ctx.d, [fi],
+                                      lex_order(ctx.nvars))
+        g.append(quotients[0] if remainder.is_zero() else None)
+    return f, g
+
+
+def _root_literals(d):
+    """Literals of d-th roots of -1 over Q(zeta_2d): the odd powers of z, -1
+    at odd d, and +-i when i^d = -1."""
+    roots = [f"z^{k}" for k in range(1, 2 * d, 2)]
+    return roots + (["-1"] if d % 2 else []) + (["i", "-i"] if d % 4 == 2 else [])
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (2, 6), (2, 7), (4, 4), (4, 5), (6, 4)])
+def test_closed_form_cofactors_are_the_division_quotients(n, d):
+    from fermatcalc import cli
+    from fermatcalc.idealcalc import FermatContext
+    from fermatcalc.ioformats import parse_cyclotomic_expr
+
+    ctx = FermatContext(n, d)
+    half, roots, rng = n // 2 + 1, _root_literals(d), random.Random(f"dan-ci {n} {d}")
+    draws = [[rng.choice(roots) for _ in range(half + 1)] for _ in range(6)]
+    draws += [[root] * (half + 1) for root in roots]  # a repeated quadric root is refused
+    if d == 6:  # a = z, b = z^5: h_2 = z^2 + z^6 + z^10 = 0
+        draws.append(["z"] * (half - 1) + ["z", "z^5"])
+    for quadric in (False, True):
+        for literals in draws:
+            literals = literals[:half + quadric]
+            args = argparse.Namespace(type=",".join(["1"] * (half - 1) + [str(1 + quadric)]),
+                                      a=",".join(literals))
+            coeffs = [parse_cyclotomic_expr(v, ctx.m) for v in literals]
+            f, g = _division_decomposition(ctx, coeffs, quadric)
+            if None in g:  # only a repeated quadric root fails among d-th roots of -1
+                assert quadric and g.index(None) == half - 1 and coeffs[-1] == coeffs[-2]
+                with pytest.raises(ValueError, match=f"^factor {half - 1} does not divide"):
+                    cli._standard_decomposition(args, ctx)
+                continue
+            got_f, got_g = cli._standard_decomposition(args, ctx)
+            assert got_f == f and got_g == g, literals  # == also matches the term counts
+    if d == 6:  # the zero h_2 leaves no term, as in the division quotient
+        g = cli._standard_decomposition(argparse.Namespace(type="1,2", a="z,z,z^5"), ctx)[1]
+        assert len(g[-1].terms) == d - 2
+
+
+@pytest.mark.parametrize("n,d,typ,literals", [
+    (2, 5, "1,1", "2,z"), (2, 5, "1,1", "z,1"), (2, 5, "1,1", "z^2,z^4"), (2, 5, "1,1", "0,z"),
+    (2, 5, "1,2", "z,z,z"), (2, 5, "1,2", "z,z^3,z^3"), (2, 5, "1,2", "z,z^2,z^3"),
+    (2, 5, "1,2", "z^2,z,z"), (2, 5, "1,2", "z,z^3,2"), (2, 6, "1,2", "i,i,i"),
+    (2, 6, "1,2", "1,z,z^5"), (4, 4, "1,1,2", "z,z^2,z,z^3"), (4, 4, "1,1,2", "z,z^3,z^5,z^5"),
+    (4, 5, "1,1,1", "z,z,z^2"), (6, 4, "1,1,1,2", "z,z,z,z^7,z^7"),
+])
+def test_non_roots_and_a_repeated_quadric_root_are_refused(n, d, typ, literals, capsys):
+    from fermatcalc.idealcalc import FermatContext
+    from fermatcalc.ioformats import parse_cyclotomic_expr
+
+    ctx = FermatContext(n, d)
+    coeffs = [parse_cyclotomic_expr(v, ctx.m) for v in literals.split(",")]
+    _, g = _division_decomposition(ctx, coeffs, typ.endswith("2"))
+    assert None in g
+    assert main(["dan-ci", "--n", str(n), "--d", str(d), "--type", typ, "--a", literals]) == 1
+    assert capsys.readouterr() == ("", f"error: factor {g.index(None)} does not divide its "
+                                       "Fermat pair sum; its roots must be d-th roots of -1\n")
 
 
 def test_groebner_accepts_a_generators_file(capsys, tmp_path):

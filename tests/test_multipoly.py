@@ -76,6 +76,28 @@ def test_leading_term_under_orders():
         leading_term(Polynomial.zero(4), lex_order(4))
 
 
+def test_power_is_the_repeated_product_with_no_square_past_the_last_bit(monkeypatch):
+    z = zeta(10)
+    x = variables(4)
+    p = x[0] - x[1].scale(z) + x[2].scale(2)
+    products = [Polynomial.constant(4, 1)]
+    for _ in range(6):
+        products.append(products[-1] * p)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for k, expected in enumerate(products):
+        calls.clear()
+        assert p ** k == expected
+        # one product per set bit (the first by 1) and one square per bit below the top
+        assert len(calls) == bin(k).count("1") + max(k.bit_length() - 1, 0)
+
+
 def test_division_by_monomial_powers_drops_high_exponents():
     d = 5
     gens = [Polynomial.monomial(4, tuple(d - 1 if t == i else 0 for t in range(4))) for i in range(4)]
