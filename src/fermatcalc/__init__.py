@@ -2,7 +2,6 @@
 
 from fermatcalc.exactnum import (
     CyclotomicNumber,
-    Rational,
     root_of_unity,
     unit_circle_check,
     zeta,
@@ -13,10 +12,7 @@ from fermatcalc.idealcalc import (
     FermatContext,
     HilbertProfile,
     buchberger,
-    colon_slice,
-    hilbert_profile,
     ideal_square_membership,
-    pairing_rank,
     reduce_mod_jacobian,
 )
 from fermatcalc.multipoly import (
@@ -33,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CyclotomicNumber",
-    "Rational",
     "root_of_unity",
     "unit_circle_check",
     "zeta",
@@ -42,10 +37,7 @@ __all__ = [
     "FermatContext",
     "HilbertProfile",
     "buchberger",
-    "colon_slice",
-    "hilbert_profile",
     "ideal_square_membership",
-    "pairing_rank",
     "reduce_mod_jacobian",
     "MonomialOrder",
     "Polynomial",

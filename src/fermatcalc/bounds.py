@@ -42,7 +42,6 @@ __all__ = [
     "codim_report",
     "classify_lt_shape",
     "classify_lt_shape_of_ideal",
-    "bounded_compositions",
 ]
 
 
@@ -99,18 +98,6 @@ def second_minimum_bound(n: int, d: int) -> int:
         + math.comb(n // 2 + d - 1, d - 1)
         - (3 * n * (n + 6) // 8 + 2)
     )
-
-
-def bounded_compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` entries in 0..cap summing to `total`, in
-    colexicographic order (last coordinate varies slowest)."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for last in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
-        for prefix in bounded_compositions(total - last, parts - 1, cap):
-            yield prefix + (last,)
 
 
 def _orbit_size(multiset: Sequence[int], length: int) -> int:

@@ -26,6 +26,7 @@ from fermatcalc.idealcalc import (
     buchberger,
     check_class_size,
     check_colon_size,
+    check_groebner_size,
 )
 from fermatcalc.multipoly import (
     MonomialOrder,
@@ -393,6 +394,7 @@ def _run_groebner(args, ctx):
         if len({g.nvars for g in gens}) != 1:
             raise ValueError("generators must be one or more polynomials in the same variables")
     elif args.a:
+        check_groebner_size(len(args.a.split(",")) + ctx.nvars // 2, ctx.nvars)
         gens = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
         for j in range(1, ctx.nvars, 2):
             gens.append(

@@ -7,8 +7,7 @@ all numerators and the denominator is 1), so the representation is canonical:
 two values with the same conductor are equal exactly when their stored data
 coincide.  Rationality of a value is therefore a plain coordinate check.
 
-Rational numbers are `fractions.Fraction`; the alias `Rational` is exported
-for callers that want the domain name.
+Rational numbers are `fractions.Fraction`.
 
 >>> z = zeta(6)
 >>> z * z == z - 1        # x^2 = x - 1 modulo the 6th cyclotomic polynomial
@@ -27,13 +26,10 @@ from functools import lru_cache
 
 from fermatcalc.echelon import echelon_insert
 
-Rational = Fraction
-
 __all__ = [
     "CyclotomicNumber",
     "FIELD_MAX_ENTRIES",
     "check_conductor",
-    "Rational",
     "cyclotomic_polynomial",
     "euler_phi",
     "root_of_unity",

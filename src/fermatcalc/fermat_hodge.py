@@ -41,7 +41,6 @@ from fermatcalc.idealcalc import (FermatContext, SquareMembership, pairing_produ
 from fermatcalc.multipoly import Polynomial, monomial_div
 
 __all__ = [
-    "LinearCycleSpec",
     "ProductClassSpec",
     "PairingResult",
     "CertificateRow",
@@ -107,26 +106,6 @@ def _resolve_pairing(pairing, n: int, count: int, noun: str) -> tuple[tuple[int,
 
 
 @dataclass(frozen=True)
-class LinearCycleSpec:
-    """A linear cycle: exponents alpha (odd, in 1..2d-1, one per pair) over a
-    coordinate pairing.  Pair (p, q) contributes the plane equation
-    x_p - zeta_{2d}^alpha x_q = 0."""
-
-    alpha: tuple[int, ...]
-    pairing: tuple[tuple[int, int], ...] | None = None
-
-    def validate(self, ctx: FermatContext) -> tuple[tuple[int, int], ...]:
-        """The resolved pairing, once the spec is checked against ctx."""
-        pairing = _resolve_pairing(self.pairing, ctx.n, len(self.alpha), "exponents")
-        for a in self.alpha:
-            if a % 2 == 0 or not 1 <= a <= 2 * ctx.d - 1:
-                raise ValueError(
-                    f"exponent {a} must be odd and within 1..{2 * ctx.d - 1}"
-                )
-        return pairing
-
-
-@dataclass(frozen=True)
 class ProductClassSpec:
     """A product class: coefficients a_j over a coordinate pairing together
     with a nonzero scale."""
@@ -139,27 +118,26 @@ class ProductClassSpec:
         if self.c_lambda.is_zero():
             raise ValueError("scale must be nonzero")
 
-    def resolved_pairing(self, n: int) -> tuple[tuple[int, int], ...]:
-        return _resolve_pairing(self.pairing, n, len(self.a), "coefficients")
 
-
-def linear_cycle_poly(spec, ctx: FermatContext) -> Polynomial:
-    """The class polynomial of a linear cycle:
-    zeta_{2d}^(sum alpha) * prod_j geometric_factor(p_j, q_j, zeta_{2d}^alpha_j).
-
-    A bare exponent tuple is accepted in place of a spec.
-    """
-    if not isinstance(spec, LinearCycleSpec):
-        spec = LinearCycleSpec(tuple(spec))
-    pairing = spec.validate(ctx)
-    coeffs = [root_of_unity(ctx.m, a) for a in spec.alpha]
-    scale = root_of_unity(ctx.m, sum(spec.alpha))
+def linear_cycle_poly(alpha, ctx: FermatContext, pairing=None) -> Polynomial:
+    """The class polynomial of the linear cycle x_p - zeta_{2d}^alpha_j x_q = 0
+    over each pair (p, q) of `pairing` (default `default_pairing`), alpha_j odd
+    in 1..2d-1: zeta_{2d}^(sum alpha) * prod_j geometric_factor(p_j, q_j, zeta_{2d}^alpha_j)."""
+    pairing = _resolve_pairing(pairing, ctx.n, len(alpha), "exponents")
+    for a in alpha:
+        if a % 2 == 0 or not 1 <= a <= 2 * ctx.d - 1:
+            raise ValueError(
+                f"exponent {a} must be odd and within 1..{2 * ctx.d - 1}"
+            )
+    coeffs = [root_of_unity(ctx.m, a) for a in alpha]
+    scale = root_of_unity(ctx.m, sum(alpha))
     return pairing_product(ctx, pairing, coeffs, scale)
 
 
 def product_class_poly(spec: ProductClassSpec, ctx: FermatContext) -> Polynomial:
     """The class polynomial c_lambda * prod_j geometric_factor(p_j, q_j, a_j)."""
-    return pairing_product(ctx, spec.resolved_pairing(ctx.n), spec.a, spec.c_lambda)
+    pairing = _resolve_pairing(spec.pairing, ctx.n, len(spec.a), "coefficients")
+    return pairing_product(ctx, pairing, spec.a, spec.c_lambda)
 
 
 def hessian_coefficient(ctx: FermatContext) -> CyclotomicNumber:
@@ -291,8 +269,7 @@ def rationality_certificate(
     pairings = all_pairings(ctx.n) if all_coordinate_pairings else [default_pairing(ctx.n)]
     odd = range(1, 2 * ctx.d, 2)
     return _certificate(
-        (pairing, alpha,
-         pair_classes(p, linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx), ctx).c)
+        (pairing, alpha, pair_classes(p, linear_cycle_poly(alpha, ctx, pairing), ctx).c)
         for pairing in pairings
         for alpha in itertools.product(odd, repeat=ctx.n // 2 + 1)
     )

@@ -100,17 +100,16 @@ __all__ = [
     "CLASS_MAX_TERMS",
     "check_class_size",
     "GroebnerResult",
+    "GROEBNER_MAX_WORK",
+    "check_groebner_size",
     "SquareMembership",
     "reduce_mod_jacobian",
     "reduce_class",
     "pairing_product",
     "product_structure",
-    "colon_slice",
-    "hilbert_profile",
     "lt_slice",
     "buchberger",
     "s_polynomial",
-    "pairing_rank",
     "ideal_square_membership",
     "ideal_slice",
     "solve_linear_forms",
@@ -306,10 +305,12 @@ CLASS_MAX_TERMS = 4096
 
 def check_colon_size(ctx: FermatContext) -> None:
     """Refuse (n, d) whose capped catalecticant at degree sigma//2 has more
-    than COLON_MAX_COLUMNS columns, counted without listing them."""
-    k = ctx.sigma // 2
-    width = count_capped_monomials(ctx.nvars, k, ctx.d - 2)
-    if width > COLON_MAX_COLUMNS:
+    than COLON_MAX_COLUMNS columns, counted without listing them.  The count
+    prod (1 + t + ... + t^(d-2)) is symmetric and unimodal on [0, 2 sigma], so
+    h(k) >= h(1) = n+2 for 1 <= k = sigma//2: wider n is refused uncounted."""
+    k, wide = ctx.sigma // 2, ctx.nvars > COLON_MAX_COLUMNS
+    width = f"at least {ctx.nvars}" if wide else count_capped_monomials(ctx.nvars, k, ctx.d - 2)
+    if wide or width > COLON_MAX_COLUMNS:
         raise ValueError(
             f"(n, d) = ({ctx.n}, {ctx.d}) has {width} capped columns at degree {k}, "
             f"above the colon limit of {COLON_MAX_COLUMNS}"
@@ -318,8 +319,9 @@ def check_colon_size(ctx: FermatContext) -> None:
 
 def check_class_size(ctx: FermatContext) -> None:
     """Refuse (n, d) whose linear cycles have more than CLASS_MAX_TERMS
-    terms, counted before any class is built."""
-    terms = (ctx.d - 1) ** (ctx.n // 2 + 1)
+    terms, counted before any class is built; as d-1 >= 2, the exponent is
+    capped at CLASS_MAX_TERMS.bit_length() with the same verdict."""
+    terms = (ctx.d - 1) ** min(ctx.n // 2 + 1, CLASS_MAX_TERMS.bit_length())
     if terms > CLASS_MAX_TERMS:
         raise ValueError(
             f"(n, d) = ({ctx.n}, {ctx.d}) has (d-1)^(n/2+1) = {ctx.d - 1}^{ctx.n // 2 + 1} "
@@ -642,26 +644,6 @@ class ColonIdeal:
         )
 
 
-# Module-level wrappers around ColonIdeal, matching the operation surface.
-
-
-def colon_slice(
-    p: Polynomial, k: int, ctx: FermatContext, order: MonomialOrder | None = None
-) -> DegreeSlice:
-    """Echelon basis of {Q of degree k : Q*P = 0 in the Jacobian ring}."""
-    return ColonIdeal(p, ctx, order).slice(k)
-
-
-def hilbert_profile(
-    p: Polynomial, ctx: FermatContext, order: MonomialOrder | None = None
-) -> HilbertProfile:
-    return ColonIdeal(p, ctx, order).hilbert_profile()
-
-
-def pairing_rank(p: Polynomial, i: int, ctx: FermatContext) -> int:
-    return ColonIdeal(p, ctx).pairing_rank(i)
-
-
 def lt_slice(slice_: DegreeSlice, order: MonomialOrder) -> frozenset[Monomial]:
     """Leading terms of the basis polynomials of a slice."""
     return frozenset(leading_term(b, order)[0] for b in slice_.basis)
@@ -736,11 +718,30 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return mf * f - mg * g
 
 
+# Most C(N, 2) * nvars pair-scan steps `buchberger` accepts, N generators in
+# nvars variables.  On a 2-core x86_64 host `groebner --a` (coprime leads, no
+# completion) takes 2-4e-7 s per step; under a reversed `--order` the completion
+# takes 2-3.5e-5 s per step, and (56, 11) with 29 coefficients (95,874 steps),
+# the slowest accepted input measured, 3.4 s.  `--n 92 --d 5 --a z` is refused.
+GROEBNER_MAX_WORK = 100_000
+
+
 @dataclass(frozen=True)
 class GroebnerResult:
     basis: tuple[Polynomial, ...]
     added: tuple[Polynomial, ...]
     truncated: bool
+
+
+def check_groebner_size(count: int, nvars: int) -> None:
+    """Refuse `count` generators in `nvars` variables above GROEBNER_MAX_WORK
+    pair-scan steps; only the counts are needed, so none need be built yet."""
+    work = math.comb(count, 2) * nvars
+    if work > GROEBNER_MAX_WORK:
+        raise ValueError(
+            f"{count} generators in {nvars} variables need C({count}, 2) * {nvars} = {work} "
+            f"pair-scan steps, above the groebner limit of {GROEBNER_MAX_WORK}"
+        )
 
 
 def buchberger(
@@ -751,26 +752,28 @@ def buchberger(
     Every S-polynomial whose lcm degree is at most `degree_cap` is reduced;
     nonzero remainders are adjoined (made monic).  `truncated` reports
     whether any pair above the cap was left unprocessed, in which case the
-    result is only a Groebner basis up to the cap.
+    result is only a Groebner basis up to the cap.  Pairwise coprime leading
+    monomials return the monic generators: by Buchberger's first criterion
+    every S-polynomial reduces to 0, so the completion adjoins nothing.
     """
     basis: list[Polynomial] = []
+    leads: list[Monomial] = []
     for g in gens:
         if g.is_zero():
             raise ValueError("zero generator")
-        _, lc = leading_term(g, order)
+        lead, lc = leading_term(g, order)
         basis.append(g.scale(lc.inverse()))
+        leads.append(lead)
     if max(g.degree() for g in basis) > degree_cap:
         raise ValueError("degree cap below a generator degree")
+    check_groebner_size(len(basis), basis[0].nvars)
     heap: list[tuple[int, int, int]] = []
     truncated = False
 
     def push_pairs(j: int):
         nonlocal truncated
         for i in range(j):
-            lcm = monomial_lcm(
-                leading_term(basis[i], order)[0], leading_term(basis[j], order)[0]
-            )
-            deg = sum(lcm)
+            deg = sum(monomial_lcm(leads[i], leads[j]))
             if deg > degree_cap:
                 truncated = True
             else:
@@ -778,16 +781,18 @@ def buchberger(
 
     for j in range(len(basis)):
         push_pairs(j)
+    used = [v for lead in leads for v, e in enumerate(lead) if e]
+    if len(used) == len(set(used)):
+        return GroebnerResult(tuple(basis), (), truncated)
     while heap:
         _, i, j = heapq.heappop(heap)
         s = s_polynomial(basis[i], basis[j], order)
-        if s.is_zero():
-            continue
         _, remainder = divide(s, basis, order)
         if remainder.is_zero():
             continue
-        _, lc = leading_term(remainder, order)
+        lead, lc = leading_term(remainder, order)
         basis.append(remainder.scale(lc.inverse()))
+        leads.append(lead)
         push_pairs(len(basis) - 1)
     return GroebnerResult(tuple(basis), tuple(basis[len(gens):]), truncated)
 

@@ -64,15 +64,15 @@ def count_monomials(nvars: int, degree: int) -> int:
 
 def count_capped_monomials(nvars: int, degree: int, cap: int) -> int:
     """Number of tuples `monomials_of_degree(nvars, degree, cap)` yields,
-    counted by inclusion-exclusion over the slots above the cap instead of
-    listed.  The Hilbert function of k[y_0, y_1, y_2]/(y_j^4):
+    counted by inclusion-exclusion over the j <= degree/(cap+1) slots above
+    the cap instead of listed.  The Hilbert function of k[y_0, y_1, y_2]/(y_j^4):
 
     >>> [count_capped_monomials(3, k, 3) for k in range(10)]
     [1, 3, 6, 10, 12, 12, 10, 6, 3, 1]
     """
     return sum(
         (-1) ** j * math.comb(nvars, j) * count_monomials(nvars, degree - j * (cap + 1))
-        for j in range(nvars + 1)
+        for j in range(min(nvars, degree // (cap + 1)) + 1)
     )
 
 

@@ -10,7 +10,6 @@ from fermatcalc import bounds
 from fermatcalc.bounds import (
     DivisorScanReport,
     _exchange_holds,
-    bounded_compositions,
     classify_lt_shape,
     classify_lt_shape_of_ideal,
     codim_report,
@@ -31,7 +30,6 @@ from fermatcalc.multipoly import (
     pair_leader_order,
 )
 from fermatcalc.fermat_hodge import (
-    LinearCycleSpec,
     ProductClassSpec,
     linear_cycle_poly,
     product_class_poly,
@@ -154,14 +152,6 @@ def test_linear_bound_never_exceeds_second_bound():
             assert linear_cycle_bound(n, d) <= second_minimum_bound(n, d)
 
 
-def test_bounded_compositions_colex_order():
-    out = list(bounded_compositions(3, 3, 2))
-    assert out[0] == (2, 1, 0)
-    assert out == sorted(out, key=lambda t: t[::-1])
-    assert all(sum(t) == 3 and max(t) <= 2 for t in out)
-    assert len(set(out)) == len(out) == 7
-
-
 def test_scan_passes_where_the_characterizations_hold():
     for n, d in [(2, 6), (4, 4), (4, 5)]:
         report = scan_divisor_minima(n, d)
@@ -267,7 +257,7 @@ def _exhaustive_scan(n, d):
     linear_shape = tuple(sorted([0] * (n // 2 + 1) + [d - 2] * (n // 2 + 1)))
     counts, shapes = [], []
     exchange_ok, exchange_checks = True, 0
-    for alpha in bounded_compositions(sigma, n + 2, d - 2):
+    for alpha in monomials_of_degree(n + 2, sigma, d - 2):
         s = count_divisors(alpha, d)
         counts.append(s)
         shapes.append(tuple(sorted(alpha)))
@@ -335,13 +325,12 @@ def test_tangent_codim_is_independent_of_the_cycle(quintic_surface):
 
 
 def test_tangent_codim_is_independent_of_the_pairing(quintic_surface):
-    from fermatcalc.fermat_hodge import LinearCycleSpec, all_pairings
+    from fermatcalc.fermat_hodge import all_pairings
 
     ctx = quintic_surface
     for pairing in all_pairings(2):
         for alpha in [(1, 1), (3, 9)]:
-            spec = LinearCycleSpec(alpha, pairing)
-            report = tangent_codim(linear_cycle_poly(spec, ctx), ctx)
+            report = tangent_codim(linear_cycle_poly(alpha, ctx, pairing), ctx)
             assert report.value == 2 and report.j1_dim == 2
 
 
@@ -377,7 +366,7 @@ def test_classify_linear_shape(quintic_surface):
 def test_classify_linear_shape_over_any_pairing(n, d, pairing):
     ctx = FermatContext(n, d)
     alpha = tuple(range(1, 2 * len(pairing), 2))
-    p = linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx)
+    p = linear_cycle_poly(alpha, ctx, pairing)
     assert classify_lt_shape(p, lex_order(n + 2), ctx) == "linear"
 
 

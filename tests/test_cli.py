@@ -85,6 +85,32 @@ def test_colon_verbs_refuse_a_catalecticant_above_the_envelope(capsys, verb):
     assert "above the colon limit of 1000" in err
 
 
+@pytest.mark.parametrize("verb,cls", [("hilbert", "--alpha"), ("tangent", "--alpha"),
+                                      ("recover", "--alpha"), ("special", "--a")])
+def test_colon_verbs_refuse_a_huge_dimension_before_counting_columns(capsys, verb, cls):
+    # n + 2 > 1000 capped columns at every degree 1..sigma, so nothing is counted:
+    # the inclusion-exclusion count alone ran for minutes and then overflowed
+    # the digit limit when printed
+    start = time.perf_counter()
+    code = main([verb, "--n", "20000", "--d", "5", cls, "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and "digits" not in err
+    assert err == ("error: (n, d) = (20000, 5) has at least 20002 capped columns at degree "
+                   "15001, above the colon limit of 1000\n")
+
+
+def test_linear_cycle_refuses_a_huge_dimension_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["linear-cycle", "--n", "1000000000", "--d", "5", "--alpha", "1"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: (n, d) = (1000000000, 5) has (d-1)^(n/2+1) = "
+                                       "4^500000001 terms per linear cycle, above the class "
+                                       "limit of 4096\n")
+
+
 @pytest.mark.parametrize("verb", ["certify", "pair", "linear-cycle"])
 def test_class_verbs_refuse_a_linear_cycle_above_the_class_limit(capsys, verb):
     import time
@@ -460,6 +486,46 @@ def test_groebner_verb(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["added"] == 0 and payload["truncated"] is False
+
+
+@pytest.mark.parametrize("n,d,a,cap", [(2, 5, "z,3/2", None), (2, 5, "z,3/2", 6),
+                                       (4, 4, "z^3,-2,z", None), (4, 7, "1/2", 7)])
+def test_groebner_coprime_leads_form_no_s_polynomial(capsys, monkeypatch, n, d, a, cap):
+    # x_2j - a_j x_2j+1 and the powers x_2j+1^(d-1) lead with pairwise coprime
+    # monomials, so the monic generators are the basis (Buchberger's first criterion)
+    from fermatcalc import idealcalc
+    from fermatcalc.ioformats import parse_cyclotomic_expr, polynomial_to_json
+    from fermatcalc.multipoly import Polynomial, leading_term, pair_leader_order
+
+    def refuse(*args):
+        raise AssertionError("an S-polynomial was formed")
+
+    monkeypatch.setattr(idealcalc, "s_polynomial", refuse)
+    argv = ["groebner", "--n", str(n), "--d", str(d), "--a", a]
+    code, out = run(capsys, *argv, *(["--cap", str(cap)] if cap is not None else []))
+    assert code == 0
+    nvars, m = n + 2, 2 * d
+    gens = [Polynomial.variable(nvars, 2 * j)
+            - Polynomial.variable(nvars, 2 * j + 1).scale(parse_cyclotomic_expr(c, m))
+            for j, c in enumerate(a.split(","))]
+    gens += [Polynomial.monomial(nvars, tuple(d - 1 if t == v else 0 for t in range(nvars)))
+             for v in range(1, nvars, 2)]
+    monic = [g.scale(leading_term(g, pair_leader_order(nvars))[1].inverse()) for g in gens]
+    degrees = [g.homogeneous_degree() for g in gens]
+    cap = 2 * (d - 1) if cap is None else cap
+    truncated = any(x + y > cap for i, x in enumerate(degrees) for y in degrees[:i])
+    assert json.loads(out) == {"basis": [polynomial_to_json(g) for g in monic], "added": 0,
+                               "truncated": truncated}
+
+
+def test_groebner_refuses_a_huge_dimension_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["groebner", "--n", "1000000", "--d", "5", "--a", "z"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: 500002 generators in 1000002 variables need "
+                                       "C(500002, 2) * 1000002 = 125001000002500002 pair-scan "
+                                       "steps, above the groebner limit of 100000\n")
 
 
 def test_hilbert_profile_is_order_invariant(capsys):

@@ -19,7 +19,6 @@ from fermatcalc.idealcalc import (
 from fermatcalc.ioformats import polynomial_from_json, polynomial_to_json
 from fermatcalc.multipoly import Polynomial, divide, lex_order, monomials_of_degree
 from fermatcalc.fermat_hodge import (
-    LinearCycleSpec,
     ProductClassSpec,
     all_pairings,
     complete_intersection_ideal,
@@ -100,7 +99,7 @@ def test_linear_cycle_spec_validation(quintic_surface):
     with pytest.raises(ValueError):
         linear_cycle_poly((1,), ctx)  # wrong length
     with pytest.raises(ValueError):
-        linear_cycle_poly(LinearCycleSpec((1, 1), ((0, 1), (1, 3))), ctx)
+        linear_cycle_poly((1, 1), ctx, ((0, 1), (1, 3)))
 
 
 def test_product_class_matches_linear_cycle(quintic_surface):
@@ -296,7 +295,7 @@ def test_certificate_rows_match_the_full_product(n, d):
     for p in (cancelling, random_reduced_class(ctx, random.Random(0), 6)):
         fast = rows(p)
         for pairing, alpha, _, *value in fast:
-            cycle = linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx)
+            cycle = linear_cycle_poly(alpha, ctx, pairing)
             c = reduce_mod_jacobian(p * cycle, ctx).coeff(socle) / hessian_coefficient(ctx)
             assert value == [c.m, c.nums, c.den]
         assert all(m == 1 for _, _, flag, m, _, _ in fast if flag == "zero")
@@ -430,8 +429,8 @@ def recovery_classes(ctx, rng):
     pairings = all_pairings(ctx.n)
     odd = range(1, 2 * ctx.d, 2)
     yield linear_cycle_poly(tuple(rng.choice(odd) for _ in range(half)), ctx)
-    yield linear_cycle_poly(LinearCycleSpec(tuple(rng.choice(odd) for _ in range(half)),
-                                            rng.choice(pairings)), ctx)
+    yield linear_cycle_poly(tuple(rng.choice(odd) for _ in range(half)), ctx,
+                            rng.choice(pairings))
     for c in (CyclotomicNumber.one(), i, root_of_unity(m, ctx.d),
               CyclotomicNumber.from_rational(3).promote(m)):
         pairing = tuple((q, p) if rng.random() < 0.5 else (p, q) for p, q in rng.choice(pairings))
@@ -971,7 +970,7 @@ def test_plane_socle_checks_match_elimination_over_every_pairing(n, d, monkeypat
         report = assert_matches_elimination(monkeypatch, lambda: plane_in_fermat(forms, ctx))
         assert report.contained and report.socle == ctx.sigma and report.socle_ok
         # the plane's ideal is the colon ideal of its linear cycle
-        ci = ColonIdeal(linear_cycle_poly(LinearCycleSpec(alpha, pairing), ctx), ctx)
+        ci = ColonIdeal(linear_cycle_poly(alpha, ctx, pairing), ctx)
         for k in range(ctx.sigma + 1):
             assert ideal_slice(report.generators, k) == ci.slice(k), (pairing, k)
 

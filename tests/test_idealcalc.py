@@ -11,12 +11,9 @@ from fermatcalc.idealcalc import (
     FermatContext,
     HilbertProfile,
     buchberger,
-    colon_slice,
-    hilbert_profile,
     ideal_slice,
     ideal_square_membership,
     lt_slice,
-    pairing_rank,
     reduce_mod_jacobian,
     s_polynomial,
     standard_monomials,
@@ -42,10 +39,10 @@ from conftest import (
 )
 
 
-def linear_cycle_class(ctx, alpha):
+def linear_cycle_class(ctx, alpha, pairing=None):
     from fermatcalc.fermat_hodge import linear_cycle_poly
 
-    return linear_cycle_poly(alpha, ctx)
+    return linear_cycle_poly(alpha, ctx, pairing)
 
 
 def test_context_validation():
@@ -70,13 +67,13 @@ def test_reduce_mod_jacobian(quintic_surface):
 def test_colon_slice_of_a_linear_cycle(quintic_surface):
     ctx = quintic_surface
     z = zeta(10)
-    p = linear_cycle_class(ctx, (1, 1))
-    s1 = colon_slice(p, 1, ctx)
+    ci = ColonIdeal(linear_cycle_class(ctx, (1, 1)), ctx)
+    s1 = ci.slice(1)
     x = [Polynomial.variable(4, i) for i in range(4)]
     assert s1.dim == 2
     assert list(s1.basis) == [x[0] - x[1].scale(z), x[2] - x[3].scale(z)]
-    assert colon_slice(p, 0, ctx).dim == 0
-    top = colon_slice(p, ctx.sigma, ctx)
+    assert ci.slice(0).dim == 0
+    top = ci.slice(ctx.sigma)
     assert top.dim == count_monomials(4, ctx.sigma) - 1
 
 
@@ -84,9 +81,9 @@ def test_class_inside_jacobian_ideal_is_rejected(quintic_surface):
     ctx = quintic_surface
     p = Polynomial.monomial(4, (4, 2, 0, 0))  # multiple of x_0^4
     with pytest.raises(ValueError, match="zero primitive part"):
-        colon_slice(p, 1, ctx)
+        ColonIdeal(p, ctx).slice(1)
     with pytest.raises(ValueError):
-        colon_slice(Polynomial.monomial(4, (1, 0, 0, 0)), 1, ctx)  # wrong degree
+        ColonIdeal(Polynomial.monomial(4, (1, 0, 0, 0)), ctx).slice(1)  # wrong degree
 
 
 def test_colon_slices_match_independent_rational_kernel(quartic_surface):
@@ -144,13 +141,13 @@ def test_slice_output_does_not_depend_on_term_insertion_order(quintic_surface):
     rng.shuffle(items)
     shuffled = Polynomial(4, items)
     for k in (1, 2):
-        assert colon_slice(p, k, ctx) == colon_slice(shuffled, k, ctx)
+        assert ColonIdeal(p, ctx).slice(k) == ColonIdeal(shuffled, ctx).slice(k)
 
 
 def test_hilbert_profile_of_linear_cycle(quintic_surface):
     ctx = quintic_surface
     p = linear_cycle_class(ctx, (1, 3))
-    profile = hilbert_profile(p, ctx)
+    profile = ColonIdeal(p, ctx).hilbert_profile()
     # the quotient is spanned by monomials in the two odd variables with
     # exponents at most d-2; count them directly
     oracle = tuple(
@@ -162,7 +159,7 @@ def test_hilbert_profile_of_linear_cycle(quintic_surface):
 
 def test_hilbert_profile_of_a_septic_linear_cycle():
     ctx = FermatContext(2, 7)
-    profile = hilbert_profile(linear_cycle_class(ctx, (1, 13)), ctx)
+    profile = ColonIdeal(linear_cycle_class(ctx, (1, 13)), ctx).hilbert_profile()
     assert profile.dims == (1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1)
 
 
@@ -305,12 +302,12 @@ def test_paired_binomial_systems_are_groebner_bases(quintic_surface):
 def test_pairing_rank_examples(quintic_surface):
     ctx = quintic_surface
     p = linear_cycle_class(ctx, (1, 1))
-    assert pairing_rank(p, 0, ctx) == 1
-    assert pairing_rank(p, ctx.sigma, ctx) == 1
-    assert pairing_rank(p, 2, ctx) == 3
+    ci = ColonIdeal(p, ctx)
+    assert ci.pairing_rank(0) == 1
+    assert ci.pairing_rank(ctx.sigma) == 1
+    assert ci.pairing_rank(2) == 3
     # independent check of the 3x3 case: complement bases are the odd-variable
     # monomials, and each matrix entry is a coefficient lookup in the class
-    ci = ColonIdeal(p, ctx)
     left = ci.quotient_monomials(2)
     right = ci.quotient_monomials(4)
     assert set(left) == {(0, 2, 0, 0), (0, 1, 0, 1), (0, 0, 0, 2)}
@@ -1011,9 +1008,7 @@ def test_tangent_of_a_dense_class_eliminates_one_degree(n, d, monkeypatch):
 
 def linear_cycle_sum(ctx, specs):
     """The sum of the linear cycles over the given (alpha[, pairing]) specs."""
-    from fermatcalc.fermat_hodge import LinearCycleSpec
-
-    first, *rest = (linear_cycle_class(ctx, LinearCycleSpec(*spec)) for spec in specs)
+    first, *rest = (linear_cycle_class(ctx, *spec) for spec in specs)
     return sum(rest, first)
 
 
@@ -1119,7 +1114,7 @@ def closed_form_classes(ctx, rng):
     with c_lambda in {1, 3/2, i} over random pairings of either orientation,
     and product classes with one and with every a_j = 0.  Coefficients are
     command-line literals, so rationals keep conductor 1 and i conductor 4."""
-    from fermatcalc.fermat_hodge import LinearCycleSpec, ProductClassSpec, all_pairings, product_class_poly
+    from fermatcalc.fermat_hodge import ProductClassSpec, all_pairings, product_class_poly
     from fermatcalc.ioformats import parse_cyclotomic_expr
 
     half = ctx.n // 2 + 1
@@ -1137,7 +1132,7 @@ def closed_form_classes(ctx, rng):
 
     yield "linear", linear_cycle_class(ctx, tuple(rng.choice(odd) for _ in range(half)))
     yield "linear, random pairing", linear_cycle_class(
-        ctx, LinearCycleSpec(tuple(rng.choice(odd) for _ in range(half)), pairing()))
+        ctx, tuple(rng.choice(odd) for _ in range(half)), pairing())
     for c in ("1", "3/2", "i"):
         yield f"c = {c}", product_class_poly(ProductClassSpec(coefficients(), literal(c), pairing()), ctx)
     a = coefficients()
@@ -1223,7 +1218,7 @@ def test_slices_above_sigma_are_refused_at_once():
         start = time.perf_counter()
         for k in (ctx.sigma + 1, 10**5):
             with pytest.raises(ValueError, match=r"slice degree must lie in 0\.\.9"):
-                colon_slice(p, k, ctx)
+                ColonIdeal(p, ctx).slice(k)
         assert time.perf_counter() - start < 1
 
 
