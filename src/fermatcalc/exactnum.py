@@ -7,6 +7,12 @@ all numerators and the denominator is 1), so the representation is canonical:
 two values with the same conductor are equal exactly when their stored data
 coincide.  Rationality of a value is therefore a plain coordinate check.
 
+Products, conductor changes, Galois automorphisms and roots of unity all end
+in one reduction of an integer vector modulo the monic Phi_m, through its
+nonzero coefficients only; no table of powers is kept.  Membership in a
+subfield is a Galois test, and traces are Ramanujan sums.  The module imports
+no other part of the package.
+
 Rational numbers are `fractions.Fraction`.
 
 >>> z = zeta(6)
@@ -24,8 +30,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from fermatcalc.echelon import echelon_insert
-
 __all__ = [
     "CyclotomicNumber",
     "FIELD_MAX_ENTRIES",
@@ -38,21 +42,28 @@ __all__ = [
 ]
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 def euler_phi(m: int) -> int:
     """Euler's totient of a positive integer."""
     if m <= 0:
         raise ValueError("conductor must be positive")
     result = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1
-    if k > 1:
-        result -= result // k
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 
@@ -93,53 +104,47 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Field:
-    """Cached per-conductor data: degree, power reduction table and the
-    traces Tr(zeta_m^j) of the power basis."""
+    """Cached per-conductor data: the degree phi, the nonzero coefficients of
+    x^phi modulo the m-th cyclotomic polynomial, and the traces Tr(zeta_m^j)
+    of the power basis."""
 
-    __slots__ = ("m", "phi", "powers", "traces")
+    __slots__ = ("phi", "tail", "traces")
 
     def __init__(self, m: int):
-        self.m = m
         min_poly = cyclotomic_polynomial(m)
         phi = len(min_poly) - 1
         self.phi = phi
-        # x^phi reduces to -(lower part of the minimal polynomial); iterate to
-        # cover every exponent needed by multiplication (2*phi - 2) and by
-        # _power_sum (below m).
-        tail = tuple(-c for c in min_poly[:phi])
-        limit = max(2 * phi - 2, m)
-        powers: list[tuple[int, ...]] = []
-        for e in range(phi):
-            row = [0] * phi
-            row[e] = 1
-            powers.append(tuple(row))
-        for e in range(phi, limit + 1):
-            prev = powers[e - 1]
-            carry = prev[phi - 1]
-            row = [0] + list(prev[: phi - 1])
-            if carry:
-                for t in range(phi):
-                    row[t] += carry * tail[t]
-            powers.append(tuple(row))
-        self.powers = tuple(powers)
-        # Tr(zeta^j) sums the conjugates zeta^(jk), k prime to m; the sum is
-        # rational, so its power-basis vector is (Tr, 0, ..., 0).
-        units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
-        self.traces = tuple(sum(powers[j * k % m][0] for k in units) for j in range(phi))
+        # x^phi = -(lower part of the minimal polynomial), as (exponent, value)
+        self.tail = tuple((t, -c) for t, c in enumerate(min_poly[:phi]) if c)
+        # Tr(zeta^j) is Ramanujan's sum mu(q) phi(m) / phi(q), q = m / gcd(j, m):
+        # 0 unless q is squarefree, else phi(m) / prod(1 - p) over the primes p | q
+        primes = _prime_factors(m)
+        traces = []
+        for j in range(phi):
+            q = m // math.gcd(j, m)
+            trace = phi
+            for p in primes:
+                if q % p == 0:
+                    trace = 0 if q % (p * p) == 0 else trace // (1 - p)
+            traces.append(trace)
+        self.traces = tuple(traces)
 
 
-# Most power-table entries, (max(2 phi - 2, m) + 1) * phi, a field may build.
-# The table grows like m^2: `groebner --n 2 --d 30000` (9.6e8 entries) would
-# exhaust memory, while Q(zeta_6000) (9.6e6) takes under a second.
+# Most steps, (max(2 phi - 2, m) + 1) * phi, that one reduction modulo a dense
+# Phi_m may take: `_power_sum` reduces vectors of length m and `__mul__` of
+# length 2 phi - 1, each entry from phi up against at most phi coefficients.
+# The first cost of a new field is building Phi_m by exact division: on a
+# 2-core x86_64 host 0.38 s at m = 6000 (9.6e6 steps, accepted) and 10.8 s at
+# m = 60000 (9.6e8, refused: `groebner --n 2 --d 30000`).
 FIELD_MAX_ENTRIES = 20_000_000
 
 
 def check_conductor(m: int) -> None:
-    """Refuse a conductor whose power table, of at least m + 1 entries, `_field`
+    """Refuse a conductor whose reduction, of at least m + 1 steps, `_field`
     would refuse, before euler_phi's O(sqrt(m)) trial division runs."""
     if m > FIELD_MAX_ENTRIES:
-        raise ValueError(f"conductor {m} needs at least m + 1 = {m + 1} power-table entries, "
-                         f"above the field limit of {FIELD_MAX_ENTRIES}")
+        raise ValueError(f"conductor {m} needs at least m + 1 = {m + 1} reduction steps "
+                         f"modulo Phi_m, above the field limit of {FIELD_MAX_ENTRIES}")
 
 
 @lru_cache(maxsize=None)
@@ -148,21 +153,33 @@ def _field(m: int) -> _Field:
     phi = euler_phi(m)
     entries = (max(2 * phi - 2, m) + 1) * phi
     if entries > FIELD_MAX_ENTRIES:
-        raise ValueError(f"conductor {m} needs (max(2 phi - 2, m) + 1) phi = {entries} power-table "
-                         f"entries, above the field limit of {FIELD_MAX_ENTRIES}")
+        raise ValueError(f"conductor {m} needs (max(2 phi - 2, m) + 1) phi = {entries} reduction "
+                         f"steps modulo Phi_m, above the field limit of {FIELD_MAX_ENTRIES}")
     return _Field(m)
+
+
+def _reduce(fld: _Field, vec: list[int]) -> list[int]:
+    """The coefficient vector `vec` (ascending, at least phi long) modulo
+    Phi_m: each x^e with e >= phi, from the top down, is replaced by
+    x^(e - phi) times the tail of x^phi.  Works in place."""
+    phi, tail = fld.phi, fld.tail
+    for e in range(len(vec) - 1, phi - 1, -1):
+        c = vec[e]
+        if c:
+            base = e - phi
+            for t, v in tail:
+                vec[base + t] += c * v
+    del vec[phi:]
+    return vec
 
 
 def _power_sum(m: int, terms, den: int) -> "CyclotomicNumber":
     """The value sum(v * zeta_m^e for e, v in terms) / den."""
     fld = _field(m)
-    nums = [0] * fld.phi
+    vec = [0] * m
     for e, v in terms:
-        if v:
-            row = fld.powers[e % m]
-            for t in range(fld.phi):
-                nums[t] += v * row[t]
-    return CyclotomicNumber(m, nums, den)
+        vec[e % m] += v
+    return CyclotomicNumber(m, _reduce(fld, vec), den)
 
 
 class CyclotomicNumber:
@@ -226,7 +243,7 @@ class CyclotomicNumber:
         """Build from a full phi(m)-vector of rationals (or strings)."""
         check_conductor(m)
         fracs = [Fraction(c) for c in coords]
-        if len(fracs) != euler_phi(m):  # counted before `_field(m)` builds a table
+        if len(fracs) != euler_phi(m):  # counted before `_field(m)` builds Phi_m
             raise ValueError(
                 f"expected {euler_phi(m)} coordinates for conductor {m}, got {len(fracs)}"
             )
@@ -265,29 +282,17 @@ class CyclotomicNumber:
         step = target // self.m
         return _power_sum(target, ((j * step, v) for j, v in enumerate(self.nums)), self.den)
 
-    def demote(self, target: int) -> "CyclotomicNumber":
-        """Rewrite on the power basis of Q(zeta_target) for target | m.
+    def in_subfield(self, t: int) -> bool:
+        """True when the value lies in Q(zeta_t), for any positive t.
 
-        Raises ValueError when the value does not lie in the smaller field.
+        Q(zeta_t) meets Q(zeta_m) in Q(zeta_g), g = gcd(t, m), the subfield
+        fixed by every sigma_k with k = 1 mod g (and `1 % g` is 0 when g = 1).
         """
-        if target == self.m:
-            return self
-        if target <= 0 or self.m % target:
-            raise ValueError(f"target conductor {target} must divide {self.m}")
-        fld = _field(self.m)
-        phi_t = euler_phi(target)
-        step = self.m // target
-        # Solve sum_j c_j zeta_m^(j*step) = self on the augmented matrix
-        # [A | b]; a pivot in the right-hand column b means no solution.
-        pivots: dict[int, dict] = {}
-        for i in range(fld.phi):
-            row = {j: Fraction(fld.powers[j * step][i]) for j in range(phi_t)}
-            row[phi_t] = Fraction(self.nums[i], self.den)
-            echelon_insert(pivots, {c: v for c, v in row.items() if v})
-        if phi_t in pivots:
-            raise ValueError(f"value does not lie in Q(zeta_{target})")
-        # the powers zeta_target^j are independent: every column j < phi_t pivots
-        return CyclotomicNumber.from_coords(target, [pivots[j].get(phi_t, 0) for j in range(phi_t)])
+        if t <= 0:
+            raise ValueError("conductor must be positive")
+        m, g = self.m, math.gcd(t, self.m)
+        return all(self._galois(k) == self for k in range(2, m)
+                   if k % g == 1 % g and math.gcd(k, m) == 1)
 
     def _common(self, other: "CyclotomicNumber"):
         if self.m == other.m:
@@ -343,22 +348,14 @@ class CyclotomicNumber:
         x, y = self._common(other)
         fld = _field(x.m)
         phi = fld.phi
-        conv = [0] * (2 * phi - 1) if phi > 1 else [0]
+        conv = [0] * (2 * phi - 1)
         xn, yn = x.nums, y.nums
         for i, a in enumerate(xn):
             if a:
                 for j, b in enumerate(yn):
                     if b:
                         conv[i + j] += a * b
-        nums = list(conv[:phi])
-        powers = fld.powers
-        for e in range(phi, len(conv)):
-            c = conv[e]
-            if c:
-                row = powers[e]
-                for t in range(phi):
-                    nums[t] += c * row[t]
-        return CyclotomicNumber(x.m, nums, x.den * y.den)
+        return CyclotomicNumber(x.m, _reduce(fld, conv), x.den * y.den)
 
     __rmul__ = __mul__
 
@@ -467,10 +464,7 @@ def root_of_unity(m: int, k: int) -> CyclotomicNumber:
     >>> root_of_unity(10, 5).as_rational()
     Fraction(-1, 1)
     """
-    if m <= 0:
-        raise ValueError("conductor must be positive")
-    fld = _field(m)
-    return CyclotomicNumber(m, fld.powers[k % m])
+    return _power_sum(m, ((k, 1),), 1)
 
 
 def zeta(m: int) -> CyclotomicNumber:

@@ -568,13 +568,7 @@ def in_special_unit_group(a: CyclotomicNumber, d: int) -> bool:
         raise ValueError("special families exist only for d in {3, 4, 6}")
     pm, pk = _UNIT_PREFACTOR[d]
     u = a / root_of_unity(pm, pk)
-    target = _UNIT_FIELD[d]
-    u = u.promote(math.lcm(u.m, target))
-    try:
-        u = u.demote(target)
-    except ValueError:
-        return False
-    return unit_circle_check(u)
+    return u.in_subfield(_UNIT_FIELD[d]) and unit_circle_check(u)
 
 
 @dataclass(frozen=True)

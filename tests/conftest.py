@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Sequence
 
 import pytest
 
-from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
+from fermatcalc.echelon import echelon_insert
+from fermatcalc.exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi, root_of_unity, zeta
 from fermatcalc.fermat_hodge import ProductClassSpec
 from fermatcalc.idealcalc import (ColonIdeal, FermatContext, _Reduction, ideal_slice, pairing_product,
                                   solve_linear_forms)
@@ -59,6 +62,85 @@ def random_reduced_class(ctx: FermatContext, rng: random.Random, terms: int = 10
 def random_product_coefficients(ctx: FermatContext, rng: random.Random):
     pool = coefficient_pool(ctx.m)
     return tuple(rng.choice(pool) for _ in range(ctx.n // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# Dense power tables: the reference the field layer's reduction modulo Phi_m,
+# its Ramanujan traces and its Galois subfield test are checked against.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_m^e on the power basis for every e <= max(2 phi - 2, m), each row
+    the previous one times x with x^phi folded back into the lower part."""
+    min_poly = cyclotomic_polynomial(m)
+    phi = len(min_poly) - 1
+    tail = tuple(-c for c in min_poly[:phi])
+    powers = [tuple(int(t == e) for t in range(phi)) for e in range(phi)]
+    for e in range(phi, max(2 * phi - 2, m) + 1):
+        prev = powers[e - 1]
+        carry = prev[phi - 1]
+        row = [0] + list(prev[: phi - 1])
+        if carry:
+            for t in range(phi):
+                row[t] += carry * tail[t]
+        powers.append(tuple(row))
+    return tuple(powers)
+
+
+def table_sum(m: int, terms, den: int = 1) -> CyclotomicNumber:
+    """sum(v * zeta_m^e for e, v in terms) / den, row by row of the table."""
+    powers = power_table(m)
+    nums = [0] * len(powers[0])
+    for e, v in terms:
+        row = powers[e] if e < len(powers) else powers[e % m]
+        for t, r in enumerate(row):
+            nums[t] += v * r
+    return CyclotomicNumber(m, nums, den)
+
+
+def table_promote(x: CyclotomicNumber, target: int) -> CyclotomicNumber:
+    step = target // x.m
+    return table_sum(target, ((j * step, v) for j, v in enumerate(x.nums)), x.den)
+
+
+def table_mul(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
+    """The product by the unreduced convolution, each entry read off the table
+    at its own exponent (up to 2 phi - 2, past m when 2 phi - 2 >= m)."""
+    m = math.lcm(x.m, y.m)
+    x, y = table_promote(x, m), table_promote(y, m)
+    return table_sum(m, ((i + j, a * b) for i, a in enumerate(x.nums) for j, b in enumerate(y.nums)),
+                     x.den * y.den)
+
+
+def table_traces(m: int) -> tuple[int, ...]:
+    """Tr(zeta_m^j) for j < phi, summed over the conjugates zeta^(jk)."""
+    powers = power_table(m)
+    units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    return tuple(sum(powers[j * k % m][0] for k in units) for j in range(len(powers[0])))
+
+
+def demote(x: CyclotomicNumber, target: int) -> CyclotomicNumber:
+    """x rewritten on the power basis of Q(zeta_target), target | m, by
+    solving sum_j c_j zeta_m^(j m / target) = x; ValueError when x does not lie
+    in the smaller field."""
+    if target == x.m:
+        return x
+    if target <= 0 or x.m % target:
+        raise ValueError(f"target conductor {target} must divide {x.m}")
+    powers = power_table(x.m)
+    phi_t = euler_phi(target)
+    step = x.m // target
+    # augmented matrix [A | b]: a pivot in the right-hand column b means no solution
+    pivots: dict[int, dict] = {}
+    for i in range(len(x.nums)):
+        row = {j: Fraction(powers[j * step][i]) for j in range(phi_t)}
+        row[phi_t] = Fraction(x.nums[i], x.den)
+        echelon_insert(pivots, {c: v for c, v in row.items() if v})
+    if phi_t in pivots:
+        raise ValueError(f"value does not lie in Q(zeta_{target})")
+    return CyclotomicNumber.from_coords(target, [pivots[j].get(phi_t, 0) for j in range(phi_t)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -816,10 +818,10 @@ def test_dan_ci_quadric_type_is_refused_before_it_divides(d, steps, capsys, monk
 
 
 @pytest.mark.parametrize("argv,err", [
-    # Q(zeta_60000) would need 9.6e8 power-table entries
+    # Q(zeta_60000) would need 9.6e8 reduction steps
     (["groebner", "--n", "2", "--d", "30000", "--a", "z,z"],
-     "conductor 60000 needs (max(2 phi - 2, m) + 1) phi = 960016000 power-table entries, "
-     "above the field limit of 20000000"),
+     "conductor 60000 needs (max(2 phi - 2, m) + 1) phi = 960016000 reduction steps modulo "
+     "Phi_m, above the field limit of 20000000"),
     # a short file naming a large conductor is refused on its coordinate count
     (["hilbert", "--n", "2", "--d", "5", "--poly", "m3001.json"],
      "expected 3000 coordinates for conductor 3001, got 1"),
@@ -828,20 +830,20 @@ def test_dan_ci_quadric_type_is_refused_before_it_divides(d, steps, capsys, monk
     # a conductor above the field limit is refused before euler_phi's trial division,
     # which takes 31 s at m = 10^16 + 61 and grows as sqrt(m)
     (["hilbert", "--n", "2", "--d", "5", "--poly", "m10000000000000061.json"],
-     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 power-table "
-     "entries, above the field limit of 20000000"),
+     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 reduction "
+     "steps modulo Phi_m, above the field limit of 20000000"),
     (["plane", "--n", "2", "--d", "5", "--forms", "list10000000000000061.json"],
-     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 power-table "
-     "entries, above the field limit of 20000000"),
+     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 reduction "
+     "steps modulo Phi_m, above the field limit of 20000000"),
     (["dan-ci", "--n", "2", "--d", "5", "--decomp", "decomp10000000000000061.json"],
-     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 power-table "
-     "entries, above the field limit of 20000000"),
+     "conductor 10000000000000061 needs at least m + 1 = 10000000000000062 reduction "
+     "steps modulo Phi_m, above the field limit of 20000000"),
     (["prop11", "--d", "50000000000053", "--a", "z"],
-     "conductor 100000000000106 needs at least m + 1 = 100000000000107 power-table entries, "
-     "above the field limit of 20000000"),
+     "conductor 100000000000106 needs at least m + 1 = 100000000000107 reduction steps "
+     "modulo Phi_m, above the field limit of 20000000"),
     (["groebner", "--n", "2", "--d", "50000000000053", "--a", "z,z"],
-     "conductor 100000000000106 needs at least m + 1 = 100000000000107 power-table entries, "
-     "above the field limit of 20000000"),
+     "conductor 100000000000106 needs at least m + 1 = 100000000000107 reduction steps "
+     "modulo Phi_m, above the field limit of 20000000"),
 ])
 def test_runaway_fields_are_refused_at_once(argv, err, capsys, monkeypatch, tmp_path):
     from fermatcalc import exactnum
@@ -866,6 +868,28 @@ def test_runaway_fields_are_refused_at_once(argv, err, capsys, monkeypatch, tmp_
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_groebner_over_q_zeta_6000_keeps_its_output_in_little_memory(capsys):
+    # Q(zeta_6000) has phi = 1600: a dense table of its powers would hold
+    # 9.6e6 entries (a 78 MB traced peak), where a product needs only the 7
+    # nonzero coefficients of Phi_6000.  Phi_6000 itself is built before
+    # tracing starts: it keeps 1601 coefficients, but its exact division
+    # takes seconds under tracemalloc.
+    from fermatcalc import exactnum
+
+    exactnum.cyclotomic_polynomial(6000)
+    tracemalloc.start()
+    try:
+        code = main(["groebner", "--n", "2", "--d", "3000", "--a", "z,z"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        110040, "5f491860443e363c71eae29ac70c7387ee7bb00d12534f5f934487b3d4790163")
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("verb,flag", [

@@ -16,6 +16,8 @@ from fermatcalc.exactnum import (
 )
 from fermatcalc.multipoly import Polynomial
 
+from conftest import demote, table_mul, table_promote, table_sum, table_traces
+
 
 def test_cyclotomic_polynomials_match_sympy():
     import sympy
@@ -128,17 +130,96 @@ def test_conductor_promotion_is_an_embedding():
 
 
 def test_promote_then_demote_is_identity():
+    # the reference demote inverts promote, and in_subfield sees the value in
+    # its own field and in every field between
     for m, target in [(6, 12), (5, 10), (4, 8), (3, 12), (8, 24), (10, 30), (12, 24), (7, 28)]:
         x = zeta(m) * 2 - Fraction(1, 3)
         up = x.promote(target)
-        assert up.demote(m) == x
+        assert demote(up, m) == x
+        assert up.in_subfield(m) and up.in_subfield(target)
+        assert not up.in_subfield(1)
 
 
 def test_demote_rejects_values_outside_the_subfield():
     with pytest.raises(ValueError):
-        zeta(12).demote(3)
+        demote(zeta(12), 3)
+    assert not zeta(12).in_subfield(3)
     # but a conductor-12 value that happens to be a 3rd root demotes fine
-    assert root_of_unity(12, 4).demote(3) == zeta(3)
+    assert demote(root_of_unity(12, 4), 3) == zeta(3)
+    assert root_of_unity(12, 4).in_subfield(3)
+
+
+def _divisors(m):
+    return [t for t in range(1, m + 1) if m % t == 0]
+
+
+def test_in_subfield_matches_demote():
+    # a value of every subfield Q(zeta_s), s | M, tested against every t | M,
+    # t = 1 included, and against t = M + 1, coprime to M, so that Q(zeta_t)
+    # meets Q(zeta_M) in Q
+    rng = random.Random(30)
+    cases = 0
+    for big in range(1, 61):
+        for s in _divisors(big):
+            x = CyclotomicNumber(s, [rng.randint(-3, 3) for _ in range(euler_phi(s))],
+                                 rng.randint(1, 4))
+            if not x.nums[1:]:  # keep the draw irrational when the field allows
+                x = x + zeta(s)
+            up = x.promote(big)
+            assert demote(up, s) == x
+            for t in _divisors(big):
+                try:
+                    demote(up, t)
+                    inside = True
+                except ValueError:
+                    inside = False
+                assert up.in_subfield(t) is inside, (big, s, t, up)
+                cases += 1
+            assert up.in_subfield(big + 1) is (up.as_rational() is not None)
+    assert cases == 1467  # the sum over M <= 60 of (number of divisors of M)^2
+    assert not zeta(12).in_subfield(3)
+    assert root_of_unity(12, 4).in_subfield(3) and demote(root_of_unity(12, 4), 3) == zeta(3)
+    # with t = 1 every unit k has k % 1 == 1 % 1, so only rationals pass
+    assert root_of_unity(12, 6).in_subfield(1) and not root_of_unity(12, 4).in_subfield(1)
+    # t need not divide the conductor: Q(zeta_8) meets Q(zeta_12) in Q(i)
+    assert root_of_unity(12, 3).in_subfield(8) and not zeta(12).in_subfield(8)
+    with pytest.raises(ValueError):
+        zeta(5).in_subfield(0)
+
+
+def test_root_of_unity_matches_the_power_table():
+    for m in range(1, 121):
+        for k in range(2 * m):
+            assert root_of_unity(m, k) == table_sum(m, [(k, 1)]), (m, k)
+
+
+def _value(m):
+    phi = euler_phi(m)
+    return st.builds(lambda nums, den: CyclotomicNumber(m, nums, den),
+                     st.lists(st.integers(-9, 9), min_size=phi, max_size=phi), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_field_operations_match_the_power_table(data):
+    m = data.draw(st.integers(1, 60))
+    x = data.draw(_value(m))
+    y = data.draw(st.sampled_from(_divisors(m)).flatmap(_value))  # promoted to m in products
+    step = data.draw(st.integers(1, 3))
+    assert x.promote(m * step) == table_promote(x, m * step)
+    assert x.conjugate() == table_sum(m, [(-j % m, v) for j, v in enumerate(x.nums)], x.den)
+    for a, b in ((x, y), (y, x), (x, x)):
+        product, expected = a * b, table_mul(a, b)
+        assert (product.m, product.nums, product.den) == (expected.m, expected.nums, expected.den)
+    if x:
+        assert table_mul(x, x.inverse()) == 1
+
+
+def test_traces_are_ramanujan_sums():
+    from fermatcalc import exactnum
+
+    for m in range(1, 301):
+        assert exactnum._field(m).traces == table_traces(m), m
 
 
 def test_mixed_conductor_arithmetic():
@@ -174,8 +255,8 @@ def test_field_tables_refuse_exactly_above_their_limit(monkeypatch):
     monkeypatch.setattr(exactnum, "FIELD_MAX_ENTRIES", 66)
     assert build(7).phi == 6
     monkeypatch.setattr(exactnum, "FIELD_MAX_ENTRIES", 65)
-    with pytest.raises(ValueError, match=r"conductor 7 needs .* = 66 power-table entries, "
-                                         r"above the field limit of 65"):
+    with pytest.raises(ValueError, match=r"conductor 7 needs .* = 66 reduction steps modulo "
+                                         r"Phi_m, above the field limit of 65"):
         build(7)
 
 
@@ -186,7 +267,7 @@ def test_conductors_above_the_field_limit_are_refused_before_phi(monkeypatch):
     # without euler_phi's trial division, and m = 7 on its count of 66 entries
     build = exactnum._field.__wrapped__
     monkeypatch.setattr(exactnum, "FIELD_MAX_ENTRIES", 7)
-    with pytest.raises(ValueError, match=r"^conductor 7 needs .* = 66 power-table entries"):
+    with pytest.raises(ValueError, match=r"^conductor 7 needs .* = 66 reduction steps modulo Phi_m"):
         build(7)
 
     def refuse(m):
@@ -197,7 +278,7 @@ def test_conductors_above_the_field_limit_are_refused_before_phi(monkeypatch):
     for route in (build, lambda m: CyclotomicNumber.from_coords(m, ["1"]),
                   lambda m: fermat_hodge.check_prop11_size(3, m)):
         with pytest.raises(ValueError, match=r"^conductor 8 needs at least m \+ 1 = 9 "
-                                             r"power-table entries, above the field limit of 7$"):
+                                             r"reduction steps modulo Phi_m, above the field limit of 7$"):
             route(8)
 
 

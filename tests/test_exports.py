@@ -49,3 +49,13 @@ def test_every_imported_name_is_used_or_exported(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+@pytest.mark.parametrize("name", ["fermatcalc.exactnum", "fermatcalc.echelon"])
+def test_leaf_modules_import_no_other_module_of_the_package(name):
+    # the field layer and the echelon engine sit at the bottom of the stack
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in imported if m.split(".")[0] == "fermatcalc"] == []
