@@ -12,7 +12,6 @@ from fermatcalc.idealcalc import (
     FermatContext,
     HilbertProfile,
     buchberger,
-    ideal_square_membership,
     reduce_mod_jacobian,
 )
 from fermatcalc.multipoly import (
@@ -37,7 +36,6 @@ __all__ = [
     "FermatContext",
     "HilbertProfile",
     "buchberger",
-    "ideal_square_membership",
     "reduce_mod_jacobian",
     "MonomialOrder",
     "Polynomial",

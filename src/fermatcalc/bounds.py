@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
-from fermatcalc.idealcalc import ColonIdeal, FermatContext, ideal_slice, lt_slice
-from fermatcalc.multipoly import Monomial, MonomialOrder, Polynomial, minimal_generators
+from fermatcalc.idealcalc import ColonIdeal, FermatContext, buchberger
+from fermatcalc.multipoly import Monomial, MonomialOrder, Polynomial, leading_term, minimal_generators
 
 __all__ = [
     "BoundReport",
@@ -410,6 +410,17 @@ def classify_lt_shape_of_ideal(
     generators: Sequence[Polynomial], order: MonomialOrder, ctx: FermatContext
 ) -> str:
     """Same as classify_lt_shape for an ideal given by homogeneous generators
-    (used for complete-intersection ideals, which have no class polynomial)."""
-    degrees = (lt_slice(ideal_slice(generators, k, order), order) for k in range(ctx.d + 1))
+    (used for complete-intersection ideals, which have no class polynomial).
+    A Groebner basis truncated at degree d holds a leading term of every
+    element of the ideal through degree d; generators above d add none."""
+    if not generators:
+        raise ValueError("no generators")
+    if any(g.homogeneous_degree() is None for g in generators):
+        raise ValueError("generators must be homogeneous and nonzero")
+    kept = [g for g in generators if g.degree() <= ctx.d]
+    basis = buchberger(kept, order, ctx.d).basis if kept else ()
+    degrees: list[set[Monomial]] = [set() for _ in range(ctx.d + 1)]
+    for g in basis:
+        lead = leading_term(g, order)[0]
+        degrees[sum(lead)].add(lead)
     return _classify_lt_generators(minimal_generators(degrees, order), ctx.n, ctx.d)

@@ -311,7 +311,7 @@ def _run_dan_ci(args, ctx):
         "socle": report.socle,
         "socle_ok": report.socle_ok,
         "square_member": report.square.member,
-        "square_witness_terms": len(report.square.witness or ()),
+        "square_witness_terms": len(report.square.witness),
         "tangent": _bound_report_json(report.tangent),
     }
     return payload, None, 0

@@ -36,9 +36,9 @@ from fractions import Fraction
 from fermatcalc import bounds
 from fermatcalc.exactnum import (CyclotomicNumber, check_conductor, euler_phi, root_of_unity,
                                  unit_circle_check, zeta)
-from fermatcalc.idealcalc import (FermatContext, SquareMembership, pairing_product, product_structure,
-                                  reduce_class, solve_linear_forms)
-from fermatcalc.multipoly import Polynomial, monomial_div
+from fermatcalc.idealcalc import (FermatContext, pairing_product, product_structure, reduce_class,
+                                  solve_linear_forms)
+from fermatcalc.multipoly import Monomial, Polynomial, monomial_div
 
 __all__ = [
     "ProductClassSpec",
@@ -47,6 +47,7 @@ __all__ = [
     "RationalityCertificate",
     "RationalityScanReport",
     "PlaneContainment",
+    "SquareMembership",
     "CompleteIntersectionReport",
     "SpecialFamilyResult",
     "default_pairing",
@@ -513,6 +514,15 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
 # ---------------------------------------------------------------------------
 # Complete intersection ideals from a decomposition of F
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SquareMembership:
+    """F = sum coeff * g_i * g_j * x^gamma over the witness's (i, j, gamma,
+    coeff), the g the report's generators."""
+
+    member: bool
+    witness: tuple[tuple[int, int, Monomial, CyclotomicNumber], ...]
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p, reduce_row
+from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p
 from fermatcalc.exactnum import CyclotomicNumber
 from fermatcalc.multipoly import (
     Monomial,
@@ -84,9 +84,7 @@ from fermatcalc.multipoly import (
     lex_order,
     minimal_generators,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
     monomials_of_degree,
 )
 
@@ -102,18 +100,13 @@ __all__ = [
     "GroebnerResult",
     "GROEBNER_MAX_WORK",
     "check_groebner_size",
-    "SquareMembership",
     "reduce_mod_jacobian",
     "reduce_class",
     "pairing_product",
     "product_structure",
-    "lt_slice",
     "buchberger",
     "s_polynomial",
-    "ideal_square_membership",
-    "ideal_slice",
     "solve_linear_forms",
-    "standard_monomials",
 ]
 
 
@@ -644,45 +637,9 @@ class ColonIdeal:
         )
 
 
-def lt_slice(slice_: DegreeSlice, order: MonomialOrder) -> frozenset[Monomial]:
-    """Leading terms of the basis polynomials of a slice."""
-    return frozenset(leading_term(b, order)[0] for b in slice_.basis)
-
-
 # ---------------------------------------------------------------------------
-# Generated ideals: degreewise spans, Groebner bases, membership
+# Generated ideals: linear forms and truncated Groebner bases
 # ---------------------------------------------------------------------------
-
-
-def ideal_slice(
-    gens: Sequence[Polynomial], k: int, order: MonomialOrder | None = None
-) -> DegreeSlice:
-    """Reduced echelon basis of the degree-k piece of the ideal generated by
-    homogeneous polynomials `gens`."""
-    if not gens:
-        raise ValueError("no generators")
-    nvars = gens[0].nvars
-    order = order or lex_order(nvars)
-    cols = sorted(monomials_of_degree(nvars, k), key=order.key, reverse=True)
-    index = {m: i for i, m in enumerate(cols)}
-    pivots = echelon(row for _, _, row in _shifted_rows(gens, k, index))
-    basis = []
-    for pc in sorted(pivots):
-        row = pivots[pc]
-        basis.append(Polynomial(nvars, [(cols[c], v) for c, v in row.items()]))
-    return DegreeSlice(k, tuple(basis))
-
-
-def _shifted_rows(gens: Sequence[Polynomial], k: int, index: dict[Monomial, int]):
-    """(generator position, gamma, row) for each x^gamma * g of degree k, by
-    generator and then gamma in descending lex order; the row holds g's
-    coefficient at beta in column index[beta + gamma]."""
-    for i, g in enumerate(gens):
-        dg = g.homogeneous_degree()
-        if dg is None:
-            raise ValueError("generators must be homogeneous and nonzero")
-        for gamma in monomials_of_degree(g.nvars, k - dg):
-            yield i, gamma, {index[monomial_mul(e, gamma)]: c for e, c in g.terms.items()}
 
 
 def solve_linear_forms(forms: Sequence[Polynomial], nvars: int) -> dict[int, dict]:
@@ -697,16 +654,6 @@ def solve_linear_forms(forms: Sequence[Polynomial], nvars: int) -> dict[int, dic
         row = {e.index(1): c for e, c in L.terms.items()}
         echelon_insert(pivots, {**row, nvars + i: CyclotomicNumber.one()}, nvars)
     return pivots
-
-
-def standard_monomials(lts: Iterable[Monomial], k: int, nvars: int) -> list[Monomial]:
-    """Degree-k monomials divisible by none of the given leading terms."""
-    lts = list(lts)
-    return [
-        m
-        for m in monomials_of_degree(nvars, k)
-        if not any(monomial_divides(g, m) for g in lts)
-    ]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -795,41 +742,3 @@ def buchberger(
         leads.append(lead)
         push_pairs(len(basis) - 1)
     return GroebnerResult(tuple(basis), tuple(basis[len(gens):]), truncated)
-
-
-@dataclass(frozen=True)
-class SquareMembership:
-    member: bool
-    witness: tuple[tuple[int, int, Monomial, CyclotomicNumber], ...] | None
-
-
-def ideal_square_membership(target: Polynomial, gens: Sequence[Polynomial]) -> SquareMembership:
-    """Decide whether `target` lies in the square of the ideal generated by
-    `gens`, in the target's degree, by exact linear algebra.
-
-    On success the witness lists (i, j, gamma, coeff) with
-    target = sum coeff * g_i * g_j * x^gamma.
-    """
-    deg = target.homogeneous_degree()
-    if deg is None:
-        raise ValueError("target must be homogeneous and nonzero")
-    # columns in descending lex order; product row t carries the tag column width + t
-    index = {m: i for i, m in enumerate(monomials_of_degree(target.nvars, deg))}
-    width = len(index)
-    pairs, products = [], []
-    for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
-        p = gens[i] * gens[j]
-        if p:
-            pairs.append((i, j))
-            products.append(p)
-    tags: list[tuple[int, int, Monomial]] = []
-    pivots: dict[int, dict] = {}
-    for t, gamma, row in _shifted_rows(products, deg, index):
-        row[width + len(tags)] = CyclotomicNumber.one()
-        tags.append((*pairs[t], gamma))
-        echelon_insert(pivots, row, width)
-    row = {index[e]: c for e, c in target.terms.items()}
-    if reduce_row(pivots, row, width) is not None:
-        return SquareMembership(False, None)
-    witness = sorted((*tags[c - width], -v) for c, v in row.items())
-    return SquareMembership(True, tuple(witness))

@@ -11,17 +11,21 @@ from typing import Sequence
 
 import pytest
 
-from fermatcalc.echelon import echelon_insert
-from fermatcalc.exactnum import CyclotomicNumber, cyclotomic_polynomial, euler_phi, root_of_unity, zeta
+from fermatcalc.echelon import echelon, echelon_insert
+from fermatcalc.exactnum import CyclotomicNumber, euler_phi, root_of_unity, zeta
 from fermatcalc.fermat_hodge import ProductClassSpec
-from fermatcalc.idealcalc import (ColonIdeal, FermatContext, _Reduction, ideal_slice, pairing_product,
+from fermatcalc.idealcalc import (ColonIdeal, DegreeSlice, FermatContext, _Reduction, pairing_product,
                                   solve_linear_forms)
 from fermatcalc.multipoly import (
+    Monomial,
     MonomialOrder,
     Polynomial,
     count_monomials,
     divide,
     leading_term,
+    lex_order,
+    monomial_divides,
+    monomial_mul,
     monomials_of_degree,
 )
 
@@ -66,15 +70,45 @@ def random_product_coefficients(ctx: FermatContext, rng: random.Random):
 
 # ---------------------------------------------------------------------------
 # Dense power tables: the reference the field layer's reduction modulo Phi_m,
-# its Ramanujan traces and its Galois subfield test are checked against.
+# its Ramanujan traces and its Galois subfield test are checked against, on
+# cyclotomic polynomials built by exact division.
 # ---------------------------------------------------------------------------
+
+
+def int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Exact division of integer polynomials, ascending; `den` must be monic."""
+    num = list(num)
+    dn = len(den) - 1
+    quot = [0] * max(len(num) - dn, 0)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dn] = c
+            for j, dj in enumerate(den):
+                num[i - dn + j] -= c * dj
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+@lru_cache(maxsize=None)
+def divided_cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Phi_m, ascending: x^m - 1 divided exactly by Phi_e for every proper
+    divisor e of m.  The reference `exactnum.cyclotomic_polynomial` is checked
+    against."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for e in range(1, m):
+        if m % e == 0:
+            poly, rem = int_poly_divmod(poly, list(divided_cyclotomic_polynomial(e)))
+            assert not rem
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """zeta_m^e on the power basis for every e <= max(2 phi - 2, m), each row
     the previous one times x with x^phi folded back into the lower part."""
-    min_poly = cyclotomic_polynomial(m)
+    min_poly = divided_cyclotomic_polynomial(m)
     phi = len(min_poly) - 1
     tail = tuple(-c for c in min_poly[:phi])
     powers = [tuple(int(t == e) for t in range(phi)) for e in range(phi)]
@@ -218,9 +252,45 @@ def tuple_multiplication_rows(ci: ColonIdeal, index, kept, exact: bool) -> list[
 
 
 # ---------------------------------------------------------------------------
-# Quotient dimensions of a generated ideal by elimination: the reference the
-# degree product of `fermat_hodge._socle_check` is checked against.
+# Generated ideals by elimination: degreewise spans of the shifted generators,
+# the reference `ColonIdeal.slice`, `lt_generators`, the Groebner leading terms
+# of `bounds.classify_lt_shape_of_ideal` and the degree product of
+# `fermat_hodge._socle_check` are checked against.
 # ---------------------------------------------------------------------------
+
+
+def shifted_rows(gens: Sequence[Polynomial], k: int, index: dict[Monomial, int]):
+    """(generator position, gamma, row) for each x^gamma * g of degree k, by
+    generator and then gamma in descending lex order; the row holds g's
+    coefficient at beta in column index[beta + gamma]."""
+    for i, g in enumerate(gens):
+        dg = g.homogeneous_degree()
+        if dg is None:
+            raise ValueError("generators must be homogeneous and nonzero")
+        for gamma in monomials_of_degree(g.nvars, k - dg):
+            yield i, gamma, {index[monomial_mul(e, gamma)]: c for e, c in g.terms.items()}
+
+
+def ideal_slice(gens: Sequence[Polynomial], k: int, order: MonomialOrder | None = None) -> DegreeSlice:
+    """Reduced echelon basis of the degree-k piece of the ideal generated by
+    homogeneous polynomials `gens`, columns in descending `order`."""
+    if not gens:
+        raise ValueError("no generators")
+    nvars = gens[0].nvars
+    order = order or lex_order(nvars)
+    cols = sorted(monomials_of_degree(nvars, k), key=order.key, reverse=True)
+    index = {m: i for i, m in enumerate(cols)}
+    pivots = echelon(row for _, _, row in shifted_rows(gens, k, index))
+    basis = []
+    for pc in sorted(pivots):
+        basis.append(Polynomial(nvars, [(cols[c], v) for c, v in pivots[pc].items()]))
+    return DegreeSlice(k, tuple(basis))
+
+
+def standard_monomials(lts, k: int, nvars: int) -> list[Monomial]:
+    """Degree-k monomials divisible by none of the given leading terms."""
+    lts = list(lts)
+    return [m for m in monomials_of_degree(nvars, k) if not any(monomial_divides(g, m) for g in lts)]
 
 
 def divide_by_echelon_rows(p: Polynomial, pivots: dict[int, dict]):
@@ -237,6 +307,31 @@ def divide_by_echelon_rows(p: Polynomial, pivots: dict[int, dict]):
         for pv in pivot_vars
     ]
     return divide(p, rows, order)
+
+
+def pair_sum_cofactor(ctx: FermatContext, pair_index: int, factor: Polynomial) -> Polynomial:
+    """The cofactor of `factor` in the pair sum x_2j^d + x_2j+1^d, j = pair_index."""
+    terms = [
+        (tuple(ctx.d if t == 2 * pair_index else 0 for t in range(ctx.nvars)), 1),
+        (tuple(ctx.d if t == 2 * pair_index + 1 else 0 for t in range(ctx.nvars)), 1),
+    ]
+    q, r = divide(Polynomial(ctx.nvars, terms), [factor], lex_order(ctx.nvars))
+    assert r.is_zero()
+    return q[0]
+
+
+def standard_decomposition(ctx, ks, quadric):
+    """f_j = x_{2j} - zeta_{2d}^{k_j} x_{2j+1} for j < n/2+1, and with
+    `quadric` (type 1,...,1,2) one more such factor on the last pair,
+    multiplied into the last f; g_j is the cofactor of f_j in its pair sum
+    x_{2j}^d + x_{2j+1}^d."""
+    x = [Polynomial.variable(ctx.nvars, i) for i in range(ctx.nvars)]
+    half = ctx.n // 2 + 1
+    pairs = zip([*range(half), half - 1], ks)
+    f = [x[2 * j] - x[2 * j + 1].scale(root_of_unity(ctx.m, k)) for j, k in pairs]
+    if quadric:
+        f[-2:] = [f[-2] * f[-1]]
+    return f, [pair_sum_cofactor(ctx, j, fi) for j, fi in enumerate(f)]
 
 
 def ideal_hilbert_dims(gens: Sequence[Polynomial], up_to: int) -> list[int]:
@@ -297,7 +392,7 @@ def groebner_pairing_ranks(generators, ctx) -> list[int]:
     """Multiplication pairing ranks of an ideal quotient presented by
     homogeneous generators, via a degree-truncated Groebner basis and normal
     forms.  A route independent of the kernel-based colon machinery."""
-    from fermatcalc.idealcalc import buchberger, standard_monomials
+    from fermatcalc.idealcalc import buchberger
     from fermatcalc.multipoly import divide, leading_term, pair_leader_order
 
     order = pair_leader_order(ctx.nvars)

@@ -26,8 +26,6 @@ from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     buchberger,
-    ideal_slice,
-    standard_monomials,
 )
 from fermatcalc.multipoly import (
     Polynomial,
@@ -45,7 +43,7 @@ from fermatcalc.fermat_hodge import (
     special_family,
 )
 
-from conftest import groebner_pairing_ranks
+from conftest import groebner_pairing_ranks, ideal_slice, standard_monomials
 
 
 @contextmanager

@@ -25,7 +25,9 @@ from fermatcalc.multipoly import (
     MonomialOrder,
     Polynomial,
     divide,
+    leading_term,
     lex_order,
+    minimal_generators,
     monomials_of_degree,
     pair_leader_order,
 )
@@ -35,7 +37,7 @@ from fermatcalc.fermat_hodge import (
     product_class_poly,
 )
 
-from conftest import random_reduced_class
+from conftest import coefficient_pool, ideal_slice, random_reduced_class, standard_decomposition
 
 
 def brute_count(alpha, k):
@@ -398,3 +400,95 @@ def test_classify_random_class_has_no_match(quartic_surface):
     rng = random.Random(7)
     p = random_reduced_class(ctx, rng, terms=12)
     assert classify_lt_shape(p, lex_order(4), ctx) == "no match"
+
+
+# ---------------------------------------------------------------------------
+# Leading-term shapes of generated ideals: the truncated Groebner basis of
+# classify_lt_shape_of_ideal against the eliminated slices of conftest
+# ---------------------------------------------------------------------------
+
+
+def lt_generators_by_slices(gens, order, d):
+    """Minimal leading-term generators through degree d, read off the reduced
+    echelon slices of the ideal generated by `gens` (generators above d
+    contribute no row)."""
+    degrees = (frozenset(leading_term(b, order)[0] for b in ideal_slice(gens, k, order).basis)
+               for k in range(d + 1))
+    return minimal_generators(degrees, order)
+
+
+@pytest.fixture
+def lt_shape(monkeypatch):
+    """classify_lt_shape_of_ideal returning (shape, minimal generators)."""
+    seen = []
+    classify = bounds._classify_lt_generators
+    monkeypatch.setattr(bounds, "_classify_lt_generators",
+                        lambda degrees, n, d: seen.append(degrees) or classify(degrees, n, d))
+
+    def run(gens, order, ctx):
+        shape = classify_lt_shape_of_ideal(gens, order, ctx)
+        return shape, seen.pop()
+
+    return run
+
+
+def random_decomposition(ctx, quadric, rng):
+    """conftest's standard decomposition, as one generator list, over odd
+    exponents drawn from `rng`, the quadric's two factors distinct."""
+    ks = [rng.randrange(1, 2 * ctx.d, 2) for _ in range(ctx.n // 2)]
+    ks += rng.sample(range(1, 2 * ctx.d, 2), 2 if quadric else 1)
+    f, g = standard_decomposition(ctx, ks, quadric)
+    return [v for pair in zip(f, g) for v in pair]
+
+
+def shape_orders(nvars, rng):
+    priority = list(range(nvars))
+    rng.shuffle(priority)
+    return [lex_order(nvars), pair_leader_order(nvars), MonomialOrder(tuple(priority))]
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (2, 6), (2, 7), (4, 4), (4, 5)])
+def test_ideal_lt_shape_matches_the_slice_route_on_decompositions(n, d, lt_shape):
+    ctx = FermatContext(n, d)
+    rng = random.Random(31 * n + d)
+    for quadric in (False, True):
+        for _ in range(3):
+            gens = random_decomposition(ctx, quadric, rng)
+            for order in shape_orders(ctx.nvars, rng):
+                shape, degrees = lt_shape(gens, order, ctx)
+                assert degrees == lt_generators_by_slices(gens, order, d), (quadric, order)
+                assert shape in (("quadric-a", "quadric-b") if quadric else ("linear",))
+
+
+def test_ideal_lt_shape_matches_the_slice_route_on_random_systems(lt_shape):
+    rng = random.Random(2031)
+    for trial in range(40):
+        ctx = FermatContext(2, rng.choice((3, 4, 5)))
+        pool = coefficient_pool(ctx.m)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            monos = list(monomials_of_degree(4, rng.randint(1, 3)))
+            gens.append(Polynomial(4, [(m, rng.choice(pool)) for m in rng.sample(monos, min(3, len(monos)))]))
+        order = rng.choice(shape_orders(4, rng))
+        shape, degrees = lt_shape(gens, order, ctx)
+        assert degrees == lt_generators_by_slices(gens, order, ctx.d), trial
+
+
+def test_ideal_lt_shape_edges(quintic_surface, lt_shape):
+    ctx = quintic_surface
+    order = pair_leader_order(4)
+    x = [Polynomial.variable(4, i) for i in range(4)]
+    with pytest.raises(ValueError, match="no generators"):
+        classify_lt_shape_of_ideal([], order, ctx)
+    for bad in (Polynomial.zero(4), x[0] * x[1] + x[2]):
+        with pytest.raises(ValueError, match="generators must be homogeneous and nonzero"):
+            classify_lt_shape_of_ideal([x[0], bad], order, ctx)
+    # a generator above degree d adds no leading term through d, on either route
+    gens = random_decomposition(ctx, False, random.Random(5))
+    high = x[1] ** (ctx.d + 1)
+    assert lt_shape([*gens, high], order, ctx) == lt_shape(gens, order, ctx) == ("linear", [
+        [], [(1, 0, 0, 0), (0, 0, 1, 0)], [], [], [(0, 4, 0, 0), (0, 0, 0, 4)], []])
+    assert lt_generators_by_slices([*gens, high], order, ctx.d) == lt_shape(gens, order, ctx)[1]
+    # only generators above d: no leading term at all
+    assert lt_shape([high], order, ctx) == ("no match", [[]] * (ctx.d + 1))
+    assert lt_generators_by_slices([high], order, ctx.d) == [[]] * (ctx.d + 1)

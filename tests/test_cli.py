@@ -873,12 +873,8 @@ def test_runaway_fields_are_refused_at_once(argv, err, capsys, monkeypatch, tmp_
 def test_groebner_over_q_zeta_6000_keeps_its_output_in_little_memory(capsys):
     # Q(zeta_6000) has phi = 1600: a dense table of its powers would hold
     # 9.6e6 entries (a 78 MB traced peak), where a product needs only the 7
-    # nonzero coefficients of Phi_6000.  Phi_6000 itself is built before
-    # tracing starts: it keeps 1601 coefficients, but its exact division
-    # takes seconds under tracemalloc.
-    from fermatcalc import exactnum
-
-    exactnum.cyclotomic_polynomial(6000)
+    # nonzero coefficients of Phi_6000.  Tracing covers the build of
+    # Phi_6000 = Phi_30(x^200) too.
     tracemalloc.start()
     try:
         code = main(["groebner", "--n", "2", "--d", "3000", "--a", "z,z"])

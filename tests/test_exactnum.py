@@ -16,7 +16,7 @@ from fermatcalc.exactnum import (
 )
 from fermatcalc.multipoly import Polynomial
 
-from conftest import demote, table_mul, table_promote, table_sum, table_traces
+from conftest import demote, divided_cyclotomic_polynomial, table_mul, table_promote, table_sum, table_traces
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -28,6 +28,18 @@ def test_cyclotomic_polynomials_match_sympy():
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs]
         assert len(ours) == euler_phi(m) + 1
+
+
+def test_cyclotomic_polynomials_from_the_radical_match_exact_division():
+    for m in range(1, 601):
+        assert cyclotomic_polynomial(m) == divided_cyclotomic_polynomial(m), m
+    # Phi_6000(x) = Phi_30(x^200): 7 nonzero coefficients of 1601
+    poly = cyclotomic_polynomial(6000)
+    assert len(poly) == 1601
+    assert {e: c for e, c in enumerate(poly) if c} == {
+        0: 1, 200: 1, 600: -1, 800: -1, 1000: -1, 1400: 1, 1600: 1}
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        cyclotomic_polynomial(0)
 
 
 def test_small_conductors_degenerate_correctly():

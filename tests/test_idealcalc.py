@@ -11,12 +11,8 @@ from fermatcalc.idealcalc import (
     FermatContext,
     HilbertProfile,
     buchberger,
-    ideal_slice,
-    ideal_square_membership,
-    lt_slice,
     reduce_mod_jacobian,
     s_polynomial,
-    standard_monomials,
 )
 from fermatcalc.multipoly import (
     Polynomial,
@@ -34,8 +30,10 @@ from conftest import (
     EliminatedColon,
     coefficient_pool,
     ideal_hilbert_dims,
+    ideal_slice,
     random_reduced_class,
     regular_representation_kernel_dim,
+    standard_monomials,
 )
 
 
@@ -197,17 +195,6 @@ def test_jacobian_generators_lie_in_every_colon_slice(quintic_surface):
             assert ideal_slice([*slice_k.basis, g], k, ci.order) == slice_k
 
 
-def test_lt_slice():
-    a, b = zeta(10), zeta(10) ** 3
-    x = [Polynomial.variable(4, i) for i in range(4)]
-    order = pair_leader_order(4)
-    from fermatcalc.idealcalc import DegreeSlice
-
-    s = DegreeSlice(1, (x[0] - x[1].scale(a), x[2] - x[3].scale(b)))
-    assert lt_slice(s, order) == {(1, 0, 0, 0), (0, 0, 1, 0)}
-    assert lt_slice(DegreeSlice(1, ()), order) == frozenset()
-
-
 def test_linear_cycle_lt_ideal_matches_monomial_template(quintic_surface):
     # under the paired order the leading-term ideal of a linear-cycle colon
     # ideal is the monomial ideal of the pivot variables and odd powers, in
@@ -324,35 +311,6 @@ def test_pairing_rank_examples(quintic_surface):
 
     nullity = regular_representation_kernel_dim(matrix, ctx.m)
     assert len(right) - nullity == 3
-
-
-def test_square_membership(quintic_surface):
-    ctx = quintic_surface
-    z = zeta(10)
-    x = [Polynomial.variable(4, i) for i in range(4)]
-    f = ctx.fermat_polynomial()
-    gens = []
-    for j, a in enumerate((z, z**3)):
-        gens.append(x[2 * j] - x[2 * j + 1].scale(a))
-        pair_sum = Polynomial(
-            4,
-            [
-                (tuple(5 if t == 2 * j else 0 for t in range(4)), 1),
-                (tuple(5 if t == 2 * j + 1 else 0 for t in range(4)), 1),
-            ],
-        )
-        q, r = divide(pair_sum, [gens[-1]], lex_order(4))
-        assert r.is_zero()
-        gens.append(q[0])
-    result = ideal_square_membership(f, gens)
-    assert result.member
-    total = Polynomial.zero(4)
-    for i, j, gamma, coeff in result.witness:
-        total = total + (gens[i] * gens[j] * Polynomial.monomial(4, gamma)).scale(coeff)
-    assert total == f
-    # degree bookkeeping: a degree-d generator alone cannot express itself
-    assert not ideal_square_membership(f, [f]).member
-    assert not ideal_square_membership(f, [x[0], x[1]]).member
 
 
 def test_groebner_pairing_ranks_agree_with_kernel_route(quintic_surface):
