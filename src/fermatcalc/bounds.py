@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from fermatcalc.idealcalc import ColonIdeal, FermatContext, buchberger
 from fermatcalc.multipoly import Monomial, MonomialOrder, Polynomial, leading_term, minimal_generators
+from fermatcalc.record import Record
 
 __all__ = [
     "BoundReport",
@@ -110,8 +110,7 @@ def _orbit_size(multiset: Sequence[int], length: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class DivisorScanReport:
+class DivisorScanReport(Record):
     """Outcome of the exhaustive divisor-count scan.
 
     The four assertions are:
@@ -278,8 +277,7 @@ def scan_divisor_minima(n: int, d: int) -> DivisorScanReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     value: int
     bound_linear: int
     bound_second: int
@@ -319,7 +317,7 @@ def tangent_codim(
                 "linear minimum attained but the degree-one slice has "
                 f"dimension {s1.dim}; this contradicts the equality analysis"
             )
-        report = replace(report, j1_dim=s1.dim, j1_basis=s1.basis)
+        report = report.replace(j1_dim=s1.dim, j1_basis=s1.basis)
     return report
 
 

@@ -32,7 +32,7 @@ True
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = ["echelon", "echelon_insert", "reaches_rank_mod_p", "reduce_row"]
 

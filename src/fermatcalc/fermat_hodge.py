@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from fermatcalc import bounds
@@ -39,6 +38,7 @@ from fermatcalc.exactnum import (CyclotomicNumber, check_conductor, euler_phi, r
 from fermatcalc.idealcalc import (FermatContext, pairing_product, product_structure, reduce_class,
                                   solve_linear_forms)
 from fermatcalc.multipoly import Monomial, Polynomial, monomial_div
+from fermatcalc.record import Record
 
 __all__ = [
     "ProductClassSpec",
@@ -106,8 +106,7 @@ def _resolve_pairing(pairing, n: int, count: int, noun: str) -> tuple[tuple[int,
     return pairing
 
 
-@dataclass(frozen=True)
-class ProductClassSpec:
+class ProductClassSpec(Record):
     """A product class: coefficients a_j over a coordinate pairing together
     with a nonzero scale."""
 
@@ -147,8 +146,7 @@ def hessian_coefficient(ctx: FermatContext) -> CyclotomicNumber:
     return CyclotomicNumber.from_rational((ctx.d * (ctx.d - 1)) ** ctx.nvars)
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(Record):
     """Intersection pairing of two classes.
 
     c is the socle coefficient of the reduced product divided by the Hessian
@@ -192,8 +190,7 @@ def pair_classes(p: Polynomial, q: Polynomial, ctx: FermatContext) -> PairingRes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateRow:
+class CertificateRow(Record):
     pairing: tuple[tuple[int, int], ...]
     alpha: tuple[int, ...]
     c: CyclotomicNumber
@@ -201,8 +198,7 @@ class CertificateRow:
     flag: str  # "rational" | "irrational" | "zero"
 
 
-@dataclass(frozen=True)
-class RationalityCertificate:
+class RationalityCertificate(Record):
     rows: tuple[CertificateRow, ...]
     verdict: str  # "all rational" | "counterexample"
     counterexample: CertificateRow | None
@@ -304,8 +300,7 @@ def recover_product_structure(p: Polynomial, ctx: FermatContext) -> ProductClass
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalityScanReport:
+class RationalityScanReport(Record):
     """Outcome of scanning the pairing-ratio rationality conditions on a.
 
     direct: whether a^d + 1 = 0.
@@ -437,8 +432,7 @@ def _socle_check(generators, ctx: FermatContext) -> tuple[tuple[int, ...], int |
     return dims, socle, dims[ctx.sigma] == 1 and dims[ctx.sigma + 1] == 0
 
 
-@dataclass(frozen=True)
-class PlaneContainment:
+class PlaneContainment(Record):
     contained: bool
     residual: Polynomial
     quotients: tuple[Polynomial, ...] | None
@@ -516,8 +510,7 @@ def plane_in_fermat(forms, ctx: FermatContext) -> PlaneContainment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareMembership:
+class SquareMembership(Record):
     """F = sum coeff * g_i * g_j * x^gamma over the witness's (i, j, gamma,
     coeff), the g the report's generators."""
 
@@ -525,8 +518,7 @@ class SquareMembership:
     witness: tuple[tuple[int, int, Monomial, CyclotomicNumber], ...]
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionReport:
+class CompleteIntersectionReport(Record):
     generators: tuple[Polynomial, ...]
     dims: tuple[int, ...]  # quotient dimensions, degrees 0..sigma+1
     socle: int | None
@@ -581,8 +573,7 @@ def in_special_unit_group(a: CyclotomicNumber, d: int) -> bool:
     return u.in_subfield(_UNIT_FIELD[d]) and unit_circle_check(u)
 
 
-@dataclass(frozen=True)
-class SpecialFamilyResult:
+class SpecialFamilyResult(Record):
     spec: ProductClassSpec
     certificate: RationalityCertificate
     j1_dim: int

@@ -68,8 +68,7 @@ import heapq
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from fermatcalc.echelon import echelon, echelon_insert, reaches_rank_mod_p
 from fermatcalc.exactnum import CyclotomicNumber
@@ -87,6 +86,7 @@ from fermatcalc.multipoly import (
     monomial_lcm,
     monomials_of_degree,
 )
+from fermatcalc.record import Record
 
 __all__ = [
     "FermatContext",
@@ -110,8 +110,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FermatContext:
+class FermatContext(Record):
     """Ambient data for the Fermat hypersurface x_0^d + ... + x_{n+1}^d = 0.
 
     n is the (even) dimension, d >= 3 the degree.  Derived quantities: the
@@ -175,8 +174,7 @@ def reduce_class(p: Polynomial, ctx: FermatContext) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(Record):
     """A graded piece of an ideal, its basis in reduced echelon form."""
 
     degree: int
@@ -187,8 +185,7 @@ class DegreeSlice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(Record):
     """Dimensions of the quotient algebra in degrees 0..sigma.
 
     The constructor checks the Gorenstein constraints: one-dimensional ends
@@ -238,8 +235,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _Reduction:
+class _Reduction(Record):
     """The ring map Z_(p)[zeta_L] -> F_p sending zeta_L to w, an element of
     exact order L; p = 1 (mod L).  zeta_m for m | L is zeta_L^(L/m) under
     `promote`, so it goes to w^(L/m) and the map is one ring homomorphism on
@@ -673,8 +669,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 GROEBNER_MAX_WORK = 100_000
 
 
-@dataclass(frozen=True)
-class GroebnerResult:
+class GroebnerResult(Record):
     basis: tuple[Polynomial, ...]
     added: tuple[Polynomial, ...]
     truncated: bool

@@ -13,11 +13,11 @@ the degree-slice machinery in this package requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import add
-from typing import Iterable, Iterator
 
 from fermatcalc.exactnum import CyclotomicNumber
+from fermatcalc.record import Record
 
 Monomial = tuple[int, ...]
 
@@ -76,8 +76,7 @@ def count_capped_monomials(nvars: int, degree: int, cap: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """Lexicographic order determined by a variable priority list.
 
     `priority[0]` is the greatest variable.  Monomials compare by their

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -442,3 +443,16 @@ def regular_representation_kernel_dim(
     rank = frac_matrix_rank(blocks) if blocks else 0
     assert rank % phi == 0
     return ncols - rank // phi
+
+
+def dataclass_twin(record_cls: type) -> type:
+    """The frozen dataclass with `record_cls`'s fields, defaults,
+    `__post_init__` and qualified name: the reference whose generated
+    methods the `Record` base reproduces."""
+    own = record_cls.__dict__
+    fields = [(name, object, dataclasses.field(default=own[name])) if name in own else (name, object)
+              for name in own["__annotations__"]]
+    namespace = {"__post_init__": own["__post_init__"]} if "__post_init__" in own else {}
+    twin = dataclasses.make_dataclass(record_cls.__name__, fields, frozen=True, namespace=namespace)
+    twin.__qualname__ = record_cls.__qualname__
+    return twin
