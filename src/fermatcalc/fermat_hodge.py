@@ -177,12 +177,7 @@ def pair_classes(p: Polynomial, q: Polynomial, ctx: FermatContext) -> PairingRes
     half = ctx.n // 2
     factor = Fraction(-(ctx.d - 1) ** ctx.nvars * ctx.d, math.factorial(half) ** 2)
     intersection = c * factor
-    return PairingResult(
-        c=c,
-        intersection=intersection,
-        c_rational=c.as_rational(),
-        intersection_rational=intersection.as_rational(),
-    )
+    return PairingResult(c, intersection, c.as_rational(), intersection.as_rational())
 
 
 # ---------------------------------------------------------------------------

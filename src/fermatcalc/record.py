@@ -9,7 +9,7 @@ with equal fields, hash as the tuple of their fields and print as
 `Qualname(field=value!r, ...)`.  These are the methods the standard library's
 frozen data classes generate, here made of closures instead of generated
 source, so that importing the package loads neither that module nor the
-`inspect`, `ast`, `dis` and `tokenize` it pulls in.
+introspection and parsing modules it pulls in.
 
 Each class resolves its field getter and `__post_init__` once, when it is
 created.  Fields are set with `object.__setattr__`, as the generated methods
@@ -44,14 +44,10 @@ class Record:
             values = attrgetter(*fields)
 
         def __init__(self, *args, **kwargs):
-            if kwargs and not args and kwargs.keys() == names:  # every field by keyword
-                for name in fields:
-                    _setattr(self, name, kwargs[name])
-            else:
-                if kwargs or len(args) != len(fields):
-                    args = _bind(cls, fields, defaults, args, kwargs)
-                for name, value in zip(fields, args):
-                    _setattr(self, name, value)
+            if kwargs or len(args) != len(fields):
+                args = _bind(cls, fields, names, defaults, args, kwargs)
+            for name, value in zip(fields, args):
+                _setattr(self, name, value)
             if post_init is not None:
                 post_init(self)
 
@@ -83,20 +79,11 @@ class Record:
         return self.__class__(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
 
-def _bind(cls, fields, defaults, args, kwargs) -> list:
-    """The field values of a call that names fields or leaves defaults out,
-    refused with the TypeError a Python signature would raise."""
-    call = f"{cls.__qualname__}.__init__()"
-    if len(args) > len(fields):
-        raise TypeError(f"{call} takes {len(fields) + 1} positional arguments but {len(args) + 1} were given")
-    values = dict(zip(fields, args))
-    for name, value in kwargs.items():
-        if name not in fields:
-            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-        if name in values:
-            raise TypeError(f"{call} got multiple values for argument {name!r}")
-        values[name] = value
-    missing = [f for f in fields if f not in values and f not in defaults]
-    if missing:
-        raise TypeError(f"{call} missing required arguments: {', '.join(map(repr, missing))}")
-    return [values[f] if f in values else defaults[f] for f in fields]
+def _bind(cls, fields, names, defaults, args, kwargs) -> list:
+    """The field values of a call that names fields or leaves defaults out.
+    A call that gives too many, unknown, repeated or too few is a TypeError."""
+    values = {**defaults, **dict(zip(fields, args)), **kwargs}
+    if len(args) > len(fields) or values.keys() != names or not kwargs.keys().isdisjoint(fields[:len(args)]):
+        raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(fields)}; "
+                        f"got {len(args)} positional and the keywords {', '.join(kwargs) or 'none'}")
+    return [values[f] for f in fields]
