@@ -161,7 +161,7 @@ def _certificate_csv(cert) -> tuple:
         (
             ";".join(f"{p}-{q}" for p, q in r.pairing),
             ";".join(str(a) for a in r.alpha),
-            f"{r.c.m}:" + ";".join(str(c) for c in r.c.coords),
+            f"{r.c.m}:" + ";".join(ioformats.coordinate_strings(r.c)),
             ioformats.frac_str(r.c_rational) or "",
             r.flag,
         )

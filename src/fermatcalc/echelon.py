@@ -12,8 +12,12 @@ operation but never hold a pivot, so a stored row's tag entries record which
 combination of input rows it is (the augmented matrix [A | I]).
 
 The engine only uses `+ - *`, `1 / x` and truthiness of the coefficients, so
-the same code runs over `CyclotomicNumber` and over `Fraction`;
-`reaches_rank_mod_p` runs the same insertion on plain ints modulo a prime.
+the same code runs over `CyclotomicNumber` and over `Fraction`.
+`reaches_rank_mod_p` takes a rank modulo a prime on plain ints instead: each
+row is packed into one int, a field of bits per column, so a row operation is
+one big-int multiply-add.  Fields are reduced modulo p only where a residue
+is read and once per pivot row (delayed modular reduction, as in
+FFLAS-FFPACK).
 Solving x + 3y = 5, 2x + 4y = 6 by reducing the target (5, 6) against the rows
 (1, 2) and (3, 4), each tagged with its own column:
 
@@ -39,11 +43,12 @@ __all__ = ["echelon", "echelon_insert", "reaches_rank_mod_p", "reduce_row"]
 
 def _row_submul(row: dict, factor, pivot_row: dict, skip: int):
     """row -= factor * pivot_row, leaving column `skip` untouched."""
+    neg = -factor
     for c, v in pivot_row.items():
         if c == skip:
             continue
         cur = row.get(c)
-        nv = -(factor * v) if cur is None else cur - factor * v
+        nv = neg * v if cur is None else cur + neg * v
         if nv:
             row[c] = nv
         elif cur is not None:
@@ -94,35 +99,68 @@ def echelon(rows: Iterable[dict]) -> dict[int, dict]:
 def reaches_rank_mod_p(rows: Sequence[dict[int, int]], p: int, target: int) -> bool:
     """Whether `rows`, int entries in [1, p), reach rank `target` over F_p.
 
-    The insertion is `echelon_insert`'s on residues, and it stops once the
-    rank reaches `target` or too few rows are left to reach it.  The rows
-    are reduced in place."""
-
-    def submul(row: dict, factor: int, pivot_row: dict, skip: int):
-        for c, v in pivot_row.items():
-            if c != skip:
-                nv = (row.get(c, 0) - factor * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-
-    pivots: dict[int, dict] = {}
-    for i, row in enumerate(rows):
-        if len(pivots) >= target or len(pivots) + len(rows) - i < target:
-            break
-        for c in [k for k in row if k in pivots]:
-            submul(row, row.pop(c), pivots[c], c)
-        if not row:
+    Each row is packed into one int, `width` bits per column and the least
+    column lowest.  Elimination runs forward column by column: the column's
+    pivot row is reduced into [0, p) field by field and scaled to 1, and
+    every other active row r with residue f != 0 there takes
+    r += (p - f) * pivot, which clears the column mod p.  A row joins the
+    active rows only when none of them has a nonzero residue at the current
+    column, reduced on arrival against the pivots so far, so a tall matrix
+    reads about as many rows as its rank.  It stops once the rank reaches
+    `target` or too few rows or columns are left to reach it.  The rows are
+    not modified."""
+    if len(rows) < target:
+        return False
+    cols = sorted(set().union(*rows))
+    # A pivot holds entries in [0, p) and p - f lies in [1, p), so a field
+    # that took k <= len(rows) updates stays below p + k (p-1)^2 < 2^width:
+    # no field carries into the next.
+    width = 2 * p.bit_length() + len(rows).bit_length() + 1
+    mask = (1 << width) - 1
+    shift = dict(zip(cols, range(0, width * len(cols), width)))
+    active: list[int] = []
+    pivots: list[tuple[int, int]] = []  # (shift of the pivot column, pivot row)
+    arrived = 0
+    for j, s in enumerate(shift.values()):
+        rank = len(pivots)
+        if rank >= target:
+            return True
+        if rank + len(cols) - j < target or rank + len(active) + len(rows) - arrived < target:
+            return False
+        residues = [(r >> s & mask) % p for r in active]
+        pivot = None
+        for i, f in enumerate(residues):
+            if f:
+                pivot = active.pop(i)
+                del residues[i]
+                break
+        while pivot is None and arrived < len(rows):
+            r = 0
+            for c, v in rows[arrived].items():
+                r |= v << shift[c]
+            arrived += 1
+            for ps, pr in pivots:
+                f = (r >> ps & mask) % p
+                if f:
+                    r += (p - f) * pr
+            if (r >> s & mask) % p:
+                pivot = r
+            else:
+                active.append(r)
+                residues.append(0)
+        if pivot is None:
             continue
-        c = min(row)
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            for k in row:
-                row[k] = row[k] * inv % p
-        for existing in pivots.values():
-            f = existing.pop(c, None)
-            if f is not None:
-                submul(existing, f, row, c)
-        pivots[c] = row
+        rest = pivot >> s
+        inv = pow(rest & mask, -1, p)
+        pivot, at = 0, s
+        while rest:
+            v = rest & mask
+            if v:
+                pivot |= v * inv % p << at
+            rest >>= width
+            at += width
+        for i, f in enumerate(residues):
+            if f:
+                active[i] += (p - f) * pivot
+        pivots.append((s, pivot))
     return len(pivots) >= target

@@ -183,6 +183,21 @@ def _power_sum(m: int, terms, den: int) -> "CyclotomicNumber":
     return CyclotomicNumber(m, _reduce(fld, vec), den)
 
 
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, positive denominator) of one coordinate, not necessarily
+    in lowest terms.  A plain ASCII string [-]digits[/digits] with a nonzero
+    denominator is read by `int`; everything else goes through `Fraction`,
+    whose grammar and errors it keeps."""
+    if type(c) is str and c.isascii():
+        num, slash, den = c.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            d = int(den) if slash else 1
+            if d:
+                return int(num), d
+    q = Fraction(c)
+    return q.numerator, q.denominator
+
+
 class CyclotomicNumber:
     """An element of Q(zeta_m) in canonical power-basis form.
 
@@ -243,13 +258,13 @@ class CyclotomicNumber:
     def from_coords(cls, m: int, coords) -> "CyclotomicNumber":
         """Build from a full phi(m)-vector of rationals (or strings)."""
         check_conductor(m)
-        fracs = [Fraction(c) for c in coords]
-        if len(fracs) != euler_phi(m):  # counted before `_field(m)` builds Phi_m
+        pairs = [_ratio(c) for c in coords]
+        if len(pairs) != euler_phi(m):  # counted before `_field(m)` builds Phi_m
             raise ValueError(
-                f"expected {euler_phi(m)} coordinates for conductor {m}, got {len(fracs)}"
+                f"expected {euler_phi(m)} coordinates for conductor {m}, got {len(pairs)}"
             )
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        return cls(m, [f.numerator * (den // f.denominator) for f in fracs], den)
+        den = math.lcm(*(d for _, d in pairs))
+        return cls(m, [n * (den // d) for n, d in pairs], den)
 
     def __reduce__(self):
         return (CyclotomicNumber, (self.m, self.nums, self.den))

@@ -55,10 +55,13 @@ columns proves full rank exactly, and the reduced echelon form of the
 capped block is then the identity.  Other degrees are eliminated exactly.
 
 All exact linear algebra is elimination over Q(zeta_m) by the engine in
-`fermatcalc.echelon`; the mod-p pass runs the same insertion on ints
-(`reaches_rank_mod_p`).  Columns follow the active monomial order, so every
-echelon basis returned here is the unique reduced echelon form of its
-subspace: slices computed along different routes can be compared verbatim.
+`fermatcalc.echelon`.  The mod-p pass (`reaches_rank_mod_p`) packs each row
+of residues into one int, a field of bits per column, and eliminates column
+by column with one big-int multiply-add per row operation, reading a further
+row only when no row read so far has a pivot at the current column.
+Columns follow the active monomial order, so every echelon basis returned
+here is the unique reduced echelon form of its subspace: slices computed
+along different routes can be compared verbatim.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from fermatcalc.multipoly import Polynomial, lex_order
 
 __all__ = [
     "frac_str",
+    "coordinate_strings",
     "cyclotomic_to_json",
     "cyclotomic_from_json",
     "polynomial_to_json",
@@ -44,8 +45,19 @@ def frac_str(q: Fraction | None) -> str | None:
     return str(Fraction(q))
 
 
+def coordinate_strings(z: CyclotomicNumber) -> list[str]:
+    """z's coordinates as exact strings, each str(Fraction(v, den)) built
+    from one gcd: v//g, or v//g/den//g when g = gcd(v, den) < den."""
+    den = z.den
+    out = []
+    for v in z.nums:
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
+
+
 def cyclotomic_to_json(z: CyclotomicNumber) -> dict:
-    return {"m": z.m, "coords": [str(c) for c in z.coords]}
+    return {"m": z.m, "coords": coordinate_strings(z)}
 
 
 def cyclotomic_from_json(obj: dict) -> CyclotomicNumber:
@@ -59,7 +71,7 @@ def polynomial_to_json(p: Polynomial) -> dict:
     terms = []
     for exps, coeff in p.sorted_terms(lex_order(p.nvars)):
         coeff = coeff.promote(conductor)
-        terms.append({"exp": list(exps), "coeff": [str(c) for c in coeff.coords]})
+        terms.append({"exp": list(exps), "coeff": coordinate_strings(coeff)})
     return {"vars": p.nvars, "m": conductor, "terms": terms}
 
 

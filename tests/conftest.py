@@ -253,6 +253,49 @@ def tuple_multiplication_rows(ci: ColonIdeal, index, kept, exact: bool) -> list[
 
 
 # ---------------------------------------------------------------------------
+# Ranks modulo a prime on dict rows: the reference the packed
+# `reaches_rank_mod_p` is checked against.
+# ---------------------------------------------------------------------------
+
+
+def rank_mod_p_by_dicts(rows: Sequence[dict[int, int]], p: int, target: int) -> bool:
+    """Whether `rows`, int entries in [1, p), reach rank `target` over F_p, by
+    `echelon_insert`'s insertion on dict rows of residues: each row is reduced
+    against the pivots so far, its least column becomes a pivot, and the
+    insertion stops once the rank reaches `target` or too few rows are left.
+    The rows are reduced in place."""
+
+    def submul(row: dict, factor: int, pivot_row: dict, skip: int):
+        for c, v in pivot_row.items():
+            if c != skip:
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+
+    pivots: dict[int, dict] = {}
+    for i, row in enumerate(rows):
+        if len(pivots) >= target or len(pivots) + len(rows) - i < target:
+            break
+        for c in [k for k in row if k in pivots]:
+            submul(row, row.pop(c), pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            for k in row:
+                row[k] = row[k] * inv % p
+        for existing in pivots.values():
+            f = existing.pop(c, None)
+            if f is not None:
+                submul(existing, f, row, c)
+        pivots[c] = row
+    return len(pivots) >= target
+
+
+# ---------------------------------------------------------------------------
 # Generated ideals by elimination: degreewise spans of the shifted generators,
 # the reference `ColonIdeal.slice`, `lt_generators`, the Groebner leading terms
 # of `bounds.classify_lt_shape_of_ideal` and the degree product of

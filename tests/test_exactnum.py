@@ -259,6 +259,31 @@ def test_wrong_coordinate_count_rejected(monkeypatch):
         CyclotomicNumber.from_coords(1000003, ["1"])
 
 
+BIG = 10**999 + 7  # 1000 digits
+
+
+@pytest.mark.parametrize("text", [
+    # plain [-]digits[/digits] strings, read by int
+    "0", "-0", "007", "3/4", "-12/8", "00/07", str(BIG), f"-{BIG}/{3 * BIG}", f"1/{BIG}",
+    # everything else, read by Fraction
+    " 3", "3 /4", "+3", "3_0", "1.5", "1e3", "\u0663", "0/0", "1/0", "-", "", "--1", "1/-2",
+])
+def test_from_coords_reads_a_string_as_fraction_does(text):
+    def outcome(read):
+        try:
+            return read(text)
+        except Exception as exc:  # the type and message must agree too
+            return type(exc), str(exc)
+
+    assert outcome(lambda c: CyclotomicNumber.from_coords(1, [c]).as_rational()) == outcome(Fraction)
+
+
+def test_from_coords_brings_coordinates_to_one_denominator():
+    assert CyclotomicNumber.from_coords(4, ["2/4", "-2/3"]) == CyclotomicNumber(4, [3, -4], 6)
+    assert CyclotomicNumber.from_coords(4, ["6/3", Fraction(1, 3)]).nums == (6, 1)
+    assert CyclotomicNumber.from_coords(6, [0, "-10/5"]) == -2 * zeta(6)
+
+
 def test_field_tables_refuse_exactly_above_their_limit(monkeypatch):
     from fermatcalc import exactnum
 

@@ -10,6 +10,7 @@ from fermatcalc.idealcalc import (
     ColonIdeal,
     FermatContext,
     HilbertProfile,
+    _Reduction,
     buchberger,
     reduce_mod_jacobian,
     s_polynomial,
@@ -421,6 +422,108 @@ def test_rank_mod_p_matches_sympy_over_the_prime_field(matrix, target):
     rank = DomainMatrix([[field(v) for v in row] for row in matrix],
                         (len(matrix), len(matrix[0])), field).rank()
     assert reaches_rank_mod_p([sparse(row) for row in matrix], 7, target) == (rank >= target)
+
+
+# Primes of the rank pass: the least p > 2^31, p = 1 (mod L), at conductors L
+# of the colon workloads.
+RANK_PRIMES = tuple(sorted({_Reduction.avoiding([zeta(m)]).p for m in (1, 8, 10, 14, 18)}))
+
+
+def residue_rows(rng, p, nrows, ncols, rank, sparse):
+    """nrows dict rows of residues mod p, random combinations of `rank`
+    random rows, on a random set of ncols column indices out of 2 ncols + 1;
+    a zero residue leaves no entry.  With `sparse`, half the entries and
+    coefficients are 0 and the rows come by descending least column, so rows
+    often miss the column being eliminated and wait among the active rows;
+    else no entry or coefficient is 0 and the rank is `rank`."""
+    def entry():
+        v = rng.choice((0, 0, 0, 1, p - 1, None) if sparse else (1, p - 1, None))
+        return rng.randrange(1, p) if v is None else v
+
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    cols = sorted(rng.sample(range(2 * ncols + 1), ncols))
+    rows = []
+    for _ in range(nrows):
+        coefs = [entry() for _ in basis]
+        row = [sum(a * b[j] for a, b in zip(coefs, basis)) % p for j in range(ncols)]
+        rows.append({c: v for c, v in zip(cols, row) if v})
+    if sparse:
+        rows.sort(key=lambda row: min(row, default=0), reverse=True)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANK_PRIMES), st.integers(0, 10), st.integers(1, 10), st.data())
+def test_rank_mod_p_matches_the_dict_reference(p, nrows, ncols, data):
+    from conftest import rank_mod_p_by_dicts
+
+    rank = data.draw(st.integers(0, min(nrows, ncols)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = residue_rows(rng, p, nrows, ncols, rank, data.draw(st.booleans()))
+    for target in range(ncols + 3):
+        assert reaches_rank_mod_p(rows, p, target) == \
+            rank_mod_p_by_dicts([dict(row) for row in rows], p, target), target
+
+
+@pytest.mark.parametrize("shape,nrows,ncols,rank", [
+    ("square", 12, 12, 12), ("tall", 40, 8, 8), ("wide", 6, 30, 6),
+    ("deficient", 14, 14, 9), ("tall deficient", 40, 10, 7), ("no rows", 0, 5, 0),
+])
+def test_rank_mod_p_on_every_shape_and_target(shape, nrows, ncols, rank):
+    from conftest import rank_mod_p_by_dicts
+
+    rng = random.Random(shape)
+    for p in RANK_PRIMES:
+        for sparse in (False, True):
+            rows = residue_rows(rng, p, nrows, ncols, rank, sparse)
+            # target 0 always holds, and a target above the column count never does
+            got = [reaches_rank_mod_p(rows, p, t) for t in range(ncols + 3)]
+            assert got == [rank_mod_p_by_dicts([dict(row) for row in rows], p, t)
+                           for t in range(ncols + 3)], (shape, sparse)
+            if not sparse:
+                assert got == [t <= rank for t in range(ncols + 3)], shape
+    assert reaches_rank_mod_p([], RANK_PRIMES[0], 0) and not reaches_rank_mod_p([], RANK_PRIMES[0], 1)
+
+
+def test_rank_mod_p_dense_rows_reach_the_field_bound():
+    # A = L U over the largest prime below 2^32: U is 1 on the diagonal and
+    # p - 1 above it (n - 1 rows), row i < n - 1 of L is i + 1 ones and the
+    # last row of L alternates 1, 2, so the rank is n - 1.  Rows arrive one
+    # by one and row i takes i updates r += (p - f) * pivot, f in {1, 2}, with
+    # pivot entries p - 1: the last row's fields reach about (n - 1) p^2, just
+    # below 2^(W - 1).  Two bits fewer per field carry, and the last row then
+    # leaves a residue at the free last column.
+    p, n = 4294967291, 63
+    upper = [[1 if j == i else p - 1 if j > i else 0 for j in range(n)] for i in range(n - 1)]
+    lower = [[1] * (i + 1) for i in range(n - 1)] + [[1 + j % 2 for j in range(n - 1)]]
+    rows = [{c: v for c in range(n) if (v := sum(a * u[c] for a, u in zip(ls, upper)) % p)}
+            for ls in lower]
+    assert reaches_rank_mod_p(rows, p, n - 1)
+    assert not reaches_rank_mod_p(rows, p, n)
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (2, 7)])
+def test_rank_mod_p_matches_the_dict_reference_on_colon_rows(monkeypatch, n, d):
+    from fermatcalc import idealcalc
+    from fermatcalc.bounds import tangent_codim
+
+    from conftest import rank_mod_p_by_dicts
+
+    calls = []
+
+    def recording(rows, p, target):
+        calls.append((rows, p, target, reaches_rank_mod_p(rows, p, target)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(idealcalc, "reaches_rank_mod_p", recording)
+    ctx = FermatContext(n, d)
+    for seed, terms in ((0, 40), (1, 40), (2, 10), (3, 4)):
+        p = random_reduced_class(ctx, random.Random(seed), terms=terms)
+        ColonIdeal(p, ctx).hilbert_profile()
+        tangent_codim(p, ctx)
+    assert {got for *_, got in calls} == {False, True}
+    for rows, p, target, got in calls:
+        assert rank_mod_p_by_dicts(rows, p, target) == got
 
 
 FIELDS = {

@@ -5,6 +5,7 @@ import pytest
 
 from fermatcalc.exactnum import CyclotomicNumber, root_of_unity, zeta
 from fermatcalc.ioformats import (
+    coordinate_strings,
     cyclotomic_from_json,
     cyclotomic_to_json,
     frac_str,
@@ -19,6 +20,15 @@ def test_rational_strings():
     assert frac_str(Fraction(22, 7)) == "22/7"
     assert frac_str(Fraction(-1)) == "-1"
     assert frac_str(None) is None
+
+
+def test_coordinate_strings_are_fraction_strings():
+    big = 10**999 + 7  # 1000 digits
+    for nums, den in [((0, 0), 1), ((0, -3), 6), ((-4, 6), 1), ((6, -9), 12), ((big, -2 * big), 3),
+                      ((1, -big), 2 * big), ((-big, 0), big + 2)]:
+        z = CyclotomicNumber(4, nums, den)
+        assert coordinate_strings(z) == [str(Fraction(v, z.den)) for v in z.nums]
+    assert coordinate_strings(CyclotomicNumber(4, (6, -9), 12)) == ["1/2", "-3/4"]
 
 
 def test_cyclotomic_json_round_trip():
