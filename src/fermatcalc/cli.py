@@ -49,12 +49,12 @@ def _parse_coeffs(text: str, conductor: int) -> tuple[CyclotomicNumber, ...]:
     )
 
 
-def _check_socle_fields(ctx: FermatContext, pairs: int, conductors) -> None:
-    """Count `pairs` products over each field the coefficients are about to be
-    parsed over, before parsing builds it; their common field contains each."""
-    for m in sorted(conductors):
-        check_conductor(m)
-        fermat_hodge.check_socle_size(ctx, pairs, m)
+def _check_literal_socle(ctx: FermatContext, pairs: int, text: str) -> None:
+    """Count `pairs` products over the field of the `--a` literal before it is
+    evaluated: a power such as (1+z)^4000 over Q(zeta_3000) takes seconds."""
+    m = ioformats.literal_conductor(text, ctx.m)
+    check_conductor(m)
+    fermat_hodge.check_socle_size(ctx, pairs, m)
 
 
 def _parse_order(text: str | None, nvars: int) -> MonomialOrder | None:
@@ -238,7 +238,7 @@ def _run_recover(args, ctx):
 
 def _run_prop11(args, ctx):
     conductor = 2 * args.d
-    if args.d >= 3:  # the scan refuses d < 3 first; else count before parsing builds the field
+    if args.d >= 3:  # the scan refuses d < 3 first; else count before evaluating the literal
         fermat_hodge.check_prop11_size(args.d, conductor)
     a = ioformats.parse_cyclotomic_expr(args.a, conductor)
     report = fermat_hodge.rationality_scan(a, args.d)
@@ -263,16 +263,11 @@ def _run_prop11(args, ctx):
 
 
 def _run_plane(args, ctx):
-    # the count of binomial forms at phi = 1 before a file is read, then over the
-    # fields the coefficients name, before parsing builds them
-    pairs = fermat_hodge.plane_term_pairs(ctx)
-    fermat_hodge.check_socle_size(ctx, pairs)
+    # plane_in_fermat counts the forms' products once they are parsed
     if args.forms:
-        obj = _read_json(args.forms)
-        _check_socle_fields(ctx, pairs, {m for m, k in ioformats.declared_fields(obj) if k})
-        forms = ioformats.polynomials_from_json(obj)
+        forms = ioformats.polynomials_from_json(_read_json(args.forms))
     elif args.a:
-        _check_socle_fields(ctx, pairs, {ioformats.literal_conductor(args.a, ctx.m)})
+        _check_literal_socle(ctx, fermat_hodge.plane_term_pairs(ctx), args.a)
         forms = _binomial_forms(ctx, enumerate(_parse_coeffs(args.a, ctx.m)))
     else:
         raise ValueError("specify the plane via --a or --forms FILE")
@@ -290,20 +285,12 @@ def _run_plane(args, ctx):
 
 
 def _run_dan_ci(args, ctx):
-    # a binomial f_i times its d-term g_i at phi = 1 before a file is read, then the
-    # products over the fields the coefficients name, before parsing builds them
-    pairs = (ctx.n // 2 + 1) * 2 * ctx.d
-    fermat_hodge.check_socle_size(ctx, pairs)
+    # complete_intersection_ideal counts a file's products once it is parsed
     if args.decomp:
-        obj = _read_json(args.decomp)
-        f, g = (ioformats.declared_fields(obj.get(key) if isinstance(obj, dict) else None)
-                for key in ("f", "g"))
-        _check_socle_fields(ctx, sum(kf * kg for (_, kf), (_, kg) in zip(f, g)),
-                            {m for m, k in f + g if k})
-        f, g = ioformats.decomposition_from_json(obj)
+        f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
     else:
-        if args.a:
-            _check_socle_fields(ctx, pairs, {ioformats.literal_conductor(args.a, ctx.m)})
+        if args.a:  # a binomial f_i times its d-term g_i
+            _check_literal_socle(ctx, (ctx.n // 2 + 1) * 2 * ctx.d, args.a)
         f, g = _standard_decomposition(args, ctx)
     report = fermat_hodge.complete_intersection_ideal(f, g, ctx)
     payload = {

@@ -385,18 +385,14 @@ def rationality_scan(a, d: int) -> RationalityScanReport:
 SOCLE_MAX_WORK = 1_000_000_000
 
 
-def check_socle_size(ctx: FermatContext, pairs: int, L: int | None = None) -> None:
+def check_socle_size(ctx: FermatContext, pairs: int, L: int) -> None:
     """Refuse a plane or decomposition of F whose `pairs` coefficient products
-    over Q(zeta_L) take more than SOCLE_MAX_WORK steps.  Without L the count
-    takes phi(L) = 1, its least value, so that the command line can refuse
-    before it parses a coefficient (which builds the field)."""
-    phi = 1 if L is None else euler_phi(L)
-    work = pairs * (phi + 128) ** 2
+    over Q(zeta_L) take more than SOCLE_MAX_WORK steps."""
+    work = pairs * (euler_phi(L) + 128) ** 2
     if work > SOCLE_MAX_WORK:
-        field, bound = ("", "at least ") if L is None else (f" over Q(zeta_{L})", "")
         raise ValueError(
-            f"(n, d) = ({ctx.n}, {ctx.d}){field} needs {bound}{pairs} term pairs (phi+128)^2 = "
-            f"{work} steps, above the socle-check limit of {SOCLE_MAX_WORK}"
+            f"(n, d) = ({ctx.n}, {ctx.d}) over Q(zeta_{L}) needs {pairs} term pairs "
+            f"(phi+128)^2 = {work} steps, above the socle-check limit of {SOCLE_MAX_WORK}"
         )
 
 

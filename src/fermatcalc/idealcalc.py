@@ -414,7 +414,9 @@ class ColonIdeal:
     Any other class is eliminated on the capped catalecticant by
     `_kernel_data`: the identity when its rank mod p reaches the number of
     capped columns, else exact elimination, the prime sought at the first
-    rank mod p.  `rank` reads a degree above sigma/2 at sigma-k.
+    rank mod p.  With fewer capped targets than columns no rank reaches
+    that number, and no prime is sought.  `rank` reads a degree above
+    sigma/2 at sigma-k.
 
     Full rank at degree k, (J : P)_k = J_k, gives full rank at every j < k,
     so `hilbert_profile` ranks sigma/2 first and stops eliminating at the
@@ -537,13 +539,14 @@ class ColonIdeal:
                     rows[b + g][col] = v
         return [rows[tau] for tau in sorted(rows, reverse=True) if kept is None or tau in kept]
 
-    def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
+    def _pivots(self, index: dict[Monomial, int], kept, targets: int) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns
-        `index` and the targets `kept` (`_multiplication_rows`): the identity
-        when the rows reach rank len(index) mod p (a nonzero minor mod p
-        lifts), else exact elimination."""
-        rows = self._multiplication_rows(index, kept, exact=False)
-        if reaches_rank_mod_p(rows, self._residues[0], len(index)):
+        `index` and the targets `kept` (`_multiplication_rows`), of which
+        there are at most `targets`: the identity when the rows reach rank
+        len(index) mod p (a nonzero minor mod p lifts), else exact
+        elimination, at once when fewer targets than columns rule that out."""
+        if targets >= len(index) and reaches_rank_mod_p(
+                self._multiplication_rows(index, kept, exact=False), self._residues[0], len(index)):
             one = CyclotomicNumber.one()
             return {col: {col: one} for col in index.values()}
         return echelon(self._multiplication_rows(index, kept, exact=True))
@@ -557,7 +560,8 @@ class ColonIdeal:
         cap = self.ctx.d - 2
         source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source) if max(m) <= cap}
-        pivots = self._pivots(index, None)
+        targets = count_capped_monomials(self.ctx.nvars, self.ctx.sigma + k, cap)
+        pivots = self._pivots(index, None, targets)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, sorted(pivots), free_cols)
         self._cache[k] = data
@@ -626,7 +630,7 @@ class ColonIdeal:
         targets = {_pack(monomial_div(socle, u), width) for u in self.quotient_monomials(i)}
         right = self.quotient_monomials(self.ctx.sigma - i)
         index = {v: jdx for jdx, v in enumerate(right)}
-        return len(self._pivots(index, targets))
+        return len(self._pivots(index, targets, len(targets)))
 
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by

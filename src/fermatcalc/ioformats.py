@@ -30,7 +30,6 @@ __all__ = [
     "polynomial_to_json",
     "polynomial_from_json",
     "polynomials_from_json",
-    "declared_fields",
     "decomposition_from_json",
     "slice_to_json",
     "profile_to_json",
@@ -90,16 +89,6 @@ def polynomial_from_json(obj) -> Polynomial:
             raise ValueError(f"malformed polynomial term {t!r}")
         terms.append((tuple(t["exp"]), CyclotomicNumber.from_coords(obj["m"], t["coeff"])))
     return Polynomial(obj["vars"], terms)
-
-
-def declared_fields(polys) -> list[tuple[int, int]]:
-    """(m, number of terms) of each entry of a JSON polynomial list that has the
-    shape `polynomial_from_json` reads; it parses the terms over Q(zeta_m)."""
-    if not isinstance(polys, list):
-        return []
-    return [(p["m"], len(p["terms"])) for p in polys
-            if isinstance(p, dict) and type(p.get("m")) is int and p["m"] > 0
-            and isinstance(p.get("terms"), list)]
 
 
 def polynomials_from_json(obj) -> list[Polynomial]:

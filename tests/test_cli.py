@@ -430,7 +430,11 @@ def test_product_colon_verbs_build_no_rows(capsys, monkeypatch, tmp_path):
     path = tmp_path / "dense.json"
     path.write_text(json.dumps(polynomial_to_json(dense)), encoding="utf-8")
     assert run(capsys, "hilbert", "--n", "4", "--d", "4", "--poly", str(path), "--degree", "4")[0] == 0
-    assert ran == {"echelon", "reaches_rank_mod_p", "rows", "avoiding"}
+    # 21 capped targets of degree sigma + 4 for 90 columns: no mod-p pass can reach full rank
+    assert ran == {"echelon", "rows"}
+    ran.clear()
+    assert run(capsys, "hilbert", "--n", "4", "--d", "4", "--poly", str(path))[0] == 0
+    assert ran == {"reaches_rank_mod_p", "rows", "avoiding"}  # full rank mod p at sigma/2
 
 
 def test_prop11_verb(capsys):
@@ -695,7 +699,7 @@ def test_slice_degree_sigma_is_the_top_slice(capsys):
     (["prop11", "--d", "600", "--a", "z"],
      "d = 600 over Q(zeta_1200) needs d^2 phi^3 = 11796480000000 steps, "
      "above the prop11 limit of 20000000"),
-    # refused at conductor 2d, before parsing --a builds Q(zeta_6000)
+    # refused at conductor 2d, before --a is evaluated over Q(zeta_6000)
     (["prop11", "--d", "3000", "--a", "z"],
      "d = 3000 over Q(zeta_6000) needs d^2 phi^3 = 36864000000000000 steps, "
      "above the prop11 limit of 20000000"),
@@ -703,6 +707,17 @@ def test_slice_degree_sigma_is_the_top_slice(capsys):
     (["scan-bounds", "--n", "200", "--d", "4"],
      "(n, d) = (200, 4) needs C(n+d, n+2) (n+2)^2 = 844887624 steps, "
      "above the scan limit of 300000000"),
+    # evaluating (1+z)^4000 over Q(zeta_3000) alone takes seconds, so each verb
+    # counts its work over the literal's field first
+    (["prop11", "--d", "1500", "--a", "(1+z)^4000"],
+     "d = 1500 over Q(zeta_3000) needs d^2 phi^3 = 1152000000000000 steps, "
+     "above the prop11 limit of 20000000"),
+    (["plane", "--n", "2", "--d", "1500", "--a", "(1+z)^4000,z"],
+     "(n, d) = (2, 1500) over Q(zeta_3000) needs 12000 term pairs (phi+128)^2 = "
+     "10334208000 steps, above the socle-check limit of 1000000000"),
+    (["dan-ci", "--n", "2", "--d", "1500", "--type", "1,1", "--a", "(1+z)^4000,z"],
+     "(n, d) = (2, 1500) over Q(zeta_3000) needs 6000 term pairs (phi+128)^2 = "
+     "5167104000 steps, above the socle-check limit of 1000000000"),
 ])
 def test_runaway_scans_are_refused_at_once(argv, err, capsys, monkeypatch):
     from fermatcalc import ioformats
@@ -747,17 +762,17 @@ def test_prop11_still_counts_the_conductor_of_its_literal(capsys):
     (["dan-ci", "--n", "2", "--d", "3000", "--type", "1,2", "--a", "z,z,z"], "_socle_check",
      "(n, d) = (2, 3000) over Q(zeta_6000) needs 12000 term pairs (phi+128)^2 = "
      "35831808000 steps, above the socle-check limit of 1000000000"),
-    # and over the conductor a --forms file declares, before its coefficients are parsed
+    # and over the conductor of a parsed --forms file, before the echelon
     (["plane", "--n", "2", "--d", "3000", "--forms", "forms6000.json"], "_socle_check",
      "(n, d) = (2, 3000) over Q(zeta_6000) needs 24000 term pairs (phi+128)^2 = "
      "71663616000 steps, above the socle-check limit of 1000000000"),
-    # a --decomp file's term counts: (2 x 85) + (2 x 85) products
+    # a parsed --decomp file's term counts: (2 x 85) + (2 x 85) products
     (["dan-ci", "--n", "2", "--d", "3000", "--decomp", "decomp6000.json"], "_socle_check",
      "(n, d) = (2, 3000) over Q(zeta_6000) needs 340 term pairs (phi+128)^2 = "
      "1015234560 steps, above the socle-check limit of 1000000000"),
-    # at phi = 1, before reading a --forms file, which here does not exist
-    (["plane", "--n", "2", "--d", "20000", "--forms", "unread.json"], "_socle_check",
-     "(n, d) = (2, 20000) needs at least 160000 term pairs (phi+128)^2 = "
+    # rational binomial forms, which no field of a literal bounds
+    (["plane", "--n", "2", "--d", "20000", "--forms", "rational.json"], "_socle_check",
+     "(n, d) = (2, 20000) over Q(zeta_1) needs 160000 term pairs (phi+128)^2 = "
      "2662560000 steps, above the socle-check limit of 1000000000"),
 ])
 def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err, capsys,
@@ -775,14 +790,17 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
         return build(m)
 
     monkeypatch.setattr(fermat_hodge, work, refuse)
-    monkeypatch.setattr(exactnum, "_Field", refuse_field)
+    if not any(arg.endswith(".json") for arg in argv):
+        # a literal is counted before it is evaluated over its field; a file is
+        # parsed first, which builds Q(zeta_6000) in about 1 ms
+        monkeypatch.setattr(exactnum, "_Field", refuse_field)
     monkeypatch.chdir(tmp_path)
     one, minus_zeta = [1] + [0] * 1599, [0, -1] + [0] * 1598  # in Q(zeta_6000)
 
-    def binomial(j):
+    def binomial(j, m=6000, a=one, b=minus_zeta):
         exps = [[int(v == 2 * j) for v in range(4)], [int(v == 2 * j + 1) for v in range(4)]]
-        return {"vars": 4, "m": 6000,
-                "terms": [{"exp": exps[0], "coeff": one}, {"exp": exps[1], "coeff": minus_zeta}]}
+        return {"vars": 4, "m": m,
+                "terms": [{"exp": exps[0], "coeff": a}, {"exp": exps[1], "coeff": b}]}
 
     cofactor = {"vars": 4, "m": 6000,
                 "terms": [{"exp": [2999 - k, k, 0, 0], "coeff": one} for k in range(85)]}
@@ -790,6 +808,8 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
     Path("forms6000.json").write_text(json.dumps(forms), encoding="utf-8")
     decomp = {"f": forms, "g": [cofactor, cofactor]}
     Path("decomp6000.json").write_text(json.dumps(decomp), encoding="utf-8")
+    rational = [binomial(j, 1, ["1"], ["-1"]) for j in (0, 1)]
+    Path("rational.json").write_text(json.dumps(rational), encoding="utf-8")
     t0 = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - t0 < 1.0

@@ -293,6 +293,49 @@ def test_certificate_rows_match_the_full_product(n, d):
         assert (fast[0][2] == "zero") == (p is cancelling)
 
 
+def permutation_sign(perm) -> int:
+    """The sign of the permutation i -> perm[i] of range(len(perm))."""
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = perm[j], length + 1
+        sign *= (-1) ** max(length - 1, 0)
+    return sign
+
+
+@pytest.mark.parametrize("n,d,a,all_coordinate_pairings", [
+    (2, 5, (1, 3), True), (4, 4, (1, 3, 5), True), (2, 7, (1, 5), True),
+    (4, 5, (1, 1, 3), True), (6, 4, (1, 3, 5, 7), False),  # all 105 pairings are refused
+])
+def test_linear_cycle_rows_follow_the_intersection_closed_form(n, d, a, all_coordinate_pairings):
+    # the row of delta_b over pi' against delta_a over the default pairing is
+    # c_self * eps * (1-d)^(k-h): k the affine dimension of P_a meet P_b, eps
+    # the sign taking the flattened default pairing to pi', h = n/2+1
+    # (Movasati and Villaflor Loyola, arXiv:1705.00084)
+    ctx = FermatContext(n, d)
+    h = n // 2 + 1
+
+    def forms(pairing, alpha):
+        x = variables(ctx.nvars)
+        return [x[p] - x[q].scale(root_of_unity(ctx.m, b)) for (p, q), b in zip(pairing, alpha)]
+
+    base = default_pairing(n)
+    flat_base = [v for pair in base for v in pair]
+    own = forms(base, a)
+    cert = rationality_certificate(linear_cycle_poly(a, ctx), ctx, all_coordinate_pairings)
+    c_self = next(r.c for r in cert.rows if (r.pairing, r.alpha) == (base, a))
+    assert not c_self.is_zero()
+    for r in cert.rows:
+        flat = [v for pair in r.pairing for v in pair]
+        eps = permutation_sign([flat.index(v) for v in flat_base])
+        k = ctx.nvars - len(solve_linear_forms(own + forms(r.pairing, r.alpha), ctx.nvars))
+        want = c_self * (eps * Fraction(1 - d) ** (k - h))
+        assert r.flag == "rational"
+        assert (r.c.m, r.c.nums, r.c.den) == (want.m, want.nums, want.den), (r.pairing, r.alpha)
+
+
 def test_certificates_refuse_exactly_above_their_budget(quintic_surface, monkeypatch):
     from fermatcalc import fermat_hodge
 
@@ -857,12 +900,13 @@ def test_socle_checks_refuse_exactly_above_their_budget(quintic_surface, monkeyp
     with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_10\) needs 40 term pairs "
                                          r"\(phi\+128\)\^2 = 696960 steps"):
         plane_in_fermat(forms, ctx)
-    # the bound at phi = 1, 40 * 129^2, which the command line checks before parsing
-    fermat_hodge.check_socle_size(ctx, 40)
+    # the same boundary over Q, 40 * 129^2
+    monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 40 * 129 ** 2)
+    fermat_hodge.check_socle_size(ctx, 40, 1)
     monkeypatch.setattr(fermat_hodge, "SOCLE_MAX_WORK", 40 * 129 ** 2 - 1)
-    with pytest.raises(ValueError, match=r"\(2, 5\) needs at least 40 term pairs "
+    with pytest.raises(ValueError, match=r"\(2, 5\) over Q\(zeta_1\) needs 40 term pairs "
                                          r"\(phi\+128\)\^2 = 665640 steps"):
-        fermat_hodge.check_socle_size(ctx, 40)
+        fermat_hodge.check_socle_size(ctx, 40, 1)
 
 
 def test_plane_counts_its_echelon_rows_before_restricting(quintic_surface, monkeypatch):

@@ -526,6 +526,33 @@ def test_rank_mod_p_matches_the_dict_reference_on_colon_rows(monkeypatch, n, d):
         assert rank_mod_p_by_dicts(rows, p, target) == got
 
 
+def test_a_slice_with_fewer_targets_than_columns_skips_the_mod_p_pass(monkeypatch):
+    from fermatcalc import idealcalc
+
+    # (2,7) at degree 8: 10 capped targets of degree sigma + 8 for 125 columns
+    ctx = FermatContext(2, 7)
+    assert count_capped_monomials(4, ctx.sigma + 8, ctx.d - 2) == 10
+    assert count_capped_monomials(4, 8, ctx.d - 2) == 125
+    p = random_reduced_class(ctx, random.Random(0), terms=40)
+
+    def refuse(*args):
+        raise AssertionError("a mod-p pass ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(idealcalc._Reduction, "avoiding", refuse)
+        mp.setattr(idealcalc, "reaches_rank_mod_p", refuse)
+        got = ColonIdeal(p, ctx).slice(8)
+    # every basis vector multiplies P into J, J's degree-8 part lies in the
+    # span, and the span is its own reduced echelon basis
+    ci = ColonIdeal(p, ctx)
+    for b in got.basis:
+        assert all(max(e) >= ctx.d - 1 for e in (b * p).terms)
+    jacobian = [Polynomial.monomial(4, tuple(g + (ctx.d - 1) * (v == i) for v, g in enumerate(gamma)))
+                for i in range(4) for gamma in monomials_of_degree(4, 8 - (ctx.d - 1))]
+    assert ideal_slice([*got.basis, *jacobian], 8, ci.order) == got
+    assert got.dim == count_monomials(4, 8) - ci.hilbert_profile().dims[8]
+
+
 FIELDS = {
     "rational": (st.integers(-3, 3).map(Fraction), Fraction(1)),
     "zeta10": (
