@@ -287,6 +287,9 @@ def _run_plane(args, ctx):
 def _run_dan_ci(args, ctx):
     # complete_intersection_ideal counts a file's products once it is parsed
     if args.decomp:
+        # that count does not grow with d, but the socle check's passes over the
+        # sigma + 2 degrees do: h binomials times d-term cofactors over Q bound them
+        fermat_hodge.check_socle_size(ctx, (ctx.n // 2 + 1) * 2 * ctx.d, 1)
         f, g = ioformats.decomposition_from_json(_read_json(args.decomp))
     else:
         if args.a:  # a binomial f_i times its d-term g_i

@@ -539,14 +539,13 @@ class ColonIdeal:
                     rows[b + g][col] = v
         return [rows[tau] for tau in sorted(rows, reverse=True) if kept is None or tau in kept]
 
-    def _pivots(self, index: dict[Monomial, int], kept, targets: int) -> dict[int, dict]:
+    def _pivots(self, index: dict[Monomial, int], kept) -> dict[int, dict]:
         """Reduced echelon pivots of the multiplication rows on the columns
-        `index` and the targets `kept` (`_multiplication_rows`), of which
-        there are at most `targets`: the identity when the rows reach rank
-        len(index) mod p (a nonzero minor mod p lifts), else exact
-        elimination, at once when fewer targets than columns rule that out."""
-        if targets >= len(index) and reaches_rank_mod_p(
-                self._multiplication_rows(index, kept, exact=False), self._residues[0], len(index)):
+        `index` and the targets `kept` (`_multiplication_rows`): the identity
+        when the rows reach rank len(index) mod p (a nonzero minor mod p
+        lifts), else exact elimination."""
+        rows = self._multiplication_rows(index, kept, exact=False)
+        if reaches_rank_mod_p(rows, self._residues[0], len(index)):
             one = CyclotomicNumber.one()
             return {col: {col: one} for col in index.values()}
         return echelon(self._multiplication_rows(index, kept, exact=True))
@@ -560,8 +559,11 @@ class ColonIdeal:
         cap = self.ctx.d - 2
         source = sorted(monomials_of_degree(self.ctx.nvars, k), key=self.order.key)
         index = {m: i for i, m in enumerate(source) if max(m) <= cap}
-        targets = count_capped_monomials(self.ctx.nvars, self.ctx.sigma + k, cap)
-        pivots = self._pivots(index, None, targets)
+        if count_capped_monomials(self.ctx.nvars, self.ctx.sigma + k, cap) < len(index):
+            # fewer capped targets than columns: no rank mod p can be full
+            pivots = echelon(self._multiplication_rows(index, None, exact=True))
+        else:
+            pivots = self._pivots(index, None)
         free_cols = [i for i in range(len(source)) if i not in pivots]
         data = (source, pivots, sorted(pivots), free_cols)
         self._cache[k] = data
@@ -630,7 +632,7 @@ class ColonIdeal:
         targets = {_pack(monomial_div(socle, u), width) for u in self.quotient_monomials(i)}
         right = self.quotient_monomials(self.ctx.sigma - i)
         index = {v: jdx for jdx, v in enumerate(right)}
-        return len(self._pivots(index, targets, len(targets)))
+        return len(self._pivots(index, targets))
 
     def lt_generators(self, up_to: int) -> list[list[Monomial]]:
         """Minimal monomial generators of the leading-term ideal, degree by

@@ -774,6 +774,10 @@ def test_prop11_still_counts_the_conductor_of_its_literal(capsys):
     (["plane", "--n", "2", "--d", "20000", "--forms", "rational.json"], "_socle_check",
      "(n, d) = (2, 20000) over Q(zeta_1) needs 160000 term pairs (phi+128)^2 = "
      "2662560000 steps, above the socle-check limit of 1000000000"),
+    # a 4-product decomposition: the socle check's sigma + 2 degrees grow with d
+    (["dan-ci", "--n", "2", "--d", "100000000", "--decomp", "ci.json"], "_socle_check",
+     "(n, d) = (2, 100000000) over Q(zeta_1) needs 400000000 term pairs (phi+128)^2 = "
+     "6656400000000 steps, above the socle-check limit of 1000000000"),
 ])
 def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err, capsys,
                                                                  monkeypatch, tmp_path):
@@ -810,6 +814,14 @@ def test_runaway_classes_and_ideals_are_refused_before_the_work(argv, work, err,
     Path("decomp6000.json").write_text(json.dumps(decomp), encoding="utf-8")
     rational = [binomial(j, 1, ["1"], ["-1"]) for j in (0, 1)]
     Path("rational.json").write_text(json.dumps(rational), encoding="utf-8")
+
+    def monomials(*exps):
+        return {"vars": 4, "m": 1, "terms": [{"exp": e, "coeff": ["1"]} for e in exps]}
+
+    d = 100000000  # f = (x0, x1^d + x2^d + x3^d), g = (x0^(d-1), 1)
+    ci = {"f": [monomials([1, 0, 0, 0]), monomials([0, d, 0, 0], [0, 0, d, 0], [0, 0, 0, d])],
+          "g": [monomials([d - 1, 0, 0, 0]), monomials([0, 0, 0, 0])]}
+    Path("ci.json").write_text(json.dumps(ci), encoding="utf-8")
     t0 = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - t0 < 1.0
